@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import metrics
@@ -19,12 +20,13 @@ from .harness import (
     METHODS,
     ConfigError,
     ExperimentConfig,
+    check_workers,
     generate_dataset,
     load_config,
     run_experiment,
     timing_profile,
 )
-from .oracles import AnalyticOracle, ExternalOracle
+from .oracles import AnalyticOracle
 from .svgplot import plot_2d
 
 EXIT_OK = 0
@@ -88,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run (or resume) a full experiment sweep")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, help="override configured worker count")
+    p.add_argument("--workers", type=int,
+                   help="legacy; sweeps run serially and only 1 is accepted")
     p.add_argument("--method", choices=METHODS, help="restrict to one method")
     p.add_argument("--arch", choices=ARCHITECTURES, help="restrict to one architecture")
     p.add_argument("--n", type=int, help="restrict to one budget")
@@ -97,33 +100,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(config_path, seed=None, workers=None) -> ExperimentConfig:
-    cfg = load_config(config_path)
-    updates = {}
-    if seed is not None:
-        updates["seed"] = seed
-    if workers is not None:
-        updates["workers"] = workers
-    if updates:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **updates)
-    return cfg
-
-
-def _close(oracle):
-    if isinstance(oracle, ExternalOracle):
-        oracle.close()
+def _load(config_path, seed: int) -> ExperimentConfig:
+    return replace(load_config(config_path), seed=seed)
 
 
 def cmd_sample(args) -> int:
     cfg = _load(args.config, args.seed)
-    oracle = cfg.oracle.build()
-    try:
+    with cfg.oracle.build() as oracle:
         ds = generate_dataset(cfg, args.method, args.n, oracle,
                               RandomSource(args.seed))
-    finally:
-        _close(oracle)
     ds.to_csv(args.out)
     print(f"wrote {len(ds)} samples to {args.out} ({ds.query_count} oracle queries)")
     if args.plot:
@@ -146,14 +131,11 @@ def cmd_copy(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _load(args.config, args.seed)
     model = CopyModel.load(args.model)
-    oracle = cfg.oracle.build()
-    try:
+    with cfg.oracle.build() as oracle:
         ref = metrics.build_reference_set(
             oracle, args.reference_size, cfg.reference_balanced,
             RandomSource.derive(args.seed, "reference"),
         )
-    finally:
-        _close(oracle)
     r_f = metrics.empirical_fidelity_error(model, ref.X, ref.y)
     r_fb = metrics.balanced_empirical_fidelity_error(model, ref)
     print(f"R_F={r_f:.6f} R_Fb={r_fb:.6f} on {len(ref)} reference points")
@@ -185,16 +167,10 @@ def cmd_compare(args) -> int:
 def cmd_profile(args) -> int:
     cfg = _load(args.config, args.seed)
     checkpoints = [int(v) for v in args.checkpoints.split()]
-    oracle = cfg.oracle.build()
-    try:
+    with cfg.oracle.build() as oracle:
         profile = timing_profile(cfg, args.method, checkpoints, oracle,
                                  RandomSource(args.seed))
-    finally:
-        _close(oracle)
-    lines = ["method,sample_count,elapsed_s"]
-    for count, elapsed in profile.checkpoints:
-        lines.append(f"{profile.method},{count},{elapsed:.6f}")
-    text = "\n".join(lines) + "\n"
+    text = profile.csv_text()
     if args.out:
         Path(args.out).write_text(text)
         print(f"wrote {args.out}")
@@ -207,17 +183,18 @@ def cmd_plot(args) -> int:
     ds = SyntheticDataset.from_csv(args.data)
     overlay = None
     if args.config:
-        cfg = _load(args.config, args.seed)
-        oracle = cfg.oracle.build()
-        if isinstance(oracle, AnalyticOracle):
-            overlay = oracle
+        with _load(args.config, args.seed).oracle.build() as oracle:
+            if isinstance(oracle, AnalyticOracle):
+                overlay = oracle
     plot_2d(ds, overlay, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    cfg = _load(args.config, args.seed, args.workers)
+    if args.workers is not None:
+        check_workers(args.workers)
+    cfg = _load(args.config, args.seed)
     summary = run_experiment(
         cfg,
         args.out,

@@ -318,6 +318,11 @@ def _gini_best_split(Xf, y, k, min_leaf):
     j = int(np.argmin(impurity))
     pos = idx[valid][j]
     threshold = (xs[pos - 1] + xs[pos]) / 2.0
+    if threshold >= xs[pos]:
+        # one ulp apart, the midpoint can round onto the upper value; that
+        # puts it on the wrong side, and a node with only these two values
+        # would send every row left and be split again forever
+        threshold = xs[pos - 1]
     return float(impurity[j]), float(threshold)
 
 

@@ -47,7 +47,7 @@ class RandomSource:
     """Seeded PCG64 stream.
 
     The generator algorithm is pinned by name so an identical seed yields
-    an identical draw sequence on every platform.  Each concurrent task
+    an identical draw sequence on every platform.  Each task
     owns its own instance; streams for sub-tasks are derived with
     :meth:`derive` rather than by sharing.
     """

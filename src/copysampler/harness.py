@@ -9,15 +9,15 @@ sweep.
 
 from __future__ import annotations
 
-import concurrent.futures
 import configparser
 import json
 import logging
 import shlex
 import time
 from dataclasses import dataclass, field, replace as dc_replace
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,7 +101,6 @@ class ExperimentConfig:
     seed: int = 0
     repetitions: int = 10
     bayesian_repetitions: int = 5
-    workers: int = 1
     plots: bool = False
     methods: tuple[str, ...] = METHODS
     architectures: tuple[str, ...] = ("lr", "dt", "ann", "ann2")
@@ -128,8 +127,6 @@ class ExperimentConfig:
         for arch in self.architectures:
             if arch not in ARCHITECTURES:
                 raise ConfigError(f"unknown architecture {arch!r}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
     def repetitions_for(self, method: str) -> int:
         return self.bayesian_repetitions if method == "bayesian" else self.repetitions
@@ -145,21 +142,16 @@ class ExperimentConfig:
 # -- configuration file grammar ------------------------------------------------
 #
 # INI-style sections; list values are space-separated.  See README for the
-# full grammar.  Unknown sections or keys are rejected so typos surface as
-# config errors rather than silently ignored settings.
-
-_KNOWN_SECTIONS = {
-    "experiment", "oracle", "samplers", "samplers.boundary",
-    "samplers.bayesian", "samplers.jacobian", "copies", "evaluation",
-}
+# full grammar.  One table, _SCHEMA, both parses a config file and renders
+# config.resolved.ini.  A section, key or oracle kind it does not list is a
+# ConfigError, so a typo cannot silently keep a default.
 
 
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split()]
+class _Type(NamedTuple):
+    """How one value is read from config text and written back."""
 
-
-def _ints(text: str) -> list[int]:
-    return [int(v) for v in text.split()]
+    parse: Callable[[str], object]
+    show: Callable[[object], str] = str
 
 
 def _bool(text: str) -> bool:
@@ -169,6 +161,115 @@ def _bool(text: str) -> bool:
     if lowered in ("false", "no", "0", "off"):
         return False
     raise ConfigError(f"expected a boolean, got {text!r}")
+
+
+def check_workers(workers: int) -> None:
+    """Reject every worker count but 1: sweeps run serially."""
+    if workers != 1:
+        raise ConfigError(
+            f"workers = {workers}: the worker pool was removed and sweeps run "
+            "serially; only workers = 1 is accepted"
+        )
+
+
+def _joined(values) -> str:
+    return " ".join(str(v) for v in values)
+
+
+_STR = _Type(str)
+_INT = _Type(int)
+_FLOAT = _Type(float)
+_BOOL = _Type(_bool, lambda v: str(v).lower())
+_WORDS = _Type(lambda text: tuple(text.split()), _joined)
+_INTS = _Type(lambda text: tuple(int(v) for v in text.split()), _joined)
+_FLOATS = _Type(lambda text: [float(v) for v in text.split()], _joined)
+_COMMAND = _Type(shlex.split, _joined)
+# written as Python's True/False: existing run directories hold that spelling
+_PYBOOL = _Type(_bool)
+_WORKERS = _Type(lambda text: check_workers(int(text)))
+
+_REQUIRED = object()
+_OMITTED = object()
+
+
+class _Key(NamedTuple):
+    """One config key.
+
+    A key outside [oracle] sets the ExperimentConfig attribute `target`, a
+    dotted path into its parameter groups; when it is missing the dataclass
+    default stays.  An [oracle] key belongs to one oracle `kind` (None: every
+    kind) and becomes the OracleSpec option of its name; when it is missing
+    the option takes `default`, is left out, or the config is rejected.
+    """
+
+    section: str
+    name: str
+    type: _Type
+    target: str | None = None
+    kind: str | None = None
+    default: object = _OMITTED
+
+
+_SCHEMA = (
+    _Key("experiment", "name", _STR, "name"),
+    _Key("experiment", "seed", _INT, "seed"),
+    _Key("experiment", "repetitions", _INT, "repetitions"),
+    _Key("experiment", "bayesian_repetitions", _INT, "bayesian_repetitions"),
+    # legacy: accepted so old configs and run directories still load, never
+    # stored, always written as 1
+    _Key("experiment", "workers", _WORKERS),
+    _Key("experiment", "plots", _BOOL, "plots"),
+    _Key("oracle", "kind", _STR),
+    _Key("oracle", "id", _STR),
+    _Key("oracle", "w", _FLOATS, kind="halfspace", default=_REQUIRED),
+    _Key("oracle", "c", _FLOAT, kind="halfspace", default=_REQUIRED),
+    _Key("oracle", "center", _FLOATS, kind="circles", default=_REQUIRED),
+    _Key("oracle", "radii", _FLOATS, kind="circles", default=_REQUIRED),
+    _Key("oracle", "cells", _INT, kind="checkerboard", default=_REQUIRED),
+    _Key("oracle", "d", _INT, kind="checkerboard", default=2),
+    _Key("oracle", "turns", _FLOAT, kind="spiral", default=_REQUIRED),
+    _Key("oracle", "center", _FLOATS, kind="spiral"),
+    # resolved against the config file's directory and checked to exist
+    _Key("oracle", "path", _STR, kind="table", default=_REQUIRED),
+    _Key("oracle", "normalize", _PYBOOL, kind="table", default=True),
+    _Key("oracle", "command", _COMMAND, kind="external", default=_REQUIRED),
+    _Key("samplers", "methods", _WORDS, "methods"),
+    _Key("samplers.boundary", "epsilon", _FLOAT, "boundary.epsilon"),
+    _Key("samplers.boundary", "step", _FLOAT, "boundary.step"),
+    _Key("samplers.boundary", "spawn_rate", _FLOAT, "boundary.spawn_rate"),
+    _Key("samplers.boundary", "runs", _INT, "boundary.runs"),
+    _Key("samplers.boundary", "max_threads", _INT, "boundary.max_threads"),
+    _Key("samplers.boundary", "max_steps", _INT, "boundary.max_steps"),
+    _Key("samplers.bayesian", "cap", _INT, "bayes.cap"),
+    _Key("samplers.bayesian", "slowness", _FLOAT, "bayes.slowness"),
+    _Key("samplers.bayesian", "init_count", _INT, "bayes.init_count"),
+    _Key("samplers.bayesian", "local_iters", _INT, "bayes.local_iters"),
+    _Key("samplers.bayesian", "tau", _FLOAT, "acquisition.tau"),
+    _Key("samplers.bayesian", "length_scale", _FLOAT, "kernel_length_scale"),
+    _Key("samplers.bayesian", "variance", _FLOAT, "kernel_variance"),
+    _Key("samplers.jacobian", "refits", _INT, "jacobian.refits"),
+    _Key("samplers.jacobian", "seeds_per_refit", _INT, "jacobian.seeds_per_refit"),
+    _Key("samplers.jacobian", "step", _FLOAT, "jacobian.step"),
+    _Key("samplers.jacobian", "rounds", _INT, "jacobian.rounds"),
+    _Key("copies", "architectures", _WORDS, "architectures"),
+    _Key("copies", "step_size", _FLOAT, "train.step_size"),
+    _Key("copies", "epochs", _INT, "train.epochs"),
+    _Key("copies", "batch_size", _INT, "train.batch_size"),
+    _Key("copies", "max_depth", _INT, "train.max_depth"),
+    _Key("copies", "min_leaf", _INT, "train.min_leaf"),
+    _Key("evaluation", "n_grid", _INTS, "n_grid"),
+    _Key("evaluation", "reference_size", _INT, "reference_size"),
+    _Key("evaluation", "reference_balanced", _BOOL, "reference_balanced"),
+    _Key("evaluation", "tie_margin", _FLOAT, "tie_margin"),
+)
+
+_SECTIONS = tuple(dict.fromkeys(key.section for key in _SCHEMA))
+_ORACLE_KINDS = {key.kind for key in _SCHEMA if key.kind}
+
+
+def _keys_for(kind: str) -> dict[tuple[str, str], _Key]:
+    """The keys a config with oracle `kind` may set, by (section, name)."""
+    return {(k.section, k.name): k for k in _SCHEMA if k.kind in (None, kind)}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -181,198 +282,83 @@ def load_config(path) -> ExperimentConfig:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    unknown = set(parser.sections()) - _KNOWN_SECTIONS
+    unknown = set(parser.sections()) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
     if "oracle" not in parser:
         raise ConfigError("config needs an [oracle] section")
     try:
         return _config_from_parser(parser, path)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid configuration in {path}: {exc}") from exc
 
 
 def _config_from_parser(parser, path: Path) -> ExperimentConfig:
-    osec = parser["oracle"]
-    kind = osec.get("kind", "").strip()
+    kind = parser["oracle"].get("kind", "").strip()
+    if kind not in _ORACLE_KINDS:
+        raise ConfigError(f"unknown oracle kind {kind!r}")
+    keys = _keys_for(kind)
     options: dict = {}
-    if kind == "halfspace":
-        options = {"w": _floats(osec["w"]), "c": float(osec["c"])}
-    elif kind == "circles":
-        options = {"center": _floats(osec["center"]), "radii": _floats(osec["radii"])}
-    elif kind == "checkerboard":
-        options = {"cells": int(osec["cells"]), "d": int(osec.get("d", "2"))}
-    elif kind == "spiral":
-        options = {"turns": float(osec["turns"])}
-        if "center" in osec:
-            options["center"] = _floats(osec["center"])
-    elif kind == "table":
-        table_path = (path.parent / osec["path"]).resolve()
+    updates: dict[str, dict[str, object]] = {}  # parameter group -> attr -> value
+    for section in parser.sections():
+        for name, text in parser[section].items():
+            key = keys.get((section, name))
+            if key is None:
+                raise ConfigError(f"unknown key {name!r} in [{section}]")
+            value = key.type.parse(text)
+            if key.target is not None:
+                group, _, attr = key.target.rpartition(".")
+                updates.setdefault(group, {})[attr] = value
+            elif section == "oracle" and name != "kind":
+                options[name] = value
+    for key in keys.values():
+        if key.kind is None or key.name in options:
+            continue
+        if key.default is _REQUIRED:
+            raise ConfigError(f"oracle kind {kind!r} needs the key {key.name!r}")
+        if key.default is not _OMITTED:
+            options[key.name] = key.default
+    if kind == "table":
+        table_path = (path.parent / options["path"]).resolve()
         if not table_path.exists():
             raise ConfigError(f"table oracle file does not exist: {table_path}")
-        options = {"path": str(table_path),
-                   "normalize": _bool(osec.get("normalize", "true"))}
-    elif kind == "external":
-        options = {"command": shlex.split(osec["command"])}
-    else:
-        raise ConfigError(f"unknown oracle kind {kind!r}")
-    if "id" in osec:
-        options["id"] = osec["id"].strip()
-    spec = OracleSpec(kind=kind, options=options)
+        options["path"] = str(table_path)
 
-    exp = parser["experiment"] if "experiment" in parser else {}
-    eva = parser["evaluation"] if "evaluation" in parser else {}
-    cop = parser["copies"] if "copies" in parser else {}
-    sam = parser["samplers"] if "samplers" in parser else {}
-
-    defaults = ExperimentConfig(oracle=spec)
-
-    def bparams() -> BoundaryParams:
-        sec = parser["samplers.boundary"] if "samplers.boundary" in parser else {}
-        kwargs = {}
-        for key in ("epsilon", "step", "spawn_rate"):
-            if key in sec:
-                kwargs[key] = float(sec[key])
-        for key in ("runs", "max_threads", "max_steps"):
-            if key in sec:
-                kwargs[key] = int(sec[key])
-        return BoundaryParams(**kwargs)
-
-    def gparams() -> tuple[FastBayesParams, AcquisitionParams, float | None, float | None]:
-        sec = parser["samplers.bayesian"] if "samplers.bayesian" in parser else {}
-        kwargs = {}
-        if "cap" in sec:
-            kwargs["cap"] = int(sec["cap"])
-        if "slowness" in sec:
-            kwargs["slowness"] = float(sec["slowness"])
-        if "init_count" in sec:
-            kwargs["init_count"] = int(sec["init_count"])
-        if "local_iters" in sec:
-            kwargs["local_iters"] = int(sec["local_iters"])
-        acq = AcquisitionParams(tau=float(sec["tau"])) if "tau" in sec else AcquisitionParams()
-        ls = float(sec["length_scale"]) if "length_scale" in sec else None
-        var = float(sec["variance"]) if "variance" in sec else None
-        return FastBayesParams(**kwargs), acq, ls, var
-
-    def jparams() -> JacobianParams:
-        sec = parser["samplers.jacobian"] if "samplers.jacobian" in parser else {}
-        kwargs = {}
-        if "refits" in sec:
-            kwargs["refits"] = int(sec["refits"])
-        if "seeds_per_refit" in sec:
-            kwargs["seeds_per_refit"] = int(sec["seeds_per_refit"])
-        if "step" in sec:
-            kwargs["step"] = float(sec["step"])
-        if "rounds" in sec:
-            kwargs["rounds"] = int(sec["rounds"])
-        return JacobianParams(**kwargs)
-
-    def tparams() -> TrainConfig:
-        kwargs = {}
-        if "step_size" in cop:
-            kwargs["step_size"] = float(cop["step_size"])
-        if "epochs" in cop:
-            kwargs["epochs"] = int(cop["epochs"])
-        if "batch_size" in cop:
-            kwargs["batch_size"] = int(cop["batch_size"])
-        if "max_depth" in cop:
-            kwargs["max_depth"] = int(cop["max_depth"])
-        if "min_leaf" in cop:
-            kwargs["min_leaf"] = int(cop["min_leaf"])
-        return TrainConfig(**kwargs)
-
-    bayes, acq, ls, var = gparams()
-    try:
-        return ExperimentConfig(
-            oracle=spec,
-            name=exp.get("name", defaults.name),
-            seed=int(exp.get("seed", defaults.seed)),
-            repetitions=int(exp.get("repetitions", defaults.repetitions)),
-            bayesian_repetitions=int(
-                exp.get("bayesian_repetitions", defaults.bayesian_repetitions)
-            ),
-            workers=int(exp.get("workers", defaults.workers)),
-            plots=_bool(exp.get("plots", "false")),
-            methods=tuple(sam.get("methods", " ".join(defaults.methods)).split()),
-            architectures=tuple(
-                cop.get("architectures", " ".join(defaults.architectures)).split()
-            ),
-            n_grid=tuple(_ints(eva.get("n_grid", "100 1000 10000"))),
-            reference_size=int(eva.get("reference_size", defaults.reference_size)),
-            reference_balanced=_bool(eva.get("reference_balanced", "true")),
-            tie_margin=float(eva.get("tie_margin", defaults.tie_margin)),
-            boundary=bparams(),
-            bayes=bayes,
-            acquisition=acq,
-            jacobian=jparams(),
-            kernel_length_scale=ls,
-            kernel_variance=var,
-            train=tparams(),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = ExperimentConfig(oracle=OracleSpec(kind=kind, options=options))
+    fields = updates.pop("", {})
+    for group, values in updates.items():
+        fields[group] = dc_replace(getattr(cfg, group), **values)
+    return dc_replace(cfg, **fields)
 
 
 def render_resolved(cfg: ExperimentConfig) -> str:
     """Canonical text form of the resolved config, stable across runs."""
-    sections: list[tuple[str, list[tuple[str, object]]]] = []
-    sections.append((
-        "experiment",
-        [("name", cfg.name), ("seed", cfg.seed), ("repetitions", cfg.repetitions),
-         ("bayesian_repetitions", cfg.bayesian_repetitions),
-         ("workers", cfg.workers), ("plots", str(cfg.plots).lower())],
-    ))
-    oracle_items: list[tuple[str, object]] = [("kind", cfg.oracle.kind)]
-    for key in sorted(cfg.oracle.options):
-        value = cfg.oracle.options[key]
-        if isinstance(value, (list, tuple)):
-            value = " ".join(str(v) for v in value)
-        oracle_items.append((key, value))
-    sections.append(("oracle", oracle_items))
-    sections.append(("samplers", [("methods", " ".join(cfg.methods))]))
-    sections.append((
-        "samplers.boundary",
-        [("epsilon", cfg.boundary.epsilon), ("step", cfg.boundary.step),
-         ("spawn_rate", cfg.boundary.spawn_rate), ("runs", cfg.boundary.runs),
-         ("max_threads", cfg.boundary.max_threads),
-         ("max_steps", cfg.boundary.max_steps)],
-    ))
-    sections.append((
-        "samplers.bayesian",
-        [("cap", cfg.bayes.cap), ("slowness", cfg.bayes.slowness),
-         ("init_count", cfg.bayes.init_count), ("local_iters", cfg.bayes.local_iters),
-         ("tau", cfg.acquisition.tau), ("length_scale", cfg.kernel_length_scale),
-         ("variance", cfg.kernel_variance)],
-    ))
-    sections.append((
-        "samplers.jacobian",
-        [("refits", cfg.jacobian.refits), ("seeds_per_refit", cfg.jacobian.seeds_per_refit),
-         ("step", cfg.jacobian.step), ("rounds", cfg.jacobian.rounds)],
-    ))
-    sections.append((
-        "copies",
-        [("architectures", " ".join(cfg.architectures)),
-         ("step_size", cfg.train.step_size), ("epochs", cfg.train.epochs),
-         ("batch_size", cfg.train.batch_size), ("max_depth", cfg.train.max_depth),
-         ("min_leaf", cfg.train.min_leaf)],
-    ))
-    sections.append((
-        "evaluation",
-        [("n_grid", " ".join(str(n) for n in cfg.n_grid)),
-         ("reference_size", cfg.reference_size),
-         ("reference_balanced", str(cfg.reference_balanced).lower()),
-         ("tie_margin", cfg.tie_margin)],
-    ))
+    keys = _keys_for(cfg.oracle.kind)
     out = []
-    for section, items in sections:
+    for section in _SECTIONS:
         out.append(f"[{section}]")
-        for key, value in items:
-            out.append(f"{key} = {'' if value is None else value}")
+        if section == "oracle":
+            out.append(f"kind = {cfg.oracle.kind}")
+            out += [f"{name} = {keys['oracle', name].type.show(value)}"
+                    for name, value in sorted(cfg.oracle.options.items())]
+        else:
+            out += [f"{key.name} = {_rendered(cfg, key)}"
+                    for key in _SCHEMA if key.section == section]
         out.append("")
     return "\n".join(out)
 
 
+def _rendered(cfg: ExperimentConfig, key: _Key) -> str:
+    if key.target is None:  # the legacy `workers` key
+        return "1"
+    value = attrgetter(key.target)(cfg)
+    return "" if value is None else key.type.show(value)
+
+
 # -- timing ---------------------------------------------------------------------
+
+TIMING_HEADER = "method,sample_count,elapsed_s"
+
 
 @dataclass
 class TimingProfile:
@@ -380,6 +366,7 @@ class TimingProfile:
 
     method: str
     checkpoints: list[tuple[int, float]]
+    dataset: SyntheticDataset | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         counts = [c for c, _ in self.checkpoints]
@@ -388,6 +375,11 @@ class TimingProfile:
             raise ValueError("checkpoint sample counts must be strictly increasing")
         if any(b < a for a, b in zip(elapsed, elapsed[1:])):
             raise ValueError("elapsed times must be non-decreasing")
+
+    def csv_text(self) -> str:
+        """Timing CSV text: the header, then one row per checkpoint."""
+        rows = [f"{self.method},{count},{elapsed:.6f}" for count, elapsed in self.checkpoints]
+        return "\n".join([TIMING_HEADER, *rows]) + "\n"
 
 
 def generate_dataset(
@@ -420,7 +412,10 @@ def timing_profile(
     oracle: Oracle,
     rng: RandomSource,
 ) -> TimingProfile:
-    """Time one generation run, recording elapsed seconds at each checkpoint."""
+    """Time one generation run, recording elapsed seconds at each checkpoint.
+
+    The profile also carries the dataset generated for the last checkpoint.
+    """
     checkpoints = list(checkpoints)
     if checkpoints != sorted(set(checkpoints)) or not checkpoints:
         raise ValueError("checkpoints must be non-empty and strictly ascending")
@@ -432,8 +427,8 @@ def timing_profile(
         while remaining and count >= remaining[0]:
             marks.append((remaining.pop(0), time.perf_counter() - start))
 
-    generate_dataset(cfg, method, checkpoints[-1], oracle, rng, progress=progress)
-    return TimingProfile(method=method, checkpoints=marks)
+    ds = generate_dataset(cfg, method, checkpoints[-1], oracle, rng, progress=progress)
+    return TimingProfile(method=method, checkpoints=marks, dataset=ds)
 
 
 # -- the sweep runner -------------------------------------------------------------
@@ -482,28 +477,12 @@ def _write_dataset_atomically(ds: SyntheticDataset, path: Path):
 
 def _generate_one(cfg, out, method, rep):
     ds_path, timing_path = _dataset_paths(out, method, rep)
-    oracle = cfg.oracle.build()
-    try:
+    with cfg.oracle.build() as oracle:
         rng = RandomSource.derive(cfg.seed, "dataset", method, rep)
-        n_max = cfg.n_grid[-1]
-        marks: list[tuple[int, float]] = []
-        remaining = [n for n in cfg.n_grid]
-        start = time.perf_counter()
-
-        def progress(count: int):
-            while remaining and count >= remaining[0]:
-                marks.append((remaining.pop(0), time.perf_counter() - start))
-
-        ds = generate_dataset(cfg, method, n_max, oracle, rng, progress=progress)
-        lines = ["method,sample_count,elapsed_s"]
-        for count, elapsed in marks:
-            lines.append(f"{method},{count},{elapsed:.6f}")
-        timing_path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(timing_path, "\n".join(lines) + "\n")
-        _write_dataset_atomically(ds, ds_path)
-    finally:
-        if isinstance(oracle, ExternalOracle):
-            oracle.close()
+        profile = timing_profile(cfg, method, cfg.n_grid, oracle, rng)
+    timing_path.parent.mkdir(parents=True, exist_ok=True)
+    _atomic_write(timing_path, profile.csv_text())
+    _write_dataset_atomically(profile.dataset, ds_path)
 
 
 def _evaluate_cell(cfg, out, method, arch, n, rep, dataset, reference):
@@ -540,22 +519,18 @@ def _reference_for(cfg: ExperimentConfig, out: Path) -> metrics.ReferenceSet:
             ds.X, ds.y, ds.k, cfg.reference_balanced, counts,
             bool(ds.metadata.get("complete", True)), ds.seed,
         )
-    oracle = cfg.oracle.build()
-    try:
+    with cfg.oracle.build() as oracle:
         rng = RandomSource.derive(cfg.seed, "reference")
         ref = metrics.build_reference_set(
             oracle, cfg.reference_size, cfg.reference_balanced, rng
         )
-        ds = SyntheticDataset(
-            X=ref.X, y=ref.y, k=ref.k, generator_id="reference", seed=ref.seed,
-            query_count=oracle.query_count,
-            metadata={"complete": ref.complete, "balanced": ref.balanced},
-        )
-        ref_path.parent.mkdir(parents=True, exist_ok=True)
-        _write_dataset_atomically(ds, ref_path)
-    finally:
-        if isinstance(oracle, ExternalOracle):
-            oracle.close()
+    ds = SyntheticDataset(
+        X=ref.X, y=ref.y, k=ref.k, generator_id="reference", seed=ref.seed,
+        query_count=oracle.query_count,
+        metadata={"complete": ref.complete, "balanced": ref.balanced},
+    )
+    ref_path.parent.mkdir(parents=True, exist_ok=True)
+    _write_dataset_atomically(ds, ref_path)
     return ref
 
 
@@ -588,11 +563,6 @@ def run_experiment(
     else:
         echo_path.write_text(resolved)
 
-    workers = cfg.workers
-    if cfg.oracle.kind == "external" and workers != 1:
-        log.warning("external oracle forces workers=1")
-        workers = 1
-
     methods = [m for m in cfg.methods if only_methods is None or m in only_methods]
     archs = [a for a in cfg.architectures if only_archs is None or a in only_archs]
     grid = [n for n in cfg.n_grid if only_ns is None or n in only_ns]
@@ -615,7 +585,7 @@ def run_experiment(
         return 1
 
     summary.datasets_computed += _run_tasks(
-        gen_tasks, run_gen, workers, summary,
+        gen_tasks, run_gen, summary,
         label=lambda t: f"dataset {t[0]} rep {t[1]}",
     )
 
@@ -646,10 +616,9 @@ def run_experiment(
             done += 1
         return done
 
-    # cells within one dataset run serially; datasets in parallel
     failures_before = len(summary.failures)
     summary.cells_computed += _run_tasks(
-        cell_tasks, run_cells, workers, summary,
+        cell_tasks, run_cells, summary,
         label=lambda t: f"cells {t[0]} rep {t[1]}",
     )
 
@@ -668,7 +637,7 @@ def run_experiment(
             timing_rows.extend(lines)
     timing_rows.sort(key=lambda row: (row.split(",")[0], int(row.split(",")[1])))
     _atomic_write(out / "timing.csv",
-                  "method,sample_count,elapsed_s\n" + "".join(r + "\n" for r in timing_rows))
+                  TIMING_HEADER + "\n" + "".join(r + "\n" for r in timing_rows))
 
     expected = {
         (cfg.oracle.oracle_id, m, a, n)
@@ -694,28 +663,15 @@ def run_experiment(
     return summary
 
 
-def _run_tasks(tasks, fn, workers, summary: RunSummary, label) -> int:
-    """Run tasks with per-task failure isolation; returns summed results."""
+def _run_tasks(tasks, fn, summary: RunSummary, label) -> int:
+    """Run tasks in order, isolating each failure; returns summed results."""
     completed = 0
-    if not tasks:
-        return completed
-    if workers == 1:
-        for task in tasks:
-            try:
-                completed += fn(task)
-            except Exception as exc:
-                log.exception("task failed: %s", label(task))
-                summary.failures.append((label(task), str(exc)))
-        return completed
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(fn, task): task for task in tasks}
-        for future in concurrent.futures.as_completed(futures):
-            task = futures[future]
-            try:
-                completed += future.result()
-            except Exception as exc:
-                log.exception("task failed: %s", label(task))
-                summary.failures.append((label(task), str(exc)))
+    for task in tasks:
+        try:
+            completed += fn(task)
+        except Exception as exc:
+            log.exception("task failed: %s", label(task))
+            summary.failures.append((label(task), str(exc)))
     return completed
 
 

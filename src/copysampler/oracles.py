@@ -37,7 +37,9 @@ class Oracle:
 
     `query` must be deterministic (same point, same label).  The counter is
     the cost model for sampling budgets, so every label obtained from the
-    underlying model passes through `query`/`query_many`.
+    underlying model passes through `query`/`query_many`.  Every oracle is a
+    context manager; `close` releases what it holds (a child process, for
+    an external oracle).
     """
 
     def __init__(self, d: int, k: int):
@@ -68,6 +70,16 @@ class Oracle:
 
     def _label_many(self, X: np.ndarray) -> np.ndarray:
         return np.array([self._label_one(row) for row in X], dtype=np.int64)
+
+    def close(self):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
 
 
 class AnalyticOracle(Oracle):
@@ -359,6 +371,10 @@ def external_handshake(reader: IO[str]) -> tuple[int, int]:
     return parse_handshake(line)
 
 
+# Seconds a child oracle gets to exit after BYE before it is killed.
+CLOSE_GRACE_S = 10.0
+
+
 class ExternalOracle(Oracle):
     """Client for a model served over the wire protocol.
 
@@ -421,16 +437,13 @@ class ExternalOracle(Oracle):
             except OSError:
                 pass
         if self._proc is not None:
-            self._proc.wait(timeout=10)
+            try:
+                self._proc.wait(timeout=CLOSE_GRACE_S)
+            except subprocess.TimeoutExpired:
+                self._proc.kill()
+                self._proc.wait()
         if self._on_close is not None:
             self._on_close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
 
 
 def serve_oracle(oracle: Oracle, reader: IO[str], writer: IO[str]) -> int:

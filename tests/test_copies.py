@@ -1,5 +1,7 @@
 """Copy models: training, prediction, determinism, persistence."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,25 @@ class TestPredict:
         assert model.train_meta["depth"] == 1
         assert model.predict(np.array([0.49])) == 0
         assert model.predict(np.array([0.51])) == 1
+
+    def test_one_ulp_split_terminates(self):
+        # the midpoint of two values one ulp apart rounds onto the upper one;
+        # tree training used to split that node forever
+        a = 0.08609775692680265
+        X = np.array([[a, 0.5], [np.nextafter(a, 1.0), 0.5]])
+
+        def hung(signum, frame):
+            raise TimeoutError("tree training did not terminate")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        try:
+            model = train("dt", make_dataset(X, np.array([0, 1])))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert model.train_meta["depth"] == 1
+        np.testing.assert_array_equal(model.predict_many(X), [0, 1])
 
     def test_predict_free_function(self):
         X = np.array([[0.0], [1.0]])

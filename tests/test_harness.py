@@ -1,10 +1,13 @@
 """Experiment harness: config grammar, sweep accounting, resume, plots, CLI."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from copysampler import (
     ConcentricCirclesOracle,
+    ExternalOracle,
     SyntheticDataset,
     random_sampler,
 )
@@ -47,6 +50,232 @@ epochs = 60
 n_grid = 100 1000
 reference_size = 4000
 """
+
+
+CIRCLES_ORACLE = "[oracle]\nkind = circles\ncenter = 0.5 0.5\nradii = 0.25\n"
+
+# render_resolved output as the run directories written so far have it; a
+# run directory resumes only while these bytes stay the same
+RESOLVED_DEFAULT_EXPERIMENT = """[experiment]
+name = experiment
+seed = 0
+repetitions = 10
+bayesian_repetitions = 5
+workers = 1
+plots = false
+
+"""
+
+RESOLVED_DEFAULT_REST = """[samplers]
+methods = random boundary bayesian jacobian
+
+[samplers.boundary]
+epsilon = 0.01
+step = 0.05
+spawn_rate = 5.0
+runs = 
+max_threads = 
+max_steps = 
+
+[samplers.bayesian]
+cap = 1000
+slowness = 20.0
+init_count = 10
+local_iters = 10
+tau = 10.0
+length_scale = 
+variance = 
+
+[samplers.jacobian]
+refits = 
+seeds_per_refit = 50
+step = 0.05
+rounds = 5
+
+[copies]
+architectures = lr dt ann ann2
+step_size = 0.01
+epochs = 200
+batch_size = 64
+max_depth = 
+min_leaf = 1
+
+[evaluation]
+n_grid = 100 1000 10000
+reference_size = 100000
+reference_balanced = true
+tie_margin = 0.01
+"""
+
+RESOLVED_TOY_CIRCLES = """[experiment]
+name = toy-circles
+seed = 42
+repetitions = 5
+bayesian_repetitions = 5
+workers = 1
+plots = true
+
+[oracle]
+kind = circles
+center = 0.5 0.5
+radii = 0.25
+
+[samplers]
+methods = random boundary bayesian jacobian
+
+[samplers.boundary]
+epsilon = 0.01
+step = 0.05
+spawn_rate = 5.0
+runs = 
+max_threads = 
+max_steps = 
+
+[samplers.bayesian]
+cap = 300
+slowness = 20.0
+init_count = 10
+local_iters = 10
+tau = 10.0
+length_scale = 
+variance = 
+
+[samplers.jacobian]
+refits = 
+seeds_per_refit = 50
+step = 0.05
+rounds = 5
+
+[copies]
+architectures = lr dt
+step_size = 0.01
+epochs = 200
+batch_size = 64
+max_depth = 
+min_leaf = 1
+
+[evaluation]
+n_grid = 100 1000
+reference_size = 20000
+reference_balanced = true
+tie_margin = 0.01
+"""
+
+EVERY_KEY_CONFIG = """[experiment]
+name = hs
+seed = 7
+repetitions = 3
+bayesian_repetitions = 2
+workers = 1
+plots = yes
+
+[oracle]
+kind = halfspace
+w = 1 -0.5
+c = 0.25
+id = my-halfspace
+
+[samplers]
+methods = random bayesian
+
+[samplers.boundary]
+epsilon = 0.001
+step = 0.05
+spawn_rate = 3
+runs = 4
+max_threads = 8
+max_steps = 100
+
+[samplers.bayesian]
+cap = 150
+slowness = 1.5
+init_count = 12
+local_iters = 9
+tau = 0.2
+length_scale = 0.3
+variance = 2
+
+[samplers.jacobian]
+refits = 3
+seeds_per_refit = 7
+step = 0.02
+rounds = 2
+
+[copies]
+architectures = dt ann
+step_size = 0.01
+epochs = 40
+batch_size = 16
+max_depth = 6
+min_leaf = 2
+
+[evaluation]
+n_grid = 10 20
+reference_size = 300
+reference_balanced = off
+tie_margin = 0.05
+"""
+
+RESOLVED_EVERY_KEY = """[experiment]
+name = hs
+seed = 7
+repetitions = 3
+bayesian_repetitions = 2
+workers = 1
+plots = true
+
+[oracle]
+kind = halfspace
+c = 0.25
+id = my-halfspace
+w = 1.0 -0.5
+
+[samplers]
+methods = random bayesian
+
+[samplers.boundary]
+epsilon = 0.001
+step = 0.05
+spawn_rate = 3.0
+runs = 4
+max_threads = 8
+max_steps = 100
+
+[samplers.bayesian]
+cap = 150
+slowness = 1.5
+init_count = 12
+local_iters = 9
+tau = 0.2
+length_scale = 0.3
+variance = 2.0
+
+[samplers.jacobian]
+refits = 3
+seeds_per_refit = 7
+step = 0.02
+rounds = 2
+
+[copies]
+architectures = dt ann
+step_size = 0.01
+epochs = 40
+batch_size = 16
+max_depth = 6
+min_leaf = 2
+
+[evaluation]
+n_grid = 10 20
+reference_size = 300
+reference_balanced = false
+tie_margin = 0.05
+"""
+
+
+def write_table(directory):
+    path = directory / "table.csv"
+    path.write_text("x0,x1,label\n0.1,0.2,0\n0.9,0.8,1\n")
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +342,82 @@ class TestConfigParsing:
     def test_render_resolved_is_stable(self, toy_config):
         cfg = load_config(toy_config)
         assert render_resolved(cfg) == render_resolved(load_config(toy_config))
+
+    @pytest.mark.parametrize("section, key", [
+        ("experiment", "workrs = 4"),
+        ("oracle", "raddi = 0.4"),
+        ("oracle", "cells = 3"),  # a checkerboard key on a circles oracle
+        ("samplers", "method = random"),
+        ("samplers.boundary", "epsilom = 0.001"),
+        ("samplers.bayesian", "capp = 5"),
+        ("samplers.jacobian", "refit = 3"),
+        ("copies", "epoch = 10"),
+        ("evaluation", "n_gird = 100"),
+    ])
+    def test_misspelt_key_rejected(self, tmp_path, section, key):
+        path = tmp_path / "typo.ini"
+        if section == "oracle":
+            path.write_text(CIRCLES_ORACLE + key + "\n")
+        else:
+            path.write_text(CIRCLES_ORACLE + f"[{section}]\n{key}\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(path)
+
+    def test_misspelt_table_oracle_key_rejected(self, tmp_path):
+        write_table(tmp_path)
+        path = tmp_path / "typo.ini"
+        path.write_text("[oracle]\nkind = table\npath = table.csv\nnormalise = true\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(path)
+
+    def test_missing_oracle_key_rejected(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[oracle]\nkind = circles\ncenter = 0.5 0.5\n")
+        with pytest.raises(ConfigError, match="radii"):
+            load_config(path)
+
+    @pytest.mark.parametrize("workers, ok", [("1", True), ("2", False), ("0", False)])
+    def test_workers_accepts_only_one(self, tmp_path, workers, ok):
+        path = tmp_path / "w.ini"
+        path.write_text(f"[experiment]\nworkers = {workers}\n" + CIRCLES_ORACLE)
+        if ok:
+            assert "workers = 1" in render_resolved(load_config(path))
+        else:
+            with pytest.raises(ConfigError, match="worker pool was removed"):
+                load_config(path)
+
+
+class TestResolvedGolden:
+    def test_toy_circles(self):
+        path = Path(__file__).resolve().parents[1] / "configs" / "toy-circles.ini"
+        assert render_resolved(load_config(path)) == RESOLVED_TOY_CIRCLES
+
+    def test_every_key_set(self, tmp_path):
+        path = tmp_path / "every.ini"
+        path.write_text(EVERY_KEY_CONFIG)
+        assert render_resolved(load_config(path)) == RESOLVED_EVERY_KEY
+
+    @pytest.mark.parametrize("oracle, rendered", [
+        ("kind = circles\ncenter = 0.5 0.5\nradii = 0.2 0.4\n",
+         "kind = circles\ncenter = 0.5 0.5\nradii = 0.2 0.4\n"),
+        ("kind = checkerboard\ncells = 3\n",
+         "kind = checkerboard\ncells = 3\nd = 2\n"),
+        ("kind = spiral\nturns = 1.5\ncenter = 0.4 0.6\n",
+         "kind = spiral\ncenter = 0.4 0.6\nturns = 1.5\n"),
+        ("kind = table\npath = table.csv\nnormalize = false\n",
+         "kind = table\nnormalize = False\npath = {table}\n"),
+        ("kind = table\npath = table.csv\n",
+         "kind = table\nnormalize = True\npath = {table}\n"),
+        ("kind = external\ncommand = serve-model --port 7 'two words'\n",
+         "kind = external\ncommand = serve-model --port 7 two words\n"),
+    ])
+    def test_oracle_kinds(self, tmp_path, oracle, rendered):
+        table = write_table(tmp_path).resolve()
+        path = tmp_path / "kind.ini"
+        path.write_text("[oracle]\n" + oracle)
+        expected = (RESOLVED_DEFAULT_EXPERIMENT + "[oracle]\n"
+                    + rendered.format(table=table) + "\n" + RESOLVED_DEFAULT_REST)
+        assert render_resolved(load_config(path)) == expected
 
 
 class TestRunAccounting:
@@ -319,6 +624,41 @@ class TestCLI:
         code = cli_main(["run", "--config", str(bad), "--out",
                          str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("workers, code", [("1", 0), ("2", 2)])
+    def test_run_workers_flag(self, tmp_path, capsys, workers, code):
+        path = tmp_path / "mini.ini"
+        path.write_text("[experiment]\nrepetitions = 1\n"
+                        "[oracle]\nkind = halfspace\nw = 1 0\nc = 0.5\n"
+                        "[samplers]\nmethods = random\n"
+                        "[copies]\narchitectures = dt\n"
+                        "[evaluation]\nn_grid = 60\nreference_size = 300\n")
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                         "--workers", workers]) == code
+        if code:
+            assert "worker pool was removed" in capsys.readouterr().err
+
+    def test_plot_closes_the_configured_oracle(self, tmp_path, monkeypatch):
+        import sys
+
+        closed = []
+        close = ExternalOracle.close
+
+        def recording_close(self):
+            closed.append(self)
+            close(self)
+
+        monkeypatch.setattr(ExternalOracle, "close", recording_close)
+        snippet = ("from copysampler.oracles import HalfspaceOracle, serve_stdio; "
+                   "serve_stdio(HalfspaceOracle(w=(1.0, 0.0), c=0.5))")
+        config = tmp_path / "ext.ini"
+        config.write_text(f"[oracle]\nkind = external\n"
+                          f"command = {sys.executable} -c \"{snippet}\"\n")
+        data = random_sampler(10, ConcentricCirclesOracle((0.5, 0.5), [0.25]),
+                              RandomSource(7)).to_csv(tmp_path / "ds.csv")
+        assert cli_main(["plot", "--data", str(data), "--out", str(tmp_path / "p.svg"),
+                         "--config", str(config)]) == 0
+        assert len(closed) == 1
 
     def test_run_exit_zero(self, tmp_path):
         path = tmp_path / "mini.ini"

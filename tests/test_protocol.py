@@ -3,6 +3,7 @@
 import io
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from copysampler import (
     parse_handshake,
     serve_oracle,
 )
+from copysampler import oracles
 from copysampler.core import RandomSource
 
 SERVER_SNIPPET = (
@@ -107,6 +109,15 @@ class TestChildProcess:
         remote.query(np.array([0.9, 0.9]))
         remote.close()
         assert remote._proc.returncode == 0
+
+    def test_close_kills_a_child_that_ignores_bye(self, monkeypatch):
+        monkeypatch.setattr(oracles, "CLOSE_GRACE_S", 0.2)
+        snippet = "import time; print('HELLO 2 2', flush=True); time.sleep(60)"
+        remote = ExternalOracle.spawn([sys.executable, "-c", snippet])
+        start = time.monotonic()
+        remote.close()
+        assert time.monotonic() - start < 30
+        assert remote._proc.poll() is not None
 
 
 class TestStreamPairTransport:
