@@ -86,9 +86,14 @@ class OracleSpec:
             )
         if self.kind == "table":
             X, y = load_labeled_csv(opts["path"])
-            if opts.get("normalize", True):
+            # Normalizing would spread a NaN or inf over its whole column;
+            # keep such a table raw so the error names the row that holds it.
+            if opts.get("normalize", True) and np.isfinite(X).all():
                 X = fit_normalization(X).transform(X)
-            return TableOracle(X, y)
+            try:
+                return TableOracle(X, y)
+            except ValueError as exc:
+                raise ConfigError(f"table.path {opts['path']}: {exc}") from None
         if self.kind == "external":
             return ExternalOracle.spawn(opts["command"])
         raise ConfigError(f"unknown oracle kind {self.kind!r}")

@@ -1,5 +1,6 @@
 """Experiment harness: config grammar, sweep accounting, resume, plots, CLI."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +279,13 @@ def write_table(directory):
     return path
 
 
+def without_wall_time(report: bytes) -> list[list[bytes]]:
+    """report.csv rows split into fields, minus the run-dependent wall time."""
+    rows = [line.split(b",") for line in report.splitlines()]
+    col = rows[0].index(b"wall_time_s")
+    return [row[:col] + row[col + 1:] for row in rows]
+
+
 @pytest.fixture(scope="module")
 def toy_config(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "toy.ini"
@@ -330,6 +338,26 @@ class TestConfigParsing:
         path = tmp_path / "bad.ini"
         path.write_text("[oracle]\nkind = table\npath = missing.csv\n")
         with pytest.raises(ConfigError):
+            load_config(path)
+
+    @pytest.mark.parametrize("normalize", ["true", "false"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_table_rejected(self, tmp_path, normalize, bad):
+        (tmp_path / "table.csv").write_text(
+            f"x0,x1,label\n0.1,0.2,0\n0.9,0.8,1\n0.5,{bad},1\n0.3,0.7,0\n")
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[oracle]\nkind = table\npath = table.csv\nnormalize = {normalize}\n")
+        cfg = load_config(path)
+        with pytest.raises(ConfigError, match=r"table\.path .*table\.csv.*row 2 "):
+            cfg.oracle.build()
+
+    def test_readme_ini_examples_load(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.M | re.S)
+        assert blocks
+        for i, block in enumerate(blocks):
+            path = tmp_path / f"readme{i}.ini"
+            path.write_text(block)
             load_config(path)
 
     def test_descending_grid_rejected(self, tmp_path):
@@ -475,7 +503,7 @@ class TestResume:
         # all value fields identical; wall_time differs between runs
         assert recomputed.rsplit(b",", 1)[0] == original.rsplit(b",", 1)[0]
         report_after = (out / "report.csv").read_bytes()
-        assert report_before.rsplit(b",", 1)[0] is not None
+        assert without_wall_time(report_after) == without_wall_time(report_before)
         assert len(report_after.splitlines()) == len(report_before.splitlines())
 
     def test_mismatched_config_rejected(self, toy_run, tmp_path):

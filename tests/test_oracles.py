@@ -122,6 +122,111 @@ class TestTableOracle:
             boundary_distance(oracle, np.zeros(2))
 
 
+def brute_force_labels(X_ref, y_ref, Z):
+    """The 1-NN rule by definition: a full distance scan per point."""
+    return np.array([y_ref[np.argmin(((X_ref - z) ** 2).sum(axis=1))] for z in Z],
+                    dtype=np.int64)
+
+
+def assert_matches_brute_force(X_ref, y_ref, Z):
+    oracle = TableOracle(X_ref, y_ref, k=int(y_ref.max()) + 1)
+    expected = brute_force_labels(X_ref, y_ref, Z)
+    np.testing.assert_array_equal(oracle.query_many(Z), expected)
+    np.testing.assert_array_equal([oracle.query(z) for z in Z], expected)
+
+
+def midpoints(X_ref, rng, n):
+    """Points halfway between two random rows; exact for dyadic tables."""
+    pairs = rng.integers(0, X_ref.shape[0], size=(n, 2))
+    return (X_ref[pairs[:, 0]] + X_ref[pairs[:, 1]]) / 2
+
+
+class TestTableOracleExactness:
+    """`query` and `query_many` agree with a brute-force scan bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_duplicate_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        base = rng.integers(0, 5, size=(30, 3)) / 4
+        X_ref = base[rng.integers(0, 30, size=90)]
+        y_ref = rng.integers(0, 3, size=90)
+        Z = np.vstack([X_ref[rng.integers(0, 90, size=40)],
+                       midpoints(X_ref, rng, 40), rng.uniform(size=(40, 3))])
+        assert_matches_brute_force(X_ref, y_ref, Z)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_midway_between_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        X_ref = rng.integers(0, 8, size=(50, 2)) / 8
+        y_ref = rng.integers(0, 2, size=50)
+        assert_matches_brute_force(X_ref, y_ref, midpoints(X_ref, rng, 200))
+
+    def test_midway_query_takes_the_lower_row(self):
+        X_ref = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 2.0]])
+        oracle = TableOracle(X_ref, np.array([1, 0, 2]))
+        assert oracle.query(np.array([1.0, 0.0])) == 1
+        np.testing.assert_array_equal(
+            oracle.query_many(np.array([[1.0, 0.0], [1.5, 1.0]])), [1, 0])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_large_offset_small_spread(self, seed):
+        # Raw, unnormalized columns around 1e4 with a 1e-3 spread: |q|^2 and
+        # |r|^2 dwarf the distances, so the expanded form cancels badly.
+        rng = np.random.default_rng(seed)
+        X_ref = 1e4 + rng.uniform(-1e-3, 1e-3, size=(60, 4))
+        X_ref[30:] = X_ref[rng.integers(0, 30, size=30)]
+        y_ref = rng.integers(0, 3, size=60)
+        Z = np.vstack([1e4 + rng.uniform(-1e-3, 1e-3, size=(60, 4)),
+                       midpoints(X_ref, rng, 60), X_ref[:10]])
+        assert_matches_brute_force(X_ref, y_ref, Z)
+
+    def test_single_row(self):
+        rng = np.random.default_rng(3)
+        X_ref = rng.uniform(size=(1, 3))
+        y_ref = np.array([2])
+        Z = np.vstack([rng.uniform(size=(20, 3)), X_ref])
+        assert_matches_brute_force(X_ref, y_ref, Z)
+        assert TableOracle(X_ref, y_ref).query_many(Z).tolist() == [2] * 21
+
+    def test_one_query_per_chunk(self):
+        M = TableOracle._CHUNK_PAIRS // 2 + 1
+        rng = np.random.default_rng(4)
+        X_ref = rng.integers(0, 64, size=(M, 2)) / 64
+        y_ref = rng.integers(0, 3, size=M)
+        Z = np.vstack([midpoints(X_ref, rng, 4), rng.uniform(size=(4, 2))])
+        assert_matches_brute_force(X_ref, y_ref, Z)
+
+    def test_many_chunks(self):
+        rng = np.random.default_rng(5)
+        M = 1000
+        X_ref = rng.integers(0, 10, size=(M, 2)) / 10
+        y_ref = rng.integers(0, 4, size=M)
+        Z = np.vstack([midpoints(X_ref, rng, 300), rng.uniform(size=(300, 2))])
+        assert Z.shape[0] > TableOracle._CHUNK_PAIRS // M
+        assert_matches_brute_force(X_ref, y_ref, Z)
+
+    def test_wrong_length_point_rejected(self):
+        oracle = TableOracle(np.zeros((3, 2)), np.array([0, 1, 0]))
+        for bad in (np.zeros(1), np.zeros(3)):
+            with pytest.raises(ValueError):
+                oracle.query(bad)
+            with pytest.raises(ValueError):
+                oracle.query_many(bad[None, :])
+
+    def test_query_many_of_no_rows(self):
+        oracle = TableOracle(np.zeros((3, 2)), np.array([0, 1, 0]))
+        labels = oracle.query_many(np.empty((0, 2)))
+        assert labels.shape == (0,)
+        assert labels.dtype == np.int64
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
+    def test_non_finite_row_rejected(self, bad):
+        # 1e200 is finite, but its square overflows the row's norm.
+        X_ref = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, bad], [2.0, 2.0]])
+        with pytest.raises(ValueError, match="row 2 "):
+            TableOracle(X_ref, np.array([0, 1, 1, 0]))
+
+
 class TestOracleContracts:
     def test_repeated_queries_single_value(self, circles):
         z = np.array([0.61, 0.48])
