@@ -146,10 +146,6 @@ class CopyModel:
         return model
 
 
-def predict(model: CopyModel, z: np.ndarray) -> int:
-    return model.predict(z)
-
-
 def train(arch: str, ds: SyntheticDataset, cfg: TrainConfig | None = None) -> CopyModel:
     """Fit a copy of the given architecture on a synthetic dataset."""
     arch = arch.lower()
@@ -196,19 +192,19 @@ def _net_forward(layers, X):
     acts = [X]
     a = X
     for i, (W, b) in enumerate(layers):
-        z = a @ W + b
+        a = a @ W
+        a += b
         if i < len(layers) - 1:
-            a = np.maximum(z, 0.0)
-        else:
-            a = z
+            np.maximum(a, 0.0, out=a)
         acts.append(a)
     return acts
 
 
 def _softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = logits - logits.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def _net_probs(layers, X):
@@ -217,22 +213,32 @@ def _net_probs(layers, X):
 
 def network_loss_and_grad(layers, X, y, k):
     """Mean cross-entropy and its gradients w.r.t. every weight and bias."""
-    n = X.shape[0]
-    acts = _net_forward(layers, X)
-    probs = _softmax(acts[-1])
-    eps = 1e-12
-    loss = float(-np.mean(np.log(probs[np.arange(n), y] + eps)))
-    delta = probs.copy()
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
-    grads = [None] * len(layers)
-    for i in reversed(range(len(layers))):
-        W, _ = layers[i]
-        a_prev = acts[i]
-        grads[i] = (a_prev.T @ delta, delta.sum(axis=0))
-        if i > 0:
-            delta = (delta @ W.T) * (acts[i] > 0.0)
+    grads = [(np.empty_like(W), np.empty_like(b)) for W, b in layers]
+    loss = _backprop(layers, X, y, grads, with_loss=True)
     return loss, grads
+
+
+def _backprop(layers, X, y, grads, with_loss):
+    """Write the mean cross-entropy gradients into the (gW, gb) arrays of `grads`.
+
+    Returns the loss when `with_loss` is set, else None.
+    """
+    n = X.shape[0]
+    rows = np.arange(n)
+    acts = _net_forward(layers, X)
+    delta = _softmax(acts[-1])
+    loss = None
+    if with_loss:
+        loss = float(-np.mean(np.log(delta[rows, y] + 1e-12)))
+    delta[rows, y] -= 1.0
+    delta /= n
+    for i in reversed(range(len(layers))):
+        gW, gb = grads[i]
+        np.matmul(acts[i].T, delta, out=gW)
+        delta.sum(axis=0, out=gb)
+        if i > 0:
+            delta = (delta @ layers[i][0].T) * (acts[i] > 0.0)
+    return loss
 
 
 def _net_input_gradients(layers, X, labels):
@@ -252,40 +258,71 @@ def _net_input_gradients(layers, X, labels):
     return delta
 
 
+def _layer_views(buf, layers):
+    """(W, b) views into the flat `buf`, shaped like `layers`, in order."""
+    views, at = [], 0
+    for W, b in layers:
+        view = buf[at:at + W.size].reshape(W.shape)
+        at += W.size
+        views.append((view, buf[at:at + b.size]))
+        at += b.size
+    return views
+
+
 def _net_fit(X, y, k, hidden, cfg: TrainConfig):
+    """Minibatch Adam on one flat parameter buffer.
+
+    Every Adam expression is elementwise, so applying it to the whole flat
+    buffer gives the same bits as applying it array by array.  The loss is
+    computed only for the last minibatch, before its update; a non-finite
+    gradient anywhere earlier shows up in the second moment `v`.
+    """
     rng = RandomSource(cfg.seed)
-    layers = _net_init(X.shape[1], k, hidden, rng)
-    flat = [arr for pair in layers for arr in pair]
-    m = [np.zeros_like(a) for a in flat]
-    v = [np.zeros_like(a) for a in flat]
-    t = 0
+    init = _net_init(X.shape[1], k, hidden, rng)
+    theta = np.concatenate([a.ravel() for pair in init for a in pair])
+    layers = _layer_views(theta, init)
+    g = np.empty_like(theta)
+    grads = _layer_views(g, init)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    tmp = np.empty_like(theta)
+    step = np.empty_like(theta)
     n = X.shape[0]
+    last_start = (n - 1) // cfg.batch_size * cfg.batch_size
     loss = None
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            loss, grads = network_loss_and_grad(layers, X[batch], y[batch], k)
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, step {t} "
-                    f"(step_size={cfg.step_size}, batch={cfg.batch_size})"
-                )
-            t += 1
-            flat_grads = [g for pair in grads for g in pair]
-            with np.errstate(over="ignore"):  # overflow is detected below
-                for i, g in enumerate(flat_grads):
-                    m[i] = _ADAM_B1 * m[i] + (1 - _ADAM_B1) * g
-                    v[i] = _ADAM_B2 * v[i] + (1 - _ADAM_B2) * g * g
-                    if not np.all(np.isfinite(v[i])):
-                        raise TrainingError(
-                            f"gradient moments overflowed at epoch {epoch}, step {t} "
-                            f"(step_size={cfg.step_size}, batch={cfg.batch_size})"
-                        )
-                    m_hat = m[i] / (1 - _ADAM_B1**t)
-                    v_hat = v[i] / (1 - _ADAM_B2**t)
-                    flat[i] -= cfg.step_size * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-    if any(not np.all(np.isfinite(a)) for a in flat):
+    t = 0
+    with np.errstate(over="ignore"):  # overflow is detected below
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            X_epoch, y_epoch = X[order], y[order]
+            for start in range(0, n, cfg.batch_size):
+                batch = slice(start, start + cfg.batch_size)
+                final = epoch == cfg.epochs - 1 and start == last_start
+                loss = _backprop(layers, X_epoch[batch], y_epoch[batch], grads,
+                                 with_loss=final)
+                t += 1
+                # m = B1*m + (1-B1)*g and v = B2*v + ((1-B2)*g)*g, in place
+                m *= _ADAM_B1
+                np.multiply(g, 1 - _ADAM_B1, out=tmp)
+                m += tmp
+                v *= _ADAM_B2
+                np.multiply(g, 1 - _ADAM_B2, out=tmp)
+                tmp *= g
+                v += tmp
+                if not np.isfinite(v).all():
+                    raise TrainingError(
+                        f"non-finite gradient moments at epoch {epoch}, step {t} "
+                        f"(step_size={cfg.step_size}, batch={cfg.batch_size})"
+                    )
+                # theta -= (step_size * m_hat) / (sqrt(v_hat) + eps)
+                np.divide(v, 1 - _ADAM_B2**t, out=tmp)
+                np.sqrt(tmp, out=tmp)
+                tmp += _ADAM_EPS
+                np.divide(m, 1 - _ADAM_B1**t, out=step)
+                step *= cfg.step_size
+                step /= tmp
+                theta -= step
+    if not np.isfinite(theta).all():
         raise TrainingError("non-finite parameters after optimization")
     return layers, loss
 

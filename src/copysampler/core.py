@@ -235,22 +235,27 @@ def _jsonable(obj):
     return obj
 
 
+def _is_header(line: str) -> bool:
+    """True when a field of the CSV line does not parse as a float."""
+    try:
+        for value in line.split(","):
+            float(value)
+    except ValueError:
+        return True
+    return False
+
+
 def load_labeled_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Load a `x0,...,x{d-1},label` CSV into (X, y) arrays."""
     path = Path(path)
     with path.open() as f:
         first = f.readline()
-        skip = 1 if first and not first[0].isdigit() and not first.startswith("-") else 0
+        skip = 1 if first and _is_header(first) else 0
         if not f.readline() and skip:
             d = max(first.count(","), 1)
             return np.empty((0, d)), np.empty(0, dtype=np.int64)
     raw = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     return raw[:, :-1].astype(np.float64), raw[:, -1].astype(np.int64)
-
-
-def prefix(ds: SyntheticDataset, j: int) -> SyntheticDataset:
-    """First j samples of `ds`; see :meth:`SyntheticDataset.prefix`."""
-    return ds.prefix(j)
 
 
 @dataclass(frozen=True)

@@ -177,21 +177,11 @@ def posterior_fit(X: np.ndarray, y: np.ndarray, kern: SEKernel,
                 ) from None
 
 
-def posterior_mean_var(gp: GPPosterior, z: np.ndarray) -> tuple[float, float]:
-    mu, var = gp.mean_var(np.asarray(z, dtype=np.float64)[None, :])
-    return float(mu[0]), float(var[0])
-
-
 def acquisition_value(mu, var, tau: float):
     """var * [1 + tau * frac(mu)^2 (1 - frac(mu))^2] with frac(x) = x - floor(x)."""
     mu = np.asarray(mu, dtype=np.float64)
     frac = mu - np.floor(mu)
     return np.asarray(var, dtype=np.float64) * (1.0 + tau * frac**2 * (1.0 - frac) ** 2)
-
-
-def acquisition(gp: GPPosterior, z: np.ndarray, params: AcquisitionParams) -> float:
-    mu, var = gp.mean_var(np.asarray(z, dtype=np.float64)[None, :])
-    return float(acquisition_value(mu, var, params.tau)[0])
 
 
 # The local search is confined to a box of this half-width around its

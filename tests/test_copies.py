@@ -10,7 +10,6 @@ from copysampler import (
     TrainConfig,
     TrainingError,
     boundary_sampler,
-    predict,
     random_sampler,
     train,
 )
@@ -68,6 +67,67 @@ class TestTrainBasics:
                   TrainConfig(seed=1, epochs=5, batch_size=4))
 
 
+def reference_net_fit(X, y, k, hidden, cfg):
+    """Per-array Adam, as training worked before the flat parameter buffer."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    rng = RandomSource(cfg.seed)
+    layers = _net_init(X.shape[1], k, hidden, rng)
+    flat = [arr for pair in layers for arr in pair]
+    m = [np.zeros_like(a) for a in flat]
+    v = [np.zeros_like(a) for a in flat]
+    t = 0
+    n = X.shape[0]
+    loss = None
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            loss, grads = network_loss_and_grad(layers, X[batch], y[batch], k)
+            t += 1
+            for i, g in enumerate(g for pair in grads for g in pair):
+                m[i] = b1 * m[i] + (1 - b1) * g
+                v[i] = b2 * v[i] + (1 - b2) * g * g
+                m_hat = m[i] / (1 - b1**t)
+                v_hat = v[i] / (1 - b2**t)
+                flat[i] -= cfg.step_size * m_hat / (np.sqrt(v_hat) + eps)
+    return layers, loss
+
+
+def pinned_datasets():
+    rng = RandomSource(17)
+    X2 = rng.uniform((300, 2))
+    y2 = (((X2 - 0.5) ** 2).sum(axis=1) < 0.06).astype(int)
+    X8 = rng.uniform((150, 8))
+    y8 = np.argmax(X8[:, :3] + 0.3 * X8[:, 3:6], axis=1)
+    return {"k2d2": make_dataset(X2, y2, k=2), "k3d8": make_dataset(X8, y8, k=3)}
+
+
+class TestTrainingIsPinned:
+    HIDDEN = {"lr": (), "ann": (5,), "ann2": (50, 50, 50)}
+
+    @pytest.mark.parametrize("shape", ["k2d2", "k3d8"])
+    @pytest.mark.parametrize("arch", ["lr", "ann", "ann2"])
+    def test_weights_match_per_array_adam(self, arch, shape):
+        ds = pinned_datasets()[shape]
+        cfg = TrainConfig(seed=3, epochs=12)
+        model = train(arch, ds, cfg)
+        layers, loss = reference_net_fit(ds.X, ds.y, ds.k, self.HIDDEN[arch], cfg)
+        assert len(model.params["layers"]) == len(layers)
+        for (W, b), (W_ref, b_ref) in zip(model.params["layers"], layers):
+            assert W.shape == W_ref.shape and b.shape == b_ref.shape
+            assert W.tobytes() == W_ref.tobytes()
+            assert b.tobytes() == b_ref.tobytes()
+        assert model.train_meta["final_loss"] == loss
+
+    @pytest.mark.parametrize("arch", ["lr", "ann", "ann2"])
+    def test_nan_input_raises_training_error(self, arch):
+        ds = pinned_datasets()["k2d2"]
+        X = ds.X.copy()
+        X[7, 1] = np.nan
+        with pytest.raises(TrainingError, match="non-finite gradient moments"):
+            train(arch, make_dataset(X, ds.y, k=2), TrainConfig(seed=1, epochs=3))
+
+
 class TestPredict:
     def test_planted_lr_matches_halfspace(self, halfspace):
         model = CopyModel("lr", d=2, k=2)
@@ -107,10 +167,10 @@ class TestPredict:
         assert model.train_meta["depth"] == 1
         np.testing.assert_array_equal(model.predict_many(X), [0, 1])
 
-    def test_predict_free_function(self):
+    def test_predict_one_point(self):
         X = np.array([[0.0], [1.0]])
         model = train("dt", make_dataset(X, np.array([0, 1])))
-        assert predict(model, np.array([0.9])) == 1
+        assert model.predict(np.array([0.9])) == 1
 
 
 class TestDeterminism:

@@ -13,12 +13,17 @@ from copysampler import (
     StratificationError,
     SyntheticDataset,
     fit_normalization,
-    prefix,
     random_sampler,
     stratified_split,
     uniform_sample,
 )
-from copysampler.core import TARGET_MEAN, TARGET_STD, RandomSource, round_half_up
+from copysampler.core import (
+    TARGET_MEAN,
+    TARGET_STD,
+    RandomSource,
+    load_labeled_csv,
+    round_half_up,
+)
 
 
 class TestRandomSource:
@@ -76,11 +81,11 @@ def _dataset(n=5, d=2, seed=9):
 class TestPrefix:
     def test_empty_prefix(self):
         ds = _dataset()
-        assert len(prefix(ds, 0)) == 0
+        assert len(ds.prefix(0)) == 0
 
     def test_full_prefix_is_identity(self):
         ds = _dataset()
-        out = prefix(ds, len(ds))
+        out = ds.prefix(len(ds))
         np.testing.assert_array_equal(out.X, ds.X)
         np.testing.assert_array_equal(out.y, ds.y)
         assert out.generator_id == ds.generator_id
@@ -88,16 +93,16 @@ class TestPrefix:
 
     def test_order_preserved(self):
         ds = _dataset(5)
-        out = prefix(ds, 3)
+        out = ds.prefix(3)
         np.testing.assert_array_equal(out.X, ds.X[:3])
         np.testing.assert_array_equal(out.y, ds.y[:3])
 
     def test_out_of_range(self):
         ds = _dataset(5)
         with pytest.raises(ValueError):
-            prefix(ds, 6)
+            ds.prefix(6)
         with pytest.raises(ValueError):
-            prefix(ds, -1)
+            ds.prefix(-1)
 
     def test_prefix_monotonicity(self):
         ds = _dataset(40)
@@ -105,8 +110,8 @@ class TestPrefix:
         for _ in range(20):
             j2 = rng.integers(41)
             j1 = rng.integers(j2 + 1)
-            direct = prefix(ds, j1)
-            nested = prefix(prefix(ds, j2), j1)
+            direct = ds.prefix(j1)
+            nested = ds.prefix(j2).prefix(j1)
             np.testing.assert_array_equal(direct.X, nested.X)
             np.testing.assert_array_equal(direct.y, nested.y)
 
@@ -145,6 +150,32 @@ class TestDatasetSerialization:
         back = SyntheticDataset.from_csv(ds.to_csv(tmp_path / "e.csv"))
         assert len(back) == 0
         assert back.d == 2
+
+
+class TestLoadLabeledCsv:
+    @pytest.mark.parametrize("first",
+                             [".5,0.2,1", "+0.5,0.2,1", "nan,0.2,1", "inf,0.2,1"])
+    def test_headerless_first_row_kept(self, tmp_path, first):
+        path = tmp_path / "rows.csv"
+        path.write_text(f"{first}\n0.9,0.8,0\n0.1,0.1,1\n")
+        X, y = load_labeled_csv(path)
+        assert X.shape == (3, 2)
+        np.testing.assert_array_equal(X[0], np.array(first.split(",")[:2], dtype=float))
+        np.testing.assert_array_equal(y, [1, 0, 1])
+
+    def test_header_skipped(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("x0,x1,label\n.5,0.2,1\n0.9,0.8,0\n")
+        X, y = load_labeled_csv(path)
+        np.testing.assert_array_equal(X, [[0.5, 0.2], [0.9, 0.8]])
+        np.testing.assert_array_equal(y, [1, 0])
+
+    def test_header_only_loads_empty(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("x0,x1,label\n")
+        X, y = load_labeled_csv(path)
+        assert X.shape == (0, 2)
+        assert y.shape == (0,)
 
 
 class TestNormalization:

@@ -11,14 +11,12 @@ from copysampler import (
     GPPosterior,
     ScaleGuardError,
     SEKernel,
-    acquisition,
     acquisition_value,
     boundary_distance,
     fast_bayesian_sampler,
     kernel_eval,
     maximize_acquisition,
     posterior_fit,
-    posterior_mean_var,
     random_sampler,
     reference_bayesian_sampler,
     round_to_class,
@@ -80,7 +78,7 @@ class TestPosterior:
     def test_single_sample_interpolates(self):
         kern = SEKernel.for_problem(2, 2)
         gp = posterior_fit(np.array([[0.4, 0.6]]), np.array([1.0]), kern)
-        mu, _ = posterior_mean_var(gp, np.array([0.4, 0.6]))
+        (mu,), _ = gp.mean_var(np.array([[0.4, 0.6]]))
         assert abs(mu - 1.0) < 1e-6
 
     def test_matches_dense_reference(self):
@@ -100,7 +98,7 @@ class TestPosterior:
         X = np.array([[0.2, 0.2], [0.2, 0.2], [0.8, 0.8]])
         y = np.array([0.0, 0.0, 1.0])
         gp = posterior_fit(X, y, kern)
-        mu, _ = posterior_mean_var(gp, np.array([0.2, 0.2]))
+        (mu,), _ = gp.mean_var(np.array([[0.2, 0.2]]))
         assert abs(mu - 0.0) < 1e-4
         # deduplicated dense reference agrees
         mu_ref, _ = dense_reference(X[1:], y[1:], kern, gp.jitter, np.array([[0.2, 0.2]]))
@@ -130,7 +128,7 @@ class TestPosterior:
     def test_prior_recovery_far_away(self):
         kern = SEKernel(length_scale=0.05, variance=1.3)
         gp = posterior_fit(np.array([[0.05, 0.05]]), np.array([1.0]), kern)
-        mu, var = posterior_mean_var(gp, np.array([0.95, 0.95]))
+        (mu,), (var,) = gp.mean_var(np.array([[0.95, 0.95]]))
         assert abs(mu) < 1e-6
         assert abs(var - 1.3) < 1e-6
 
@@ -182,13 +180,13 @@ class TestAcquisition:
         vals = acquisition_value(mus, vars_, 10.0)
         assert np.all(vals >= 0)
 
-    def test_gp_wrapper(self):
+    def test_value_at_posterior_point(self):
         kern = SEKernel.for_problem(2, 2)
         gp = posterior_fit(np.array([[0.5, 0.5]]), np.array([1.0]), kern)
-        z = np.array([0.1, 0.9])
-        mu, var = posterior_mean_var(gp, z)
+        (mu,), (var,) = gp.mean_var(np.array([[0.1, 0.9]]))
         expected = var * (1 + 10.0 * (mu - math.floor(mu)) ** 2 * (1 - mu + math.floor(mu)) ** 2)
-        assert acquisition(gp, z, AcquisitionParams()) == pytest.approx(expected)
+        value = acquisition_value(mu, var, AcquisitionParams().tau)
+        assert float(value) == pytest.approx(expected)
 
 
 class TestMaximizeAcquisition:
