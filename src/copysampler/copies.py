@@ -211,7 +211,7 @@ def _net_probs(layers, X):
     return _softmax(_net_forward(layers, X)[-1])
 
 
-def network_loss_and_grad(layers, X, y, k):
+def network_loss_and_grad(layers, X, y):
     """Mean cross-entropy and its gradients w.r.t. every weight and bias."""
     grads = [(np.empty_like(W), np.empty_like(b)) for W, b in layers]
     loss = _backprop(layers, X, y, grads, with_loss=True)

@@ -204,37 +204,53 @@ def maximize_acquisition(
     direction, move to the best improving candidate, halve h otherwise.
     Candidates are clipped to the box of half-width `radius` around z0
     intersected with the hypercube, so the result stays near its restart
-    point and never scores below it.
+    point and never scores below it.  Draws `iters` normal directions.
+    """
+    z0 = np.asarray(z0, dtype=np.float64)
+    U = rng.normal((iters, z0.shape[0]))
+    return _pattern_search(gp, z0[None, :], U[None], params, radius)[0]
+
+
+def _pattern_search(gp, Z0, U, params, radius):
+    """Run the pattern search of `maximize_acquisition` from each row of Z0.
+
+    The R restarts step in lockstep, so each round makes one `mean_var`
+    call over all R * (2d + 2) candidates.  Restart r takes its random
+    direction of round t from U[r, t]; each keeps its own step, box and
+    best value, so a restart's path is the one it would take alone.
     """
     params = params or AcquisitionParams()
-    z0 = np.clip(np.asarray(z0, dtype=np.float64), 0.0, 1.0)
-    lo = np.maximum(z0 - radius, 0.0)
-    hi = np.minimum(z0 + radius, 1.0)
-    z = z0.copy()
-    d = z.shape[0]
-    mu, var = gp.mean_var(z[None, :])
-    best = float(acquisition_value(mu, var, params.tau)[0])
-    h = 2.0 * radius / 3.0
-    for _ in range(iters):
-        moves = np.zeros((2 * d + 2, d))
-        for i in range(d):
-            moves[2 * i, i] = h
-            moves[2 * i + 1, i] = -h
-        u = rng.normal(d)
-        norm = float(np.linalg.norm(u))
-        if norm > 0:
-            moves[-2] = h * u / norm
-            moves[-1] = -h * u / norm
-        cands = np.clip(z[None, :] + moves, lo, hi)
-        mu, var = gp.mean_var(cands)
-        vals = acquisition_value(mu, var, params.tau)
-        j = int(np.argmax(vals))
-        if vals[j] > best:
-            z = cands[j]
-            best = float(vals[j])
-        else:
-            h *= 0.5
-    return z
+    Z0 = np.clip(Z0, 0.0, 1.0)
+    R, d = Z0.shape
+    lo = np.maximum(Z0 - radius, 0.0)[:, None, :]
+    hi = np.minimum(Z0 + radius, 1.0)[:, None, :]
+    Z = Z0.copy()
+    mu, var = gp.mean_var(Z)
+    best = acquisition_value(mu, var, params.tau)
+    h = np.full(R, 2.0 * radius / 3.0)
+    axis = np.arange(d)
+    axes = np.zeros((2 * d, d))
+    axes[2 * axis, axis] = 1.0
+    axes[2 * axis + 1, axis] = -1.0
+    # the dot routine np.linalg.norm uses on one vector, so the bits match
+    norms = np.sqrt(np.matmul(U[..., None, :], U[..., :, None]))[..., 0, 0]
+    rows = np.arange(R)
+    for t in range(U.shape[1]):
+        live = norms[:, t] > 0
+        step = np.zeros((R, d))
+        step[live] = (h[live, None] * U[live, t]) / norms[live, t][:, None]
+        moves = np.concatenate(
+            [h[:, None, None] * axes, step[:, None], -step[:, None]], axis=1)
+        cands = np.clip(Z[:, None, :] + moves, lo, hi)
+        mu, var = gp.mean_var(cands.reshape(-1, d))
+        vals = acquisition_value(mu, var, params.tau).reshape(R, -1)
+        j = np.argmax(vals, axis=1)
+        top = vals[rows, j]
+        up = top > best
+        Z[up] = cands[rows[up], j[up]]
+        best[up] = top[up]
+        h[~up] *= 0.5
+    return Z
 
 
 def round_to_class(mu: float, k: int) -> int:
@@ -267,7 +283,8 @@ def fast_bayesian_sampler(
     Starts from `init_count` uniform labelled points, then repeatedly fits
     one posterior on at most `cap` samples and spends it on a batch of
     max(1, round(|support| / slowness)) acquisition maximizations, each
-    started from an independent uniform restart.  Conditioning subsets are
+    started from an independent uniform restart and all searched in
+    lockstep, one posterior evaluation per step.  Conditioning subsets are
     drawn uniformly without replacement whenever the sample pool exceeds
     the cap.
     """
@@ -299,14 +316,18 @@ def fast_bayesian_sampler(
             fallback_batches += 1
             log.warning("posterior fit failed at %d samples; uniform batch", len(pts))
         batch = max(1, round_half_up(X.shape[0] / params.slowness))
-        for _ in range(batch):
-            if len(pts) >= N:
-                break
-            z0 = uniform_sample(space, rng)
-            if gp is None:
-                z = z0
-            else:
-                z = maximize_acquisition(gp, z0, params.local_iters, rng, acq)
+        count = min(batch, N - len(pts))
+        # Each restart draws its uniform start and then, if the fit held,
+        # its directions: the order of the one-restart search.
+        Z0 = np.empty((count, oracle.d))
+        U = np.empty((count, params.local_iters, oracle.d))
+        for r in range(count):
+            Z0[r] = uniform_sample(space, rng)
+            if gp is not None:
+                U[r] = rng.normal((params.local_iters, oracle.d))
+        Z = Z0 if gp is None else _pattern_search(
+            gp, Z0, U, acq, NEIGHBOURHOOD_RADIUS)
+        for z in Z:
             pts.append(z)
             labels.append(oracle.query(z))
             if progress is not None:

@@ -11,6 +11,7 @@ protocol so models in other processes (or languages) can be queried.
 from __future__ import annotations
 
 import math
+import select
 import subprocess
 import sys
 from typing import IO, Sequence
@@ -336,15 +337,36 @@ class TableOracle(Oracle):
         self.X_ref = X_ref
         self.y_ref = y_ref
         self._sq_norms = sq_norms
-        self._neg2_XT = (-2.0 * X_ref).T
+        # C-contiguous (d, M): a single query is then one gemv over long
+        # rows, 20 us against 35-45 us through the transposed view for
+        # M = 10**4 and d = 8 on a 2-vCPU Xeon.
+        self._neg2_XT = np.ascontiguousarray((-2.0 * X_ref).T)
         self._max_sq_norm = float(sq_norms.max())
 
+    def _check_dim(self, n_coords):
+        if n_coords != self.d:
+            raise ValueError(f"points have {n_coords} coordinates, oracle wants {self.d}")
+
     def _label_one(self, z):
-        return self._label_many(z[None, :])[0]
+        # _label_many's ranking for one query, without its per-chunk indexing
+        self._check_dim(z.shape[-1])
+        h = z @ self._neg2_XT
+        h += self._sq_norms
+        best = int(h.argmin())
+        limit = h[best] + 1e-9 * ((z ** 2).sum() + self._max_sq_norm)
+        h[best] = np.inf
+        if h.min() <= limit:
+            best = self._rescore(z, h, best, limit)
+        return self.y_ref[best]
+
+    def _rescore(self, q, h, best, limit):
+        """The exact formula's argmin over `best` and the rows with h <= limit."""
+        rows = np.union1d(np.flatnonzero(h <= limit), best)
+        d2 = ((self.X_ref[rows] - q) ** 2).sum(axis=1)
+        return rows[np.argmin(d2)]
 
     def _label_many(self, X):
-        if X.shape[1] != self.d:
-            raise ValueError(f"points have {X.shape[1]} coordinates, oracle wants {self.d}")
+        self._check_dim(X.shape[1])
         out = np.empty(X.shape[0], dtype=np.int64)
         step = max(1, self._CHUNK_PAIRS // self.X_ref.shape[0])
         for start in range(0, X.shape[0], step):
@@ -367,9 +389,7 @@ class TableOracle(Oracle):
             limit = h[idx, best] + 1e-9 * ((Q ** 2).sum(axis=1) + self._max_sq_norm)
             h[idx, best] = np.inf  # the runner-up tells whether to re-score
             for i in np.flatnonzero(h.min(axis=1) <= limit):
-                rows = np.union1d(np.flatnonzero(h[i] <= limit[i]), best[i])
-                d2 = ((self.X_ref[rows] - Q[i]) ** 2).sum(axis=1)
-                best[i] = rows[np.argmin(d2)]
+                best[i] = self._rescore(Q[i], h[i], best[i], limit[i])
             out[start:start + step] = self.y_ref[best]
         return out
 
@@ -401,6 +421,7 @@ def parse_handshake(line: str) -> tuple[int, int]:
 
 def external_handshake(reader: IO[str]) -> tuple[int, int]:
     """Read and validate the greeting from an open transport."""
+    _await_line(reader)
     line = reader.readline()
     if not line:
         raise ProtocolError("transport closed before handshake")
@@ -409,6 +430,26 @@ def external_handshake(reader: IO[str]) -> tuple[int, int]:
 
 # Seconds a child oracle gets to exit after BYE before it is killed.
 CLOSE_GRACE_S = 10.0
+
+# Seconds to wait for the greeting or for a label before giving up.
+QUERY_TIMEOUT_S = 120.0
+
+
+def _await_line(reader: IO[str]) -> None:
+    """Wait until `reader`'s descriptor is readable, at most QUERY_TIMEOUT_S.
+
+    The protocol is lockstep, so a reply is never already buffered when
+    this is called.  Readers with no descriptor, such as StringIO, are
+    read directly.
+    """
+    try:
+        fd = reader.fileno()
+    except (OSError, ValueError):
+        return
+    ready, _, _ = select.select([fd], [], [], QUERY_TIMEOUT_S)
+    if not ready:
+        raise QueryTransportError(
+            f"no reply from the oracle within {QUERY_TIMEOUT_S:g} s")
 
 
 class ExternalOracle(Oracle):
@@ -437,7 +478,14 @@ class ExternalOracle(Oracle):
             text=True,
             bufsize=1,
         )
-        oracle = cls(proc.stdout, proc.stdin)
+        try:
+            oracle = cls(proc.stdout, proc.stdin)
+        except Exception:
+            proc.kill()
+            proc.wait()
+            proc.stdin.close()
+            proc.stdout.close()
+            raise
         oracle._proc = proc
         return oracle
 
@@ -448,6 +496,7 @@ class ExternalOracle(Oracle):
         try:
             self._writer.write(request + "\n")
             self._writer.flush()
+            _await_line(self._reader)
             line = self._reader.readline()
         except (OSError, ValueError) as exc:
             raise QueryTransportError(f"transport failed mid-query: {exc}") from exc

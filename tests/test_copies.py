@@ -82,7 +82,7 @@ def reference_net_fit(X, y, k, hidden, cfg):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            loss, grads = network_loss_and_grad(layers, X[batch], y[batch], k)
+            loss, grads = network_loss_and_grad(layers, X[batch], y[batch])
             t += 1
             for i, g in enumerate(g for pair in grads for g in pair):
                 m[i] = b1 * m[i] + (1 - b1) * g
@@ -214,7 +214,7 @@ class TestNetworkInternals:
         layers = _net_init(3, 4, (5,), rng)
         X = rng.uniform((32, 3))
         y = np.array([rng.integers(4) for _ in range(32)])
-        _, grads = network_loss_and_grad(layers, X, y, 4)
+        _, grads = network_loss_and_grad(layers, X, y)
         flat = [a for pair in layers for a in pair]
         gflat = [g for pair in grads for g in pair]
         h = 1e-6
@@ -222,9 +222,9 @@ class TestNetworkInternals:
             i = trial % len(flat)
             idx = tuple(rng.integers(s) for s in flat[i].shape)
             flat[i][idx] += h
-            up, _ = network_loss_and_grad(layers, X, y, 4)
+            up, _ = network_loss_and_grad(layers, X, y)
             flat[i][idx] -= 2 * h
-            down, _ = network_loss_and_grad(layers, X, y, 4)
+            down, _ = network_loss_and_grad(layers, X, y)
             flat[i][idx] += h
             fd = (up - down) / (2 * h)
             assert abs(fd - gflat[i][idx]) <= 1e-4 * max(abs(fd), 1e-8)

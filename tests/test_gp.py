@@ -21,8 +21,9 @@ from copysampler import (
     reference_bayesian_sampler,
     round_to_class,
 )
-from copysampler.core import RandomSource
-from copysampler.gp import PosteriorFitError
+import copysampler.gp as gp_mod
+from copysampler.core import RandomSource, SampleSpace, uniform_sample
+from copysampler.gp import PosteriorFitError, _pattern_search
 
 
 def dense_reference(X, y, kern, jitter, Z):
@@ -218,6 +219,178 @@ class TestMaximizeAcquisition:
         gp = posterior_fit(np.array([[0.95, 0.95]]), np.array([1.0]), kern)
         z = maximize_acquisition(gp, np.array([0.99, 0.99]), 12, RandomSource(4))
         assert np.all(z >= 0.0) and np.all(z <= 1.0)
+
+
+def reference_maximize_acquisition(gp, z0, iters, rng, params=None,
+                                   radius=gp_mod.NEIGHBOURHOOD_RADIUS):
+    """The one-restart search loop the lockstep search replaced."""
+    params = params or AcquisitionParams()
+    z0 = np.clip(np.asarray(z0, dtype=np.float64), 0.0, 1.0)
+    lo = np.maximum(z0 - radius, 0.0)
+    hi = np.minimum(z0 + radius, 1.0)
+    z = z0.copy()
+    d = z.shape[0]
+    mu, var = gp.mean_var(z[None, :])
+    best = float(acquisition_value(mu, var, params.tau)[0])
+    h = 2.0 * radius / 3.0
+    for _ in range(iters):
+        moves = np.zeros((2 * d + 2, d))
+        for i in range(d):
+            moves[2 * i, i] = h
+            moves[2 * i + 1, i] = -h
+        u = rng.normal(d)
+        norm = float(np.linalg.norm(u))
+        if norm > 0:
+            moves[-2] = h * u / norm
+            moves[-1] = -h * u / norm
+        cands = np.clip(z[None, :] + moves, lo, hi)
+        mu, var = gp.mean_var(cands)
+        vals = acquisition_value(mu, var, params.tau)
+        j = int(np.argmax(vals))
+        if vals[j] > best:
+            z = cands[j]
+            best = float(vals[j])
+        else:
+            h *= 0.5
+    return z
+
+
+def reference_fast_sampler(N, oracle, params, rng):
+    """The serial batch loop: one search and one query per restart.
+
+    Returns the points, the labels and whether a batch was cut short.
+    """
+    kern = SEKernel.for_problem(oracle.d, oracle.k)
+    space = SampleSpace(oracle.d)
+    pts = [uniform_sample(space, rng) for _ in range(params.init_count)]
+    labels = [oracle.query(z) for z in pts]
+    cut = False
+    while len(pts) < N:
+        X = np.array(pts)
+        yv = np.array(labels, dtype=np.float64)
+        if len(pts) > params.cap:
+            idx = rng.subset(len(pts), params.cap)
+            X, yv = X[idx], yv[idx]
+        try:
+            gp = gp_mod.posterior_fit(X, yv, kern)
+        except PosteriorFitError:
+            gp = None
+        for _ in range(max(1, gp_mod.round_half_up(X.shape[0] / params.slowness))):
+            if len(pts) >= N:
+                cut = True
+                break
+            z0 = uniform_sample(space, rng)
+            z = z0 if gp is None else reference_maximize_acquisition(
+                gp, z0, params.local_iters, rng)
+            pts.append(z)
+            labels.append(oracle.query(z))
+    return np.array(pts), np.array(labels), cut
+
+
+class RowwiseGP:
+    """Evaluates a posterior one row at a time.
+
+    A real `mean_var` over many rows rounds by the shape of its matrix
+    products, so only a double like this can show that the lockstep search
+    takes each restart down its one-restart path.
+    """
+
+    def __init__(self, gp):
+        self.gp = gp
+
+    def mean_var(self, Z):
+        mus, variances = zip(*(self.gp.mean_var(z[None, :]) for z in Z))
+        return np.concatenate(mus), np.concatenate(variances)
+
+
+class ScriptedNormals:
+    """Stands in for a RandomSource that yields the rows of U as normals."""
+
+    def __init__(self, U):
+        self._rows = iter(U)
+
+    def normal(self, d):
+        u = next(self._rows)
+        assert u.shape == (d,)
+        return u
+
+
+def _random_posterior(seed, d, n):
+    rng = RandomSource(seed)
+    X = rng.uniform((n, d))
+    y = np.array([rng.integers(3) for _ in range(n)], dtype=np.float64)
+    return posterior_fit(X, y, SEKernel.for_problem(d, 3)), rng
+
+
+class TestLockstepSearch:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_one_restart_matches_reference_loop(self, seed):
+        cases = RandomSource(1000 + seed)
+        for _ in range(5):
+            d = 1 + cases.integers(4)
+            gp, rng = _random_posterior(cases.integers(2**31), d, 1 + cases.integers(60))
+            z0 = rng.uniform(d)
+            iters = cases.integers(15)
+            a, b = RandomSource(seed), RandomSource(seed)
+            z = maximize_acquisition(gp, z0, iters, a)
+            z_ref = reference_maximize_acquisition(gp, z0, iters, b)
+            assert z.tobytes() == z_ref.tobytes()
+            assert a.uniform(1) == b.uniform(1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_restarts_follow_their_one_restart_paths(self, d):
+        gp, rng = _random_posterior(50 + d, d, 12 + 10 * d)
+        gp = RowwiseGP(gp)
+        R, iters = 7, 12
+        Z0 = rng.uniform((R, d))
+        U = rng.normal((R, iters, d))
+        U[1] = 0.0                 # no random direction in any round
+        U[2, ::3] = 0.0            # none in every third round
+        Z0[3, 0] = 0.0             # pinned to a cube face
+        Z0[4, d - 1] = 1.0
+        Z = _pattern_search(gp, Z0, U, AcquisitionParams(), gp_mod.NEIGHBOURHOOD_RADIUS)
+        for r in range(R):
+            z_ref = reference_maximize_acquisition(gp, Z0[r], iters, ScriptedNormals(U[r]))
+            assert Z[r].tobytes() == z_ref.tobytes()
+        assert np.all(Z[3] >= 0.0) and np.all(Z[4] <= 1.0)
+
+    def test_flat_prior_keeps_every_restart(self):
+        gp = GPPosterior.prior(SEKernel(0.5, 1.0))
+        rng = RandomSource(8)
+        Z0 = rng.uniform((5, 3))
+        Z = _pattern_search(gp, Z0, rng.normal((5, 10, 3)), None,
+                            gp_mod.NEIGHBOURHOOD_RADIUS)
+        np.testing.assert_array_equal(Z, Z0)
+
+
+class TestLockstepSampler:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_serial_batch_loop(self, circles, monkeypatch, seed):
+        real_fit = gp_mod.posterior_fit
+        monkeypatch.setattr(gp_mod, "posterior_fit",
+                            lambda *a, **kw: RowwiseGP(real_fit(*a, **kw)))
+        params = FastBayesParams(cap=40, slowness=5.0)
+        a, b = RandomSource(seed), RandomSource(seed)
+        ds = fast_bayesian_sampler(83, circles, params=params, rng=a)
+        X_ref, y_ref, cut = reference_fast_sampler(83, circles, params, b)
+        assert cut  # the last batch was cut short by the budget
+        assert ds.X.tobytes() == X_ref.tobytes()
+        np.testing.assert_array_equal(ds.y, y_ref)
+        assert a.uniform(1) == b.uniform(1)
+        assert ds.query_count == 83
+
+    def test_failed_fits_draw_uniform_points_only(self, circles, monkeypatch):
+        def fail(*args, **kwargs):
+            raise PosteriorFitError("forced")
+
+        monkeypatch.setattr(gp_mod, "posterior_fit", fail)
+        a, b = RandomSource(17), RandomSource(17)
+        ds = fast_bayesian_sampler(83, circles, rng=a)
+        expected = np.array([b.uniform(2) for _ in range(83)])
+        assert ds.X.tobytes() == expected.tobytes()
+        assert a.uniform(1) == b.uniform(1)
+        assert ds.metadata["posterior_fits"] == 0
+        assert ds.metadata["fallback_batches"] > 0
 
 
 class TestRoundToClass:

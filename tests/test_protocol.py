@@ -119,6 +119,34 @@ class TestChildProcess:
         assert time.monotonic() - start < 30
         assert remote._proc.poll() is not None
 
+    def test_silent_child_times_out_mid_query(self, monkeypatch):
+        monkeypatch.setattr(oracles, "QUERY_TIMEOUT_S", 0.3)
+        monkeypatch.setattr(oracles, "CLOSE_GRACE_S", 0.2)
+        snippet = "import time; print('HELLO 2 2', flush=True); time.sleep(60)"
+        remote = ExternalOracle.spawn([sys.executable, "-c", snippet])
+        start = time.monotonic()
+        with pytest.raises(QueryTransportError, match="no reply"):
+            remote.query(np.array([0.1, 0.2]))
+        assert time.monotonic() - start < 30
+        remote.close()
+        assert remote._proc.poll() is not None
+
+    def test_child_that_never_greets_times_out(self, monkeypatch):
+        monkeypatch.setattr(oracles, "QUERY_TIMEOUT_S", 0.3)
+        started = []
+        real_popen = oracles.subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            started.append(real_popen(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(oracles.subprocess, "Popen", recording_popen)
+        start = time.monotonic()
+        with pytest.raises(QueryTransportError, match="no reply"):
+            ExternalOracle.spawn([sys.executable, "-c", "import time; time.sleep(60)"])
+        assert time.monotonic() - start < 30
+        assert started[0].poll() is not None  # the failed spawn reaped its child
+
 
 class TestStreamPairTransport:
     def test_duplex_pipe(self):
@@ -134,6 +162,11 @@ class TestStreamPairTransport:
         client.close()
         server.join(timeout=5)
         assert not server.is_alive()
+
+    def test_stringio_reader_has_no_timeout(self, monkeypatch):
+        monkeypatch.setattr(oracles, "QUERY_TIMEOUT_S", 0.0)
+        client = ExternalOracle(io.StringIO("HELLO 1 2\n1\n"), io.StringIO())
+        assert client.query(np.array([0.5])) == 1
 
     def test_label_out_of_range_rejected(self):
         reader = io.StringIO("HELLO 1 2\n7\n")
