@@ -136,8 +136,9 @@ def cmd_evaluate(args) -> int:
             oracle, args.reference_size, cfg.reference_balanced,
             RandomSource.derive(args.seed, "reference"),
         )
-    r_f = metrics.empirical_fidelity_error(model, ref.X, ref.y)
-    r_fb = metrics.balanced_empirical_fidelity_error(model, ref)
+    preds = model.predict_many(ref.X)
+    r_f = metrics.empirical_fidelity_error(preds, ref.y)
+    r_fb = metrics.balanced_empirical_fidelity_error(preds, ref.y, ref.k)
     print(f"R_F={r_f:.6f} R_Fb={r_fb:.6f} on {len(ref)} reference points")
     if args.out:
         record = metrics.RunRecord(

@@ -161,10 +161,6 @@ class SyntheticDataset:
     def d(self) -> int:
         return int(self.X.shape[1])
 
-    @property
-    def samples(self) -> list[LabeledSample]:
-        return [LabeledSample(x, int(t)) for x, t in zip(self.X, self.y)]
-
     def prefix(self, j: int) -> "SyntheticDataset":
         """First j samples in original order, same provenance metadata."""
         if not 0 <= j <= len(self):

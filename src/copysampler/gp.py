@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular, LinAlgError
+from numpy.linalg import LinAlgError  # the very class scipy.linalg raises
 
 from .core import (
     CopySamplerError,
@@ -37,6 +37,21 @@ REFERENCE_BUDGET_LIMIT = 500
 # support to ~1e-6; escalation covers genuinely degenerate fits.
 JITTER_INITIAL_FACTOR = 1e-12
 JITTER_MAX_FACTOR = 1e-4
+
+
+# scipy is imported on first use: it is about half of the package's import
+# time, and only the posterior needs it, so a process that never fits a GP
+# (a non-bayesian sweep, an oracle server) never loads it.
+def cholesky(a: np.ndarray, lower: bool) -> np.ndarray:
+    from scipy.linalg import cholesky
+
+    return cholesky(a, lower=lower)
+
+
+def solve_triangular(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    from scipy.linalg import solve_triangular
+
+    return solve_triangular(a, b, lower=lower)
 
 
 class PosteriorFitError(CopySamplerError):

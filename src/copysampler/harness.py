@@ -15,6 +15,7 @@ import logging
 import shlex
 import time
 from dataclasses import dataclass, field, replace as dc_replace
+from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -61,7 +62,11 @@ class ConfigError(CopySamplerError):
 
 @dataclass(frozen=True)
 class OracleSpec:
-    """Declarative oracle description; `build()` yields a fresh instance."""
+    """Declarative oracle description; `build()` yields a fresh instance.
+
+    A table is read and normalized once, at the first `build()`; every build
+    wraps those read-only arrays in a new TableOracle with its own count.
+    """
 
     kind: str
     options: dict = field(default_factory=dict)
@@ -69,6 +74,17 @@ class OracleSpec:
     @property
     def oracle_id(self) -> str:
         return self.options.get("id", self.kind)
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        X, y = load_labeled_csv(self.options["path"])
+        # Normalizing would spread a NaN or inf over its whole column;
+        # keep such a table raw so the error names the row that holds it.
+        if self.options.get("normalize", True) and np.isfinite(X).all():
+            X = fit_normalization(X).transform(X)
+        X.setflags(write=False)
+        y.setflags(write=False)
+        return X, y
 
     def build(self) -> Oracle:
         opts = self.options
@@ -85,13 +101,8 @@ class OracleSpec:
                 turns=opts["turns"], center=opts.get("center", (0.5, 0.5))
             )
         if self.kind == "table":
-            X, y = load_labeled_csv(opts["path"])
-            # Normalizing would spread a NaN or inf over its whole column;
-            # keep such a table raw so the error names the row that holds it.
-            if opts.get("normalize", True) and np.isfinite(X).all():
-                X = fit_normalization(X).transform(X)
             try:
-                return TableOracle(X, y)
+                return TableOracle(*self._table)
             except ValueError as exc:
                 raise ConfigError(f"table.path {opts['path']}: {exc}") from None
         if self.kind == "external":
@@ -496,8 +507,9 @@ def _evaluate_cell(cfg, out, method, arch, n, rep, dataset, reference):
     subset = dataset.prefix(n)
     seed = RandomSource.derive(cfg.seed, "train", method, arch, n, rep).seed
     model = train(arch, subset, dc_replace(cfg.train, seed=seed))
-    r_f = metrics.empirical_fidelity_error(model, reference.X, reference.y)
-    r_fb = metrics.balanced_empirical_fidelity_error(model, reference)
+    preds = model.predict_many(reference.X)
+    r_f = metrics.empirical_fidelity_error(preds, reference.y)
+    r_fb = metrics.balanced_empirical_fidelity_error(preds, reference.y, reference.k)
     wall = time.perf_counter() - t0
     record = metrics.RunRecord(
         oracle=cfg.oracle.oracle_id,

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .copies import CopyModel, TrainConfig, train
+from .copies import TrainConfig, train
 from .core import CopySamplerError, RandomSource, SyntheticDataset
 from .oracles import Oracle
 
@@ -98,27 +98,29 @@ FULL_SCALE_COMPARISON = {
 }
 
 
-def empirical_fidelity_error(model: CopyModel, X: np.ndarray, y_oracle: np.ndarray) -> float:
-    """Disagreement fraction between the copy and the oracle labels."""
+def _scored_labels(preds, y_oracle) -> tuple[np.ndarray, np.ndarray]:
+    preds = np.asarray(preds).reshape(-1)
     y_oracle = np.asarray(y_oracle, dtype=np.int64).reshape(-1)
+    if preds.shape != y_oracle.shape:
+        raise ValueError(f"{preds.size} predictions for {y_oracle.size} oracle labels")
+    return preds, y_oracle
+
+
+def empirical_fidelity_error(preds: np.ndarray, y_oracle: np.ndarray) -> float:
+    """Disagreement fraction between a copy's predictions and the oracle labels."""
+    preds, y_oracle = _scored_labels(preds, y_oracle)
     if y_oracle.size == 0:
         raise ValueError("cannot score an empty set")
-    preds = model.predict_many(X)
     return float(np.mean(preds != y_oracle))
 
 
-def balanced_empirical_fidelity_error(model: CopyModel, ref) -> float:
-    """One minus the mean per-class agreement rate.
+def balanced_empirical_fidelity_error(preds: np.ndarray, y_oracle: np.ndarray, k: int) -> float:
+    """One minus the mean per-class agreement rate of a copy's predictions.
 
-    `ref` is a ReferenceSet or an (X, y, k) triple.  Every class in
-    [0, k) must be present, otherwise its agreement rate is undefined.
+    Every class in [0, k) must be present among the oracle labels,
+    otherwise its agreement rate is undefined.
     """
-    if isinstance(ref, ReferenceSet):
-        X, y, k = ref.X, ref.y, ref.k
-    else:
-        X, y, k = ref
-    y = np.asarray(y, dtype=np.int64).reshape(-1)
-    preds = model.predict_many(X)
+    preds, y = _scored_labels(preds, y_oracle)
     rates = np.empty(k)
     for cls in range(k):
         mask = y == cls
@@ -210,9 +212,9 @@ def quality_checks(
         query_count=len(ref),
     )
     model = train(arch, ds, cfg or TrainConfig())
-    on_ref = balanced_empirical_fidelity_error(model, ref)
+    on_ref = balanced_empirical_fidelity_error(model.predict_many(ref.X), ref.y, ref.k)
     Xd, yd = original_train
-    on_original = balanced_empirical_fidelity_error(model, (Xd, yd, ref.k))
+    on_original = balanced_empirical_fidelity_error(model.predict_many(Xd), yd, ref.k)
     return on_ref, on_original
 
 

@@ -195,7 +195,8 @@ class TestCriterion05CopyConvergence:
             for n in (100, 10_000):
                 model = train("dt", ds.prefix(n), TrainConfig(seed=seed))
                 errs[n].append(
-                    balanced_empirical_fidelity_error(model, circles_reference)
+                    balanced_empirical_fidelity_error(model.predict_many(circles_reference.X),
+                                                      circles_reference.y, circles_reference.k)
                 )
         elapsed = time.perf_counter() - start
         med_large = float(np.median(errs[10_000]))
@@ -216,9 +217,9 @@ class TestCriterion06BoundarySuitsLR:
             bd = boundary_sampler(500, oracle, rng=RandomSource.derive(2024, "b6", seed))
             rd = random_sampler(500, oracle, RandomSource.derive(2024, "r6", seed))
             b_errs.append(balanced_empirical_fidelity_error(
-                train("lr", bd, TrainConfig(seed=seed)), ref))
+                train("lr", bd, TrainConfig(seed=seed)).predict_many(ref.X), ref.y, ref.k))
             r_errs.append(balanced_empirical_fidelity_error(
-                train("lr", rd, TrainConfig(seed=seed)), ref))
+                train("lr", rd, TrainConfig(seed=seed)).predict_many(ref.X), ref.y, ref.k))
         med_b = float(np.median(b_errs))
         med_r = float(np.median(r_errs))
         ok = med_b <= 0.02 and med_b <= med_r + 0.01
@@ -239,9 +240,11 @@ class TestCriterion07BayesianFewSample:
             rd = random_sampler(200, circles_mid(),
                                 RandomSource.derive(2024, "rr", seed))
             bayes_errs.append(balanced_empirical_fidelity_error(
-                train("ann", fb, replace(cfg, seed=seed)), circles_reference))
+                train("ann", fb, replace(cfg, seed=seed)).predict_many(circles_reference.X),
+                circles_reference.y, circles_reference.k))
             rand_errs.append(balanced_empirical_fidelity_error(
-                train("ann", rd, replace(cfg, seed=seed)), circles_reference))
+                train("ann", rd, replace(cfg, seed=seed)).predict_many(circles_reference.X),
+                circles_reference.y, circles_reference.k))
         med_b = float(np.median(bayes_errs))
         med_r = float(np.median(rand_errs))
         ok = med_b <= med_r + 0.02
@@ -313,19 +316,19 @@ class TestCriterion10MetricIdentities:
         X = rng.uniform((200, 2))
         y = np.repeat([0, 1], 100)
         noisy = Scripted(lambda Z: (rng.uniform(Z.shape[0]) < 0.5).astype(int))
-        plain = empirical_fidelity_error(noisy, X, y)
+        plain = empirical_fidelity_error(noisy.predict_many(X), y)
         # same predictions replayed for the balanced pass
         preds = noisy.predict_many(X)
         fixed = Scripted(lambda Z: preds)
-        balanced = balanced_empirical_fidelity_error(fixed, (X, y, 2))
-        plain_fixed = empirical_fidelity_error(fixed, X, y)
+        balanced = balanced_empirical_fidelity_error(fixed.predict_many(X), y, 2)
+        plain_fixed = empirical_fidelity_error(fixed.predict_many(X), y)
         identity_gap = abs(balanced - plain_fixed)
 
         X2 = np.zeros((100, 1))
         y2 = np.array([0] * 90 + [1] * 10)
         const = Scripted(lambda Z: np.zeros(Z.shape[0], dtype=int))
-        bal = balanced_empirical_fidelity_error(const, (X2, y2, 2))
-        pl = empirical_fidelity_error(const, X2, y2)
+        bal = balanced_empirical_fidelity_error(const.predict_many(X2), y2, 2)
+        pl = empirical_fidelity_error(const.predict_many(X2), y2)
         ok = identity_gap <= 1e-12 and bal == 0.5 and pl == 0.1
         verdict(10, "metric-identities", ok,
                 f"identity gap {identity_gap:.1e}, constant copy {bal}/{pl}")

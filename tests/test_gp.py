@@ -1,6 +1,10 @@
 """Gaussian-process machinery and the uncertainty-driven samplers."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -500,3 +504,42 @@ class TestJitterEscalation:
         with pytest.raises(PosteriorFitError):
             posterior_fit(np.array([[0.1], [0.9]]), np.array([0.0, 1.0]),
                           SEKernel(0.5, 1.0))
+
+
+class TestLazyScipy:
+    """scipy loads at the first posterior fit, never at import.
+
+    Each check runs in a fresh interpreter: this process may hold scipy
+    already.
+    """
+
+    @staticmethod
+    def scipy_loaded_after(code: str) -> bool:
+        src = str(Path(gp_mod.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", f"{code}\nimport sys\nprint('scipy' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()[-1] == "True"
+
+    @pytest.mark.parametrize("code", [
+        "import copysampler",
+        "import copysampler.cli",
+        "from copysampler import serve_stdio, Spiral2DOracle",
+    ])
+    def test_import_leaves_scipy_unloaded(self, code):
+        assert not self.scipy_loaded_after(code)
+
+    def test_posterior_fit_loads_scipy(self):
+        assert self.scipy_loaded_after(
+            "import numpy as np\n"
+            "from copysampler import SEKernel, posterior_fit\n"
+            "posterior_fit(np.array([[0.1], [0.9]]), np.array([0.0, 1.0]), SEKernel(0.5, 1.0))"
+        )
+
+    def test_caught_error_is_the_one_scipy_raises(self):
+        with pytest.raises(gp_mod.LinAlgError):
+            gp_mod.cholesky(-np.eye(2), lower=True)

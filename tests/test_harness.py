@@ -1,5 +1,6 @@
 """Experiment harness: config grammar, sweep accounting, resume, plots, CLI."""
 
+import json
 import re
 from pathlib import Path
 
@@ -10,10 +11,13 @@ from copysampler import (
     ConcentricCirclesOracle,
     ExternalOracle,
     SyntheticDataset,
+    TableOracle,
+    build_reference_set,
+    harness,
     random_sampler,
 )
 from copysampler.cli import main as cli_main
-from copysampler.core import RandomSource
+from copysampler.core import RandomSource, fit_normalization, load_labeled_csv, meta_path
 from copysampler.harness import (
     ConfigError,
     load_config,
@@ -737,3 +741,110 @@ class TestTableOracleConfig:
         assert oracle.k == 2
         # normalized reference data concentrates inside the unit cube
         assert np.all(oracle.X_ref.mean(axis=0) == pytest.approx(0.5, abs=1e-9))
+
+
+TABLE_RUN = """
+[experiment]
+seed = 3
+repetitions = 2
+
+[oracle]
+kind = table
+path = table.csv
+
+[samplers]
+methods = random boundary
+
+[copies]
+architectures = dt
+
+[evaluation]
+n_grid = 30 60
+reference_size = 200
+"""
+
+
+class TestTableReadOncePerRun:
+    @pytest.fixture
+    def table_config(self, tmp_path):
+        X = RandomSource(8).normal((300, 3)) * 3 + 5
+        y = (X[:, 0] + X[:, 1] > 10).astype(int)
+        SyntheticDataset(X, y, 2, "export", 0, 300).to_csv(tmp_path / "table.csv")
+        path = tmp_path / "t.ini"
+        path.write_text(TABLE_RUN)
+        return path
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Paths passed to the table loader the harness calls."""
+        seen = []
+        load = harness.load_labeled_csv
+
+        def counted(path):
+            seen.append(path)
+            return load(path)
+
+        monkeypatch.setattr(harness, "load_labeled_csv", counted)
+        return seen
+
+    @staticmethod
+    def fresh_oracle(table):
+        X, y = load_labeled_csv(table)
+        return TableOracle(fit_normalization(X).transform(X), y)
+
+    def assert_matches_fresh_oracles(self, cfg, out, scratch):
+        """Each file equals what its sampler draws from a newly built oracle."""
+        table = cfg.oracle.options["path"]
+        for method in cfg.methods:
+            for rep in range(cfg.repetitions):
+                rng = RandomSource.derive(cfg.seed, "dataset", method, rep)
+                ds = timing_profile(cfg, method, cfg.n_grid, self.fresh_oracle(table),
+                                    rng).dataset
+                expected = ds.to_csv(scratch / f"{method}_r{rep:02d}.csv")
+                got = out / "datasets" / expected.name
+                assert got.read_bytes() == expected.read_bytes()
+                assert (meta_path(got).read_bytes()
+                        == meta_path(expected).read_bytes())
+        oracle = self.fresh_oracle(table)
+        ref = build_reference_set(oracle, cfg.reference_size, cfg.reference_balanced,
+                                  RandomSource.derive(cfg.seed, "reference"))
+        side = json.loads(meta_path(out / "reference" / "reference.csv").read_text())
+        assert side["query_count"] == oracle.query_count
+        np.testing.assert_array_equal(
+            SyntheticDataset.from_csv(out / "reference" / "reference.csv").X, ref.X)
+
+    def test_run_reads_the_table_once(self, table_config, reads, tmp_path):
+        cfg = load_config(table_config)
+        summary = run_experiment(cfg, tmp_path / "out")
+        assert summary.exit_code == 0
+        assert summary.datasets_computed == 4
+        assert len(reads) == 1
+        self.assert_matches_fresh_oracles(cfg, tmp_path / "out", tmp_path)
+
+    def test_resumed_run_reads_the_table_once(self, table_config, reads, tmp_path):
+        out = tmp_path / "out"
+        run_experiment(load_config(table_config), out)
+        report = (out / "report.csv").read_bytes()
+        for name in ("boundary_r01.csv", "random_r00.csv"):
+            (out / "datasets" / name).unlink()
+        del reads[:]
+        cfg = load_config(table_config)
+        summary = run_experiment(cfg, out)
+        assert summary.exit_code == 0
+        assert summary.datasets_computed == 2
+        assert summary.cells_computed == 0
+        assert len(reads) == 1
+        self.assert_matches_fresh_oracles(cfg, out, tmp_path)
+        assert (without_wall_time((out / "report.csv").read_bytes())
+                == without_wall_time(report))
+
+    def test_builds_share_arrays_but_not_counts(self, table_config, reads):
+        spec = load_config(table_config).oracle
+        with spec.build() as first:
+            first.query_many(RandomSource(1).uniform((7, 3)))
+        with spec.build() as second:
+            assert second.query_count == 0
+        assert first.query_count == 7
+        assert len(reads) == 1
+        assert second.X_ref is first.X_ref
+        assert not second.X_ref.flags.writeable and not second.y_ref.flags.writeable

@@ -44,21 +44,29 @@ class TestEmpiricalFidelityError:
         X = RandomSource(1).uniform((50, 2))
         y = (X[:, 0] > 0.5).astype(int)
         model = _FixedModel(lambda Z: (Z[:, 0] > 0.5).astype(int))
-        assert empirical_fidelity_error(model, X, y) == 0.0
+        assert empirical_fidelity_error(model.predict_many(X), y) == 0.0
 
     def test_constant_copy_on_balanced_set(self):
         X = np.zeros((10, 1))
         y = np.array([0, 1] * 5)
-        assert empirical_fidelity_error(constant_model(0), X, y) == 0.5
+        assert empirical_fidelity_error(constant_model(0).predict_many(X), y) == 0.5
 
     def test_counting(self):
         X = np.zeros((10, 1))
         y = np.array([0] * 7 + [1] * 3)
-        assert empirical_fidelity_error(constant_model(0), X, y) == pytest.approx(0.3)
+        assert empirical_fidelity_error(constant_model(0).predict_many(X), y) == pytest.approx(0.3)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            empirical_fidelity_error(constant_model(0), np.empty((0, 1)), np.empty(0))
+            empirical_fidelity_error(constant_model(0).predict_many(np.empty((0, 1))), np.empty(0))
+
+    def test_length_mismatch_rejected(self):
+        # one prediction array scores both metrics, so it must fit the labels
+        y = np.array([0, 1, 1])
+        with pytest.raises(ValueError, match="2 predictions for 3 oracle labels"):
+            empirical_fidelity_error(np.array([0, 1]), y)
+        with pytest.raises(ValueError, match="2 predictions for 3 oracle labels"):
+            balanced_empirical_fidelity_error(np.array([0, 1]), y, 2)
 
 
 class TestBalancedError:
@@ -66,14 +74,14 @@ class TestBalancedError:
         X = RandomSource(2).uniform((40, 2))
         y = (X[:, 1] > 0.3).astype(int)
         model = _FixedModel(lambda Z: (Z[:, 1] > 0.3).astype(int))
-        assert balanced_empirical_fidelity_error(model, (X, y, 2)) == 0.0
+        assert balanced_empirical_fidelity_error(model.predict_many(X), y, 2) == 0.0
 
     def test_imbalanced_constant_copy(self):
         X = np.zeros((100, 1))
         y = np.array([0] * 90 + [1] * 10)
         model = constant_model(0)
-        assert balanced_empirical_fidelity_error(model, (X, y, 2)) == 0.5
-        assert empirical_fidelity_error(model, X, y) == pytest.approx(0.1)
+        assert balanced_empirical_fidelity_error(model.predict_many(X), y, 2) == 0.5
+        assert empirical_fidelity_error(model.predict_many(X), y) == pytest.approx(0.1)
 
     def test_equals_plain_on_balanced_sets(self):
         rng = RandomSource(3)
@@ -82,15 +90,15 @@ class TestBalancedError:
         model = _FixedModel(
             lambda Z: (Z[:, 0] * 3).astype(int).clip(0, 2)
         )
-        plain = empirical_fidelity_error(model, X, y)
-        balanced = balanced_empirical_fidelity_error(model, (X, y, 3))
+        plain = empirical_fidelity_error(model.predict_many(X), y)
+        balanced = balanced_empirical_fidelity_error(model.predict_many(X), y, 3)
         assert abs(plain - balanced) <= 1e-12
 
     def test_missing_class_names_the_class(self):
         X = np.zeros((10, 1))
         y = np.array([0] * 10)
         with pytest.raises(MissingClassError, match="class 1"):
-            balanced_empirical_fidelity_error(constant_model(0), (X, y, 2))
+            balanced_empirical_fidelity_error(constant_model(0).predict_many(X), y, 2)
 
     def test_bounds(self):
         rng = RandomSource(4)
@@ -99,7 +107,7 @@ class TestBalancedError:
         for seed in range(5):
             r = RandomSource(seed)
             model = _FixedModel(lambda Z, r=r: (r.uniform(Z.shape[0]) < 0.5).astype(int))
-            err = balanced_empirical_fidelity_error(model, (X, y, 2))
+            err = balanced_empirical_fidelity_error(model.predict_many(X), y, 2)
             assert 0.0 <= err <= 1.0
 
 
@@ -152,10 +160,10 @@ class TestEstimatorConsistency:
         # slab 0.43 <= x0 < 0.5 of volume 0.07, all inside true class 0
         model = _FixedModel(lambda Z: (Z[:, 0] >= 0.43).astype(int))
         ref = build_reference_set(halfspace, 100_000, True, RandomSource(11))
-        balanced = balanced_empirical_fidelity_error(model, ref)
+        balanced = balanced_empirical_fidelity_error(model.predict_many(ref.X), ref.y, ref.k)
         # class-0 agreement 0.43/0.5, class-1 agreement 1.0
         assert abs(balanced - 0.07) < 0.01
-        plain = empirical_fidelity_error(model, ref.X, ref.y)
+        plain = empirical_fidelity_error(model.predict_many(ref.X), ref.y)
         assert abs(plain - 0.07) < 0.01
 
 
