@@ -73,7 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tie-margin", type=float, default=0.01)
     _add_seed(p)
 
-    p = sub.add_parser("profile", help="time one sampler at several budgets")
+    p = sub.add_parser(
+        "profile", help="time one sampler run at prefix checkpoints",
+        description="Run one sampler to the largest checkpoint and print, for "
+        "each checkpoint N, the seconds until the first N samples were "
+        "labelled. A sampler that labels a block of points reports the whole "
+        "block at once, so random's rows all read its one block. For the "
+        "cost of a full run of budget N, pass --checkpoints N alone.")
     p.add_argument("--config", required=True)
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--checkpoints", required=True,

@@ -1,6 +1,7 @@
-"""Shared domain types: the unit-hypercube input space, the pinned random
-stream, labelled synthetic datasets and their serialization, and the
-normalization / splitting plumbing used by every other module."""
+"""Shared domain types: the pinned random stream, labelled synthetic
+datasets and their serialization, and the normalization / splitting
+plumbing used by every other module.  Every point lives in the closed unit
+hypercube; the samplers draw from it with `RandomSource.uniform`."""
 
 from __future__ import annotations
 
@@ -88,32 +89,6 @@ class RandomSource:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RandomSource(seed={self.seed}, algorithm={self.algorithm_id})"
-
-
-@dataclass(frozen=True)
-class SampleSpace:
-    """The restricted input space: the closed unit hypercube in d dimensions."""
-
-    d: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimensionality must be at least 1, got {self.d}")
-
-    @property
-    def bounds(self) -> tuple[float, float]:
-        return (0.0, 1.0)
-
-    def contains(self, point: np.ndarray) -> bool:
-        return bool(np.all(point >= 0.0) and np.all(point <= 1.0))
-
-    def clip(self, point: np.ndarray) -> np.ndarray:
-        return np.clip(point, 0.0, 1.0)
-
-
-def uniform_sample(space: SampleSpace, rng: RandomSource) -> Point:
-    """One point distributed uniformly over the unit hypercube."""
-    return rng.uniform(space.d)
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError  # the very class scipy.linalg raises
 
-from .core import (
-    CopySamplerError,
-    RandomSource,
-    SampleSpace,
-    SyntheticDataset,
-    round_half_up,
-    uniform_sample,
-)
+from .core import CopySamplerError, RandomSource, SyntheticDataset, round_half_up
 from .oracles import Oracle
 
 log = logging.getLogger(__name__)
@@ -275,13 +268,13 @@ def round_to_class(mu: float, k: int) -> int:
     return int(min(max(round_half_up(mu), 0), k - 1))
 
 
-def _uniform_init(count, oracle, space, rng, pts, labels, progress):
-    for _ in range(count):
-        z = uniform_sample(space, rng)
-        pts.append(z)
-        labels.append(oracle.query(z))
-        if progress is not None:
-            progress(len(pts))
+def _uniform_init(count, oracle, rng, progress):
+    """`count` uniform points and their labels, drawn and labelled as one block."""
+    Z = rng.uniform((count, oracle.d))
+    labels = oracle.query_many(Z).tolist()
+    if progress is not None:
+        progress(count)
+    return list(Z), labels
 
 
 def fast_bayesian_sampler(
@@ -310,11 +303,8 @@ def fast_bayesian_sampler(
         raise ValueError("rng is required")
     if N < params.init_count:
         raise ValueError(f"budget N={N} below the uniform init count {params.init_count}")
-    space = SampleSpace(oracle.d)
     q0 = oracle.query_count
-    pts: list[np.ndarray] = []
-    labels: list[int] = []
-    _uniform_init(params.init_count, oracle, space, rng, pts, labels, progress)
+    pts, labels = _uniform_init(params.init_count, oracle, rng, progress)
     fits = 0
     fallback_batches = 0
     while len(pts) < N:
@@ -337,16 +327,15 @@ def fast_bayesian_sampler(
         Z0 = np.empty((count, oracle.d))
         U = np.empty((count, params.local_iters, oracle.d))
         for r in range(count):
-            Z0[r] = uniform_sample(space, rng)
+            Z0[r] = rng.uniform(oracle.d)
             if gp is not None:
                 U[r] = rng.normal((params.local_iters, oracle.d))
         Z = Z0 if gp is None else _pattern_search(
             gp, Z0, U, acq, NEIGHBOURHOOD_RADIUS)
-        for z in Z:
-            pts.append(z)
-            labels.append(oracle.query(z))
-            if progress is not None:
-                progress(len(pts))
+        pts.extend(Z)
+        labels.extend(oracle.query_many(Z).tolist())
+        if progress is not None:
+            progress(len(pts))
     return SyntheticDataset(
         X=np.array(pts),
         y=np.array(labels),
@@ -389,11 +378,8 @@ def reference_bayesian_sampler(
         )
     if N < INIT_COUNT:
         raise ValueError(f"budget N={N} below the uniform init count {INIT_COUNT}")
-    space = SampleSpace(oracle.d)
     q0 = oracle.query_count
-    pts: list[np.ndarray] = []
-    labels: list[int] = []
-    _uniform_init(INIT_COUNT, oracle, space, rng, pts, labels, None)
+    pts, labels = _uniform_init(INIT_COUNT, oracle, rng, None)
     fits = 0
     while len(pts) < N:
         try:
@@ -401,7 +387,7 @@ def reference_bayesian_sampler(
             fits += 1
         except PosteriorFitError:
             gp = None
-        z0 = uniform_sample(space, rng)
+        z0 = rng.uniform(oracle.d)
         z = z0 if gp is None else maximize_acquisition(gp, z0, local_iters, rng, acq)
         pts.append(z)
         labels.append(oracle.query(z))

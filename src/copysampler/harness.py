@@ -378,7 +378,14 @@ TIMING_HEADER = "method,sample_count,elapsed_s"
 
 @dataclass
 class TimingProfile:
-    """Elapsed wall time at increasing sample counts of one generation run."""
+    """Prefix checkpoints of one generation run.
+
+    Each checkpoint (N, seconds) is the time from the start of the run until
+    its first N samples were labelled.  A sampler that labels a block of
+    points reports the whole block at once, so every checkpoint inside one
+    block reads the time that block finished: the random sampler labels its
+    whole budget as one block, so each of its rows reads the full run.
+    """
 
     method: str
     checkpoints: list[tuple[int, float]]
@@ -428,9 +435,12 @@ def timing_profile(
     oracle: Oracle,
     rng: RandomSource,
 ) -> TimingProfile:
-    """Time one generation run, recording elapsed seconds at each checkpoint.
+    """Time one run of budget `checkpoints[-1]`, read at each checkpoint.
 
-    The profile also carries the dataset generated for the last checkpoint.
+    A checkpoint's seconds are those until the first N samples were labelled
+    (see `TimingProfile`), not the cost of a separate run of budget N; the
+    full-run cost of budget N is the profile with the one checkpoint N.  The
+    profile also carries the dataset generated for the last checkpoint.
     """
     checkpoints = list(checkpoints)
     if checkpoints != sorted(set(checkpoints)) or not checkpoints:

@@ -38,9 +38,10 @@ class Oracle:
 
     `query` must be deterministic (same point, same label).  The counter is
     the cost model for sampling budgets, so every label obtained from the
-    underlying model passes through `query`/`query_many`.  Every oracle is a
-    context manager; `close` releases what it holds (a child process, for
-    an external oracle).
+    underlying model passes through `query`/`query_many`.  A subclass
+    implements `_label_many(X)`, the labels of the rows of an (n, d) array;
+    `query` labels one row of it.  Every oracle is a context manager; `close`
+    releases what it holds (a child process, for an external oracle).
     """
 
     def __init__(self, d: int, k: int):
@@ -57,20 +58,29 @@ class Oracle:
         return self._queries
 
     def query(self, z: Point) -> int:
+        """The label of one point; counts one query."""
+        z = np.asarray(z, dtype=np.float64)
+        self._check_row(z.shape)
         self._queries += 1
-        return int(self._label_one(np.asarray(z, dtype=np.float64)))
+        return int(self._label_one(z))
 
     def query_many(self, X: np.ndarray) -> np.ndarray:
         """Labels for each row of X; counts one query per row."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        self._check_row(X.shape[1:])
         self._queries += X.shape[0]
         return self._label_many(X).astype(np.int64)
 
+    def _check_row(self, shape):
+        if shape != (self.d,):
+            raise ValueError(f"points of shape {shape}, oracle wants ({self.d},)")
+
     def _label_one(self, z: np.ndarray) -> int:
-        raise NotImplementedError
+        # override only where one row has a measurably faster path
+        return self._label_many(z[None, :])[0]
 
     def _label_many(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self._label_one(row) for row in X], dtype=np.int64)
+        raise NotImplementedError
 
     def close(self):
         pass
@@ -117,9 +127,6 @@ class HalfspaceOracle(AnalyticOracle):
         if self._norm == 0.0:
             raise ValueError("weight vector must be nonzero")
 
-    def _label_one(self, z):
-        return int(float(self.w @ z) >= self.c)
-
     def _label_many(self, X):
         return (X @ self.w >= self.c).astype(np.int64)
 
@@ -159,12 +166,11 @@ class ConcentricCirclesOracle(AnalyticOracle):
         self.center = center
         self.radii = radii
 
-    def _label_one(self, z):
-        r = float(np.linalg.norm(z - self.center))
-        return int(np.searchsorted(self.radii, r, side="right"))
-
     def _label_many(self, X):
-        r = np.linalg.norm(X - self.center, axis=1)
+        # np.linalg.norm's formula for real rows, bit for bit, without its
+        # per-call checks, which cost about 2 us of a one-row query
+        D = X - self.center
+        r = np.sqrt((D * D).sum(axis=1))
         return np.searchsorted(self.radii, r, side="right").astype(np.int64)
 
     def boundary_distance(self, z):
@@ -196,9 +202,6 @@ class CheckerboardOracle(AnalyticOracle):
     def _cell_indices(self, X):
         idx = np.floor(X * self.cells).astype(np.int64)
         return np.minimum(idx, self.cells - 1)
-
-    def _label_one(self, z):
-        return int(self._cell_indices(z[None, :]).sum() % 2)
 
     def _label_many(self, X):
         return (self._cell_indices(X).sum(axis=1) % 2).astype(np.int64)
@@ -251,9 +254,6 @@ class Spiral2DOracle(AnalyticOracle):
         phi = np.arctan2(dz[:, 1], dz[:, 0])
         delta = np.mod(phi - self._arm_angle(r), 2 * math.pi)
         return (delta >= math.pi).astype(np.int64)
-
-    def _label_one(self, z):
-        return int(self._label_many(z[None, :])[0])
 
     def _arm_points(self, t, phase):
         ang = self._arm_angle(t) + phase
@@ -343,13 +343,10 @@ class TableOracle(Oracle):
         self._neg2_XT = np.ascontiguousarray((-2.0 * X_ref).T)
         self._max_sq_norm = float(sq_norms.max())
 
-    def _check_dim(self, n_coords):
-        if n_coords != self.d:
-            raise ValueError(f"points have {n_coords} coordinates, oracle wants {self.d}")
-
     def _label_one(self, z):
-        # _label_many's ranking for one query, without its per-chunk indexing
-        self._check_dim(z.shape[-1])
+        # _label_many's ranking for one query, without its per-chunk
+        # indexing: 35-39 us against 52-60 us through _label_many(z[None])
+        # for M = 10**4 and d = 8 on a 2-vCPU Xeon, BLAS on one thread.
         h = z @ self._neg2_XT
         h += self._sq_norms
         best = int(h.argmin())
@@ -366,7 +363,6 @@ class TableOracle(Oracle):
         return rows[np.argmin(d2)]
 
     def _label_many(self, X):
-        self._check_dim(X.shape[1])
         out = np.empty(X.shape[0], dtype=np.int64)
         step = max(1, self._CHUNK_PAIRS // self.X_ref.shape[0])
         for start in range(0, X.shape[0], step):
@@ -489,26 +485,27 @@ class ExternalOracle(Oracle):
         oracle._proc = proc
         return oracle
 
-    def _label_one(self, z):
-        if z.shape[0] != self.d:
-            raise ValueError(f"point has {z.shape[0]} coordinates, oracle wants {self.d}")
-        request = " ".join(f"{v:.17g}" for v in z)
-        try:
-            self._writer.write(request + "\n")
-            self._writer.flush()
-            _await_line(self._reader)
-            line = self._reader.readline()
-        except (OSError, ValueError) as exc:
-            raise QueryTransportError(f"transport failed mid-query: {exc}") from exc
-        if not line:
-            raise QueryTransportError("transport closed while awaiting a label")
-        try:
-            label = int(line.strip())
-        except ValueError:
-            raise ProtocolError(f"malformed label line: {line!r}") from None
-        if not 0 <= label < self.k:
-            raise ProtocolError(f"label {label} outside [0, {self.k - 1}]")
-        return label
+    def _label_many(self, X):
+        labels = np.empty(X.shape[0], dtype=np.int64)
+        for i, z in enumerate(X):  # lockstep: one request in flight
+            request = " ".join(f"{v:.17g}" for v in z)
+            try:
+                self._writer.write(request + "\n")
+                self._writer.flush()
+                _await_line(self._reader)
+                line = self._reader.readline()
+            except (OSError, ValueError) as exc:
+                raise QueryTransportError(f"transport failed mid-query: {exc}") from exc
+            if not line:
+                raise QueryTransportError("transport closed while awaiting a label")
+            try:
+                label = int(line.strip())
+            except ValueError:
+                raise ProtocolError(f"malformed label line: {line!r}") from None
+            if not 0 <= label < self.k:
+                raise ProtocolError(f"label {label} outside [0, {self.k - 1}]")
+            labels[i] = label
+        return labels
 
     def close(self):
         try:

@@ -19,14 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .copies import TrainConfig, TrainingError, train
-from .core import (
-    LabeledSample,
-    RandomSource,
-    SampleSpace,
-    SyntheticDataset,
-    round_half_up,
-    uniform_sample,
-)
+from .core import LabeledSample, RandomSource, SyntheticDataset, round_half_up
 from .oracles import Oracle
 
 log = logging.getLogger(__name__)
@@ -115,27 +108,45 @@ def random_sampler(
     rng: RandomSource,
     progress=None,
 ) -> SyntheticDataset:
-    """N i.i.d. uniform points, each labelled by one oracle query."""
+    """N i.i.d. uniform points, drawn and labelled as one block."""
     if N < 1:
         raise ValueError("budget must be at least 1")
-    space = SampleSpace(oracle.d)
-    q0 = oracle.query_count
-    pts = []
-    labels = []
-    for _ in range(N):
-        z = uniform_sample(space, rng)
-        pts.append(z)
-        labels.append(oracle.query(z))
-        if progress is not None:
-            progress(len(pts))
+    X = rng.uniform((N, oracle.d))
+    y = oracle.query_many(X)
+    if progress is not None:
+        progress(N)
     return SyntheticDataset(
-        X=np.array(pts),
-        y=np.array(labels),
+        X=X,
+        y=y,
         k=oracle.k,
         generator_id="random",
         seed=rng.seed,
-        query_count=oracle.query_count - q0,
+        query_count=N,
     )
+
+
+def _emitters(oracle, pts, labels, progress):
+    """Appenders to `pts` and `labels` that report the new count to `progress`.
+
+    `emit(point, label)` appends one labelled point; `emit_block(Z)` labels
+    the rows of Z with one `query_many` and appends them all.
+    """
+
+    def report():
+        if progress is not None:
+            progress(len(pts))
+
+    def emit(point, label):
+        pts.append(np.asarray(point, dtype=np.float64))
+        labels.append(int(label))
+        report()
+
+    def emit_block(Z):
+        pts.extend(Z)
+        labels.extend(oracle.query_many(Z).tolist())
+        report()
+
+    return emit, emit_block
 
 
 def binary_search_boundary(
@@ -261,33 +272,26 @@ def boundary_sampler(
     if rng is None:
         raise ValueError("rng is required")
     params = (params or BoundaryParams()).resolved(N)
-    space = SampleSpace(oracle.d)
+    d = oracle.d
     q0 = oracle.query_count
     pts: list[np.ndarray] = []
     labels: list[int] = []
 
-    def emit(point, label):
-        pts.append(np.asarray(point, dtype=np.float64))
-        labels.append(int(label))
-        if progress is not None:
-            progress(len(pts))
-
+    emit, emit_block = _emitters(oracle, pts, labels, progress)
     uniform_quota = N // 2
-    for _ in range(uniform_quota):
-        z = uniform_sample(space, rng)
-        emit(z, oracle.query(z))
+    emit_block(rng.uniform((uniform_quota, d)))
 
     fallback = False
     scan_limit = _CONSTANT_SCAN_FACTOR * params.max_steps
     while len(pts) < N and not fallback:
         # uniform scan until two consecutive draws disagree
-        z_a = uniform_sample(space, rng)
+        z_a = rng.uniform(d)
         y_a = oracle.query(z_a)
         same_run = 0
         found = False
         while len(pts) < N:
             z_b, y_b = z_a, y_a
-            z_a = uniform_sample(space, rng)
+            z_a = rng.uniform(d)
             y_a = oracle.query(z_a)
             emit(z_a, y_a)
             if y_a != y_b:
@@ -320,7 +324,7 @@ def boundary_sampler(
             starts += 1
             thread = Thread(
                 current=origin,
-                direction=_random_unit(rng, space.d),
+                direction=_random_unit(rng, d),
                 steps_taken=0,
                 spawn_countdown=_draw_spawn_gap(rng, params.spawn_rate),
             )
@@ -333,9 +337,8 @@ def boundary_sampler(
                 thread = advanced
                 emit(thread.current.point, thread.current.label)
 
-    while len(pts) < N:  # constant-oracle fallback fill
-        z = uniform_sample(space, rng)
-        emit(z, oracle.query(z))
+    if len(pts) < N:  # constant-oracle fallback fill
+        emit_block(rng.uniform((N - len(pts), d)))
 
     return SyntheticDataset(
         X=np.array(pts),
@@ -383,25 +386,16 @@ def jacobian_sampler(
         raise ValueError(
             f"budget N={N} cannot cover the {params.seeds_per_refit} uniform seeds"
         )
-    space = SampleSpace(oracle.d)
+    d = oracle.d
     q0 = oracle.query_count
     pts: list[np.ndarray] = []
     labels: list[int] = []
-
-    def emit(point, label):
-        pts.append(np.asarray(point, dtype=np.float64))
-        labels.append(int(label))
-        if progress is not None:
-            progress(len(pts))
-
-    for _ in range(params.seeds_per_refit):
-        z = uniform_sample(space, rng)
-        emit(z, oracle.query(z))
+    _, emit_block = _emitters(oracle, pts, labels, progress)
+    emit_block(rng.uniform((params.seeds_per_refit, d)))
 
     substitute = None
     refit_attempts = 0
     refits_skipped = 0
-    filled_uniform = False
     while len(pts) < N and refit_attempts < params.refits:
         refit_attempts += 1
         pool = SyntheticDataset(
@@ -431,23 +425,21 @@ def jacobian_sampler(
                 grads = substitute.input_gradients(base_X, base_y)
             else:
                 grads = np.zeros_like(base_X)
-            for z, grad in zip(base_X, grads):
-                if len(pts) >= N:
-                    break
-                signs = np.sign(grad)
-                if not signs.any():
-                    # degenerate substitute: fall back to a random diagonal
-                    signs = np.where(rng.uniform(space.d) < 0.5, -1.0, 1.0)
-                pre_clip = z + params.step * signs
-                if trace is not None:
-                    trace.append((z.copy(), pre_clip.copy()))
-                z_new = space.clip(pre_clip)
-                emit(z_new, oracle.query(z_new))
+            keep = min(len(base_X), N - len(pts))
+            base_X = base_X[:keep]
+            signs = np.sign(grads[:keep])
+            # degenerate substitute: fall back to a random diagonal, one
+            # uniform draw of d per flat row, in row order
+            flat = ~signs.any(axis=1)
+            signs[flat] = np.where(rng.uniform((int(flat.sum()), d)) < 0.5, -1.0, 1.0)
+            pre_clip = base_X + params.step * signs
+            if trace is not None:
+                trace.extend(zip(base_X, pre_clip))
+            emit_block(np.clip(pre_clip, 0.0, 1.0))
 
-    while len(pts) < N:  # guard for exhausted refit budgets
-        filled_uniform = True
-        z = uniform_sample(space, rng)
-        emit(z, oracle.query(z))
+    filled_uniform = len(pts) < N
+    if filled_uniform:  # guard for exhausted refit budgets
+        emit_block(rng.uniform((N - len(pts), d)))
 
     return SyntheticDataset(
         X=np.array(pts),

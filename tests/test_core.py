@@ -9,13 +9,11 @@ from copysampler import (
     DegenerateColumnError,
     HalfspaceOracle,
     LabeledSample,
-    SampleSpace,
     StratificationError,
     SyntheticDataset,
     fit_normalization,
     random_sampler,
     stratified_split,
-    uniform_sample,
 )
 from copysampler.core import (
     TARGET_MEAN,
@@ -48,27 +46,20 @@ class TestRandomSource:
 
 class TestUniformSample:
     def test_range_containment_1d(self, rng):
-        space = SampleSpace(1)
         for _ in range(100):
-            z = uniform_sample(space, rng)
+            z = rng.uniform(1)
             assert 0.0 <= z[0] <= 1.0
 
     def test_mean_matches_uniform_d3(self):
         # CLT: mean of 1e4 draws has sd sqrt(1/12)/100 ~ 0.0029 per coordinate
         rng = RandomSource(11)
-        space = SampleSpace(3)
-        draws = np.array([uniform_sample(space, rng) for _ in range(10_000)])
+        draws = np.array([rng.uniform(3) for _ in range(10_000)])
         assert np.all(np.abs(draws.mean(axis=0) - 0.5) < 0.02)
 
     def test_deterministic(self):
-        space = SampleSpace(4)
-        z1 = uniform_sample(space, RandomSource(5))
-        z2 = uniform_sample(space, RandomSource(5))
+        z1 = RandomSource(5).uniform(4)
+        z2 = RandomSource(5).uniform(4)
         np.testing.assert_array_equal(z1, z2)
-
-    def test_bad_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            SampleSpace(0)
 
 
 def _dataset(n=5, d=2, seed=9):

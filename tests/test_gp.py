@@ -11,10 +11,12 @@ import pytest
 
 from copysampler import (
     AcquisitionParams,
+    ConcentricCirclesOracle,
     FastBayesParams,
     GPPosterior,
     ScaleGuardError,
     SEKernel,
+    TableOracle,
     acquisition_value,
     boundary_distance,
     fast_bayesian_sampler,
@@ -26,7 +28,7 @@ from copysampler import (
     round_to_class,
 )
 import copysampler.gp as gp_mod
-from copysampler.core import RandomSource, SampleSpace, uniform_sample
+from copysampler.core import RandomSource
 from copysampler.gp import PosteriorFitError, _pattern_search
 
 
@@ -265,8 +267,7 @@ def reference_fast_sampler(N, oracle, params, rng):
     Returns the points, the labels and whether a batch was cut short.
     """
     kern = SEKernel.for_problem(oracle.d, oracle.k)
-    space = SampleSpace(oracle.d)
-    pts = [uniform_sample(space, rng) for _ in range(params.init_count)]
+    pts = [rng.uniform(oracle.d) for _ in range(params.init_count)]
     labels = [oracle.query(z) for z in pts]
     cut = False
     while len(pts) < N:
@@ -283,7 +284,7 @@ def reference_fast_sampler(N, oracle, params, rng):
             if len(pts) >= N:
                 cut = True
                 break
-            z0 = uniform_sample(space, rng)
+            z0 = rng.uniform(oracle.d)
             z = z0 if gp is None else reference_maximize_acquisition(
                 gp, z0, params.local_iters, rng)
             pts.append(z)
@@ -383,6 +384,19 @@ class TestLockstepSampler:
         assert a.uniform(1) == b.uniform(1)
         assert ds.query_count == 83
 
+    def test_matches_serial_batch_loop_on_a_table(self, monkeypatch):
+        real_fit = gp_mod.posterior_fit
+        monkeypatch.setattr(gp_mod, "posterior_fit",
+                            lambda *a, **kw: RowwiseGP(real_fit(*a, **kw)))
+        params = FastBayesParams(cap=40, slowness=5.0)
+        a, b = RandomSource(4), RandomSource(4)
+        ds = fast_bayesian_sampler(83, ring_table(), params=params, rng=a)
+        X_ref, y_ref, _ = reference_fast_sampler(83, ring_table(), params, b)
+        assert ds.X.tobytes() == X_ref.tobytes()
+        assert ds.y.tobytes() == y_ref.tobytes()
+        assert a.uniform(1) == b.uniform(1)
+        assert ds.query_count == 83
+
     def test_failed_fits_draw_uniform_points_only(self, circles, monkeypatch):
         def fail(*args, **kwargs):
             raise PosteriorFitError("forced")
@@ -395,6 +409,40 @@ class TestLockstepSampler:
         assert a.uniform(1) == b.uniform(1)
         assert ds.metadata["posterior_fits"] == 0
         assert ds.metadata["fallback_batches"] > 0
+
+
+def ring_table():
+    """A 1-NN table whose labels mark a ring around the centre."""
+    X_ref = RandomSource(31).uniform((200, 2))
+    return TableOracle(X_ref, (np.linalg.norm(X_ref - 0.5, axis=1) > 0.3).astype(int))
+
+
+def reference_uniform_init(count, oracle, rng):
+    """The per-point loop `_uniform_init` replaced: one draw, one query."""
+    pts, labels = [], []
+    for _ in range(count):
+        z = rng.uniform(oracle.d)
+        pts.append(z)
+        labels.append(oracle.query(z))
+    return pts, labels
+
+
+class TestUniformInit:
+    @pytest.mark.parametrize("make", [
+        lambda: ConcentricCirclesOracle(center=(0.5, 0.5), radii=[0.25]),
+        ring_table,
+    ], ids=["circles", "table"])
+    def test_matches_per_point_loop(self, make):
+        oracle, ref_oracle = make(), make()
+        rng, ref_rng = RandomSource(51), RandomSource(51)
+        reported = []
+        pts, labels = gp_mod._uniform_init(25, oracle, rng, reported.append)
+        ref_pts, ref_labels = reference_uniform_init(25, ref_oracle, ref_rng)
+        assert np.array(pts).tobytes() == np.array(ref_pts).tobytes()
+        assert labels == ref_labels
+        assert oracle.query_count == ref_oracle.query_count == 25
+        assert reported == [25]  # one progress call for the block
+        assert rng.uniform(4).tobytes() == ref_rng.uniform(4).tobytes()
 
 
 class TestRoundToClass:

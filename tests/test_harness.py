@@ -557,9 +557,10 @@ class TestTimingProfile:
         assert profile.checkpoints[0][0] == 500
         assert profile.checkpoints[0][1] >= 0.0
 
-    def test_monotone_elapsed(self, circles, toy_config):
+    @pytest.mark.parametrize("method", ["random", "boundary", "bayesian", "jacobian"])
+    def test_monotone_elapsed(self, circles, toy_config, method):
         cfg = load_config(toy_config)
-        profile = timing_profile(cfg, "random", [100, 400, 800], circles,
+        profile = timing_profile(cfg, method, [100, 400, 800], circles,
                                  RandomSource(2))
         counts = [c for c, _ in profile.checkpoints]
         elapsed = [e for _, e in profile.checkpoints]

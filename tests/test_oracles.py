@@ -9,6 +9,7 @@ from copysampler import (
     CheckerboardOracle,
     ConcentricCirclesOracle,
     HalfspaceOracle,
+    Oracle,
     Spiral2DOracle,
     TableOracle,
     UnsupportedOracleError,
@@ -16,6 +17,15 @@ from copysampler import (
     random_sampler,
 )
 from copysampler.core import RandomSource
+
+# One 2-D oracle of each in-process kind.
+IN_PROCESS_ORACLES = {
+    "halfspace": lambda: HalfspaceOracle(w=(1.0, -0.5), c=0.2),
+    "circles": lambda: ConcentricCirclesOracle(center=(0.5, 0.5), radii=[0.25]),
+    "checkerboard": lambda: CheckerboardOracle(4),
+    "spiral": lambda: Spiral2DOracle(turns=1.5),
+    "table": lambda: TableOracle(RandomSource(3).uniform((40, 2)), np.arange(40) % 3),
+}
 
 
 class TestHalfspace:
@@ -245,9 +255,28 @@ class TestOracleContracts:
         assert ds.query_count == circles.query_count - before
         assert ds.query_count >= len(ds)
 
-    def test_query_many_matches_loop(self, circles):
+    @pytest.mark.parametrize("kind", list(IN_PROCESS_ORACLES))
+    def test_query_many_matches_loop(self, kind):
+        oracle = IN_PROCESS_ORACLES[kind]()
         rng = RandomSource(23)
         X = rng.uniform((50, 2))
-        batch = circles.query_many(X)
-        singles = np.array([circles.query(z) for z in X])
+        batch = oracle.query_many(X)
+        singles = np.array([oracle.query(z) for z in X])
         np.testing.assert_array_equal(batch, singles)
+        assert oracle.query_count == 100
+
+    @pytest.mark.parametrize("kind", list(IN_PROCESS_ORACLES))
+    @pytest.mark.parametrize("method", ["query", "query_many"])
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_wrong_length_rejected(self, kind, method, length):
+        oracle = IN_PROCESS_ORACLES[kind]()
+        z = np.full(length, 0.3)
+        with pytest.raises(ValueError, match=rf"\({length},\).*\(2,\)"):
+            getattr(oracle, method)(z if method == "query" else np.tile(z, (4, 1)))
+        assert oracle.query_count == 0
+
+    def test_bad_dimension_rejected(self):
+        with pytest.raises(ValueError):
+            Oracle(0, 2)
+        with pytest.raises(ValueError):
+            CheckerboardOracle(4, d=0)

@@ -175,6 +175,20 @@ class TestStreamPairTransport:
         with pytest.raises(ProtocolError):
             client.query(np.array([0.5]))
 
+    def test_label_beyond_int64_rejected(self):
+        client = ExternalOracle(io.StringIO("HELLO 1 2\n99999999999999999999\n"),
+                                io.StringIO())
+        with pytest.raises(ProtocolError):
+            client.query(np.array([0.5]))
+
+    def test_query_many_sends_one_request_per_row(self):
+        writer = io.StringIO()
+        client = ExternalOracle(io.StringIO("HELLO 2 3\n0\n2\n1\n"), writer)
+        labels = client.query_many(np.array([[0.25, 0.5], [1.0, 0.0], [0.1, 0.9]]))
+        assert labels.tolist() == [0, 2, 1]
+        assert writer.getvalue() == "0.25 0.5\n1 0\n0.10000000000000001 0.90000000000000002\n"
+        assert client.query_count == 3
+
 
 def _pipe_pair():
     import os

@@ -8,10 +8,15 @@ import pytest
 
 from copysampler import (
     BoundaryParams,
+    ConcentricCirclesOracle,
     HalfspaceOracle,
     JacobianParams,
     LabeledSample,
+    SyntheticDataset,
+    TableOracle,
     Thread,
+    TrainConfig,
+    TrainingError,
     binary_search_boundary,
     boundary_distance,
     boundary_sampler,
@@ -19,6 +24,7 @@ from copysampler import (
     random_sampler,
     thread_step,
 )
+from copysampler import samplers as samplers_mod
 from copysampler.core import RandomSource
 
 
@@ -294,3 +300,250 @@ class TestAllSamplersShared:
         assert np.all(ds.X >= 0.0) and np.all(ds.X <= 1.0)
         assert ds.query_count == circles.query_count - before
         assert ds.query_count >= 80
+
+
+# -- the per-point loops the block samplers replaced ------------------------
+#
+# Each reference below is the sampler as it was when every uniform point was
+# drawn and labelled one at a time.  The block samplers must produce the same
+# bytes, spend the same queries and leave the random stream in the same
+# place.
+
+
+def reference_random_sampler(N, oracle, rng):
+    q0 = oracle.query_count
+    pts, labels = [], []
+    for _ in range(N):
+        z = rng.uniform(oracle.d)
+        pts.append(z)
+        labels.append(oracle.query(z))
+    return SyntheticDataset(np.array(pts), np.array(labels), oracle.k, "random",
+                            rng.seed, oracle.query_count - q0)
+
+
+def reference_boundary_sampler(N, oracle, params, rng):
+    params = (params or BoundaryParams()).resolved(N)
+    d = oracle.d
+    q0 = oracle.query_count
+    pts, labels = [], []
+
+    def emit(point, label):
+        pts.append(np.asarray(point, dtype=np.float64))
+        labels.append(int(label))
+
+    uniform_quota = N // 2
+    for _ in range(uniform_quota):
+        z = rng.uniform(d)
+        emit(z, oracle.query(z))
+
+    fallback = False
+    scan_limit = samplers_mod._CONSTANT_SCAN_FACTOR * params.max_steps
+    while len(pts) < N and not fallback:
+        z_a = rng.uniform(d)
+        y_a = oracle.query(z_a)
+        same_run = 0
+        found = False
+        while len(pts) < N:
+            z_b, y_b = z_a, y_a
+            z_a = rng.uniform(d)
+            y_a = oracle.query(z_a)
+            emit(z_a, y_a)
+            if y_a != y_b:
+                found = True
+                break
+            same_run += 1
+            if same_run >= scan_limit:
+                fallback = True
+                break
+        if not found or len(pts) >= N:
+            continue
+        pair, visited = binary_search_boundary(
+            LabeledSample(z_a, y_a), LabeledSample(z_b, y_b), params.epsilon, oracle)
+        for sample in visited:
+            if len(pts) >= N:
+                break
+            emit(sample.point, sample.label)
+        seed_sample = visited[-1] if visited else pair[1]
+        pending = deque([seed_sample] * params.runs)
+        starts = 0
+        while pending and starts < params.max_threads and len(pts) < N:
+            origin = pending.popleft()
+            starts += 1
+            thread = Thread(current=origin,
+                            direction=samplers_mod._random_unit(rng, d),
+                            steps_taken=0,
+                            spawn_countdown=samplers_mod._draw_spawn_gap(
+                                rng, params.spawn_rate))
+            while thread.steps_taken < params.max_steps and len(pts) < N:
+                advanced = thread_step(thread, oracle, params.step,
+                                       params.spawn_rate, rng, pending)
+                if advanced is None:
+                    break
+                thread = advanced
+                emit(thread.current.point, thread.current.label)
+
+    while len(pts) < N:
+        z = rng.uniform(d)
+        emit(z, oracle.query(z))
+
+    return SyntheticDataset(
+        np.array(pts), np.array(labels), oracle.k, "boundary", rng.seed,
+        oracle.query_count - q0,
+        metadata={
+            "phase_split": uniform_quota, "fallback_uniform": fallback,
+            "epsilon": params.epsilon, "step": params.step,
+            "spawn_rate": params.spawn_rate, "runs": params.runs,
+            "max_threads": params.max_threads, "max_steps": params.max_steps,
+        },
+    )
+
+
+def reference_jacobian_sampler(N, oracle, params, rng, trace):
+    params = (params or JacobianParams()).resolved(N)
+    d = oracle.d
+    q0 = oracle.query_count
+    pts, labels = [], []
+
+    def emit(point, label):
+        pts.append(np.asarray(point, dtype=np.float64))
+        labels.append(int(label))
+
+    for _ in range(params.seeds_per_refit):
+        z = rng.uniform(d)
+        emit(z, oracle.query(z))
+
+    substitute = None
+    refit_attempts = 0
+    refits_skipped = 0
+    filled_uniform = False
+    while len(pts) < N and refit_attempts < params.refits:
+        refit_attempts += 1
+        pool = SyntheticDataset(np.array(pts), np.array(labels), oracle.k,
+                                "jacobian-substitute-pool", rng.seed, len(pts))
+        try:
+            substitute = samplers_mod.train(
+                "lr", pool,
+                TrainConfig(seed=rng.integers(1 << 62), epochs=150, batch_size=256))
+        except TrainingError:
+            refits_skipped += 1
+        for _ in range(params.rounds):
+            if len(pts) >= N:
+                break
+            base_X = np.array(pts)
+            base_y = np.array(labels)
+            if substitute is not None and substitute.constant_label is None:
+                grads = substitute.input_gradients(base_X, base_y)
+            else:
+                grads = np.zeros_like(base_X)
+            for z, grad in zip(base_X, grads):
+                if len(pts) >= N:
+                    break
+                signs = np.sign(grad)
+                if not signs.any():
+                    signs = np.where(rng.uniform(d) < 0.5, -1.0, 1.0)
+                pre_clip = z + params.step * signs
+                trace.append((z.copy(), pre_clip.copy()))
+                z_new = np.clip(pre_clip, 0.0, 1.0)
+                emit(z_new, oracle.query(z_new))
+
+    while len(pts) < N:
+        filled_uniform = True
+        z = rng.uniform(d)
+        emit(z, oracle.query(z))
+
+    return SyntheticDataset(
+        np.array(pts), np.array(labels), oracle.k, "jacobian", rng.seed,
+        oracle.query_count - q0,
+        metadata={
+            "refit_attempts": refit_attempts, "refits_skipped": refits_skipped,
+            "filled_uniform": filled_uniform,
+            "seeds_per_refit": params.seeds_per_refit, "step": params.step,
+            "rounds": params.rounds, "refit_cap": params.refits,
+        },
+    )
+
+
+def _ring_table():
+    """A 1-NN table whose labels mark a ring, so threads have a boundary."""
+    X_ref = RandomSource(31).uniform((200, 2))
+    return TableOracle(X_ref, (np.linalg.norm(X_ref - 0.5, axis=1) > 0.3).astype(int))
+
+
+PIN_ORACLES = {
+    "circles": lambda: ConcentricCirclesOracle(center=(0.5, 0.5), radii=[0.25]),
+    "table": _ring_table,
+    # every label is 0: the boundary scan gives up, the substitute is constant
+    "constant": lambda: ConcentricCirclesOracle(center=(0.5, 0.5), radii=[5.0]),
+}
+
+
+def assert_same_run(ds, ref, rng, ref_rng):
+    assert ds.X.tobytes() == ref.X.tobytes()
+    assert ds.y.tobytes() == ref.y.tobytes()
+    assert ds.query_count == ref.query_count
+    assert ds.metadata == ref.metadata
+    assert rng.uniform(4).tobytes() == ref_rng.uniform(4).tobytes()
+
+
+class PatchySubstitute:
+    """Stands in for the logistic substitute: its gradient is the offset from
+    the centre, with every third row exactly zero, so one round mixes real
+    signs with signs drawn from the random stream."""
+
+    constant_label = None
+
+    def input_gradients(self, X, labels):
+        grads = X - 0.5
+        grads[::3] = 0.0
+        return grads
+
+
+class TestBlocksMatchPerPointLoops:
+    @pytest.mark.parametrize("kind", list(PIN_ORACLES))
+    def test_random(self, kind):
+        rng, ref_rng = RandomSource(41), RandomSource(41)
+        ds = random_sampler(300, PIN_ORACLES[kind](), rng)
+        ref = reference_random_sampler(300, PIN_ORACLES[kind](), ref_rng)
+        assert_same_run(ds, ref, rng, ref_rng)
+
+    @pytest.mark.parametrize("kind", list(PIN_ORACLES))
+    def test_boundary(self, kind):
+        # max_steps = 3 stops a constant scan after 30 draws, so the
+        # fallback fill labels the last 20 points
+        params = BoundaryParams(max_steps=3)
+        rng, ref_rng = RandomSource(42), RandomSource(42)
+        ds = boundary_sampler(100, PIN_ORACLES[kind](), params, rng)
+        ref = reference_boundary_sampler(100, PIN_ORACLES[kind](), params, ref_rng)
+        assert_same_run(ds, ref, rng, ref_rng)
+        assert ds.metadata["fallback_uniform"] is (kind == "constant")
+
+    @pytest.mark.parametrize("kind", list(PIN_ORACLES))
+    @pytest.mark.parametrize("N,params", [
+        # seeds 50, a round of 50, then a round cut from 100 to 37
+        (137, None),
+        # one refit of one round, then 20 uniform points fill the budget
+        (120, JacobianParams(refits=1, rounds=1)),
+    ])
+    def test_jacobian(self, kind, N, params):
+        rng, ref_rng = RandomSource(43), RandomSource(43)
+        trace, ref_trace = [], []
+        ds = jacobian_sampler(N, PIN_ORACLES[kind](), params, rng, trace=trace)
+        ref = reference_jacobian_sampler(N, PIN_ORACLES[kind](), params, ref_rng,
+                                         ref_trace)
+        assert_same_run(ds, ref, rng, ref_rng)
+        assert ds.metadata["filled_uniform"] is (params is not None)
+        assert len(trace) == len(ref_trace) > 0
+        for (src, pre), (ref_src, ref_pre) in zip(trace, ref_trace):
+            assert src.tobytes() == ref_src.tobytes()
+            assert pre.tobytes() == ref_pre.tobytes()
+
+    def test_jacobian_with_partly_flat_gradients(self, monkeypatch):
+        monkeypatch.setattr(samplers_mod, "train", lambda *a, **kw: PatchySubstitute())
+        rng, ref_rng = RandomSource(44), RandomSource(44)
+        trace, ref_trace = [], []
+        ds = jacobian_sampler(137, PIN_ORACLES["circles"](), None, rng, trace=trace)
+        ref = reference_jacobian_sampler(137, PIN_ORACLES["circles"](), None,
+                                         ref_rng, ref_trace)
+        assert_same_run(ds, ref, rng, ref_rng)
+        offsets = np.array([pre - src for src, pre in trace])
+        assert np.all(np.abs(offsets) == pytest.approx(0.05))
