@@ -12,7 +12,8 @@ given the config seed, and the public surface exposes hard labels only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace as dc_replace
+from functools import reduce
 from pathlib import Path
 from typing import Sequence
 
@@ -152,28 +153,80 @@ def train(arch: str, ds: SyntheticDataset, cfg: TrainConfig | None = None) -> Co
     if arch not in ARCHITECTURES:
         raise ValueError(f"unknown architecture {arch!r}; pick one of {ARCHITECTURES}")
     cfg = cfg or TrainConfig()
+    if arch != "dt":
+        (fit,) = train_many(arch, [ds], [cfg])
+        if isinstance(fit, TrainingError):
+            raise fit
+        return fit
     if len(ds) == 0:
         raise ValueError("cannot train on an empty dataset")
-    X, y, k = ds.X, ds.y, ds.k
-    present = np.unique(y)
-    if present.size == 1:
-        model = CopyModel(arch, ds.d, k, constant_label=int(present[0]))
-        model.train_meta = {"seed": cfg.seed, "training_fidelity_error": 0.0,
-                            "constant": True}
-        return model
-    if arch == "dt":
-        params = _tree_fit(X, y, k, cfg)
-        model = CopyModel(arch, ds.d, k, params=params)
-        depth = int(params["depth"])
-        model.train_meta = {"seed": cfg.seed, "depth": depth}
-    else:
-        layers, final_loss = _net_fit(X, y, k, _HIDDEN_LAYERS[arch], cfg)
-        model = CopyModel(arch, ds.d, k, params={"layers": layers})
-        model.train_meta = {"seed": cfg.seed, "epochs": cfg.epochs,
-                            "final_loss": final_loss}
-    err = float(np.mean(model.predict_many(X) != y))
-    model.train_meta["training_fidelity_error"] = err
+    model = _constant_model(arch, ds, cfg)
+    if model is None:
+        params = _tree_fit(ds.X, ds.y, ds.k, cfg)
+        model = CopyModel(arch, ds.d, ds.k, params=params)
+        model.train_meta = {"seed": cfg.seed, "depth": int(params["depth"])}
+        _record_training_error(model, ds)
     return model
+
+
+def train_many(arch: str, datasets: Sequence[SyntheticDataset],
+               cfgs: Sequence[TrainConfig]) -> list[CopyModel | TrainingError]:
+    """Fit one network copy per (dataset, config) pair, all in lockstep.
+
+    The copies share one minibatch-Adam loop over a leading cell axis.  Every
+    operation in it is local to a cell, so each copy gets the same bits that
+    `train` gives it alone.  The datasets must agree in row count, d and k,
+    and the configs in everything but `seed`.  Returns, per cell, its model
+    or the TrainingError that stopped it; a diverging cell stops no other.
+    """
+    arch = arch.lower()
+    if arch not in _HIDDEN_LAYERS:
+        raise ValueError(f"train_many fits the networks {tuple(_HIDDEN_LAYERS)}, "
+                         f"not {arch!r}")
+    datasets, cfgs = list(datasets), list(cfgs)
+    if not datasets or len(datasets) != len(cfgs):
+        raise ValueError("train_many needs one config per dataset, and one dataset at least")
+    n, d, k = len(datasets[0]), datasets[0].d, datasets[0].k
+    if any((len(ds), ds.d, ds.k) != (n, d, k) for ds in datasets):
+        raise ValueError("lockstep datasets must agree in row count, d and k")
+    if any(dc_replace(cfg, seed=cfgs[0].seed) != cfgs[0] for cfg in cfgs):
+        raise ValueError("lockstep configs may differ only in seed")
+    if n == 0:
+        raise ValueError("cannot train on an empty dataset")
+    results = [_constant_model(arch, ds, cfg) for ds, cfg in zip(datasets, cfgs)]
+    fit = [i for i, model in enumerate(results) if model is None]
+    if not fit:
+        return results
+    fitted = _net_fit(np.stack([datasets[i].X for i in fit]),
+                      np.stack([datasets[i].y for i in fit]),
+                      k, _HIDDEN_LAYERS[arch], cfgs[0], [cfgs[i].seed for i in fit])
+    for i, outcome in zip(fit, fitted):
+        if isinstance(outcome, TrainingError):
+            results[i] = outcome
+            continue
+        layers, final_loss = outcome
+        model = CopyModel(arch, d, k, params={"layers": layers})
+        model.train_meta = {"seed": cfgs[i].seed, "epochs": cfgs[i].epochs,
+                            "final_loss": final_loss}
+        _record_training_error(model, datasets[i])
+        results[i] = model
+    return results
+
+
+def _constant_model(arch, ds, cfg) -> CopyModel | None:
+    """The constant copy of a dataset with one label present, else None."""
+    present = np.unique(ds.y)
+    if present.size != 1:
+        return None
+    model = CopyModel(arch, ds.d, ds.k, constant_label=int(present[0]))
+    model.train_meta = {"seed": cfg.seed, "training_fidelity_error": 0.0,
+                        "constant": True}
+    return model
+
+
+def _record_training_error(model: CopyModel, ds: SyntheticDataset) -> None:
+    model.train_meta["training_fidelity_error"] = float(
+        np.mean(model.predict_many(ds.X) != ds.y))
 
 
 # -- softmax networks --------------------------------------------------------
@@ -189,11 +242,17 @@ def _net_init(d: int, k: int, hidden: Sequence[int], rng: RandomSource):
 
 
 def _net_forward(layers, X):
+    """Activations of every layer.
+
+    Works on one network (2-D X) or on R stacked ones (X of shape (R, b, d),
+    W of shape (R, n_in, n_out), b of shape (R, n_out)).  A stacked product
+    is one matmul per cell, the same BLAS call a lone network makes.
+    """
     acts = [X]
     a = X
     for i, (W, b) in enumerate(layers):
         a = a @ W
-        a += b
+        a += b[..., None, :]
         if i < len(layers) - 1:
             np.maximum(a, 0.0, out=a)
         acts.append(a)
@@ -201,9 +260,15 @@ def _net_forward(layers, X):
 
 
 def _softmax(logits):
-    e = logits - logits.max(axis=1, keepdims=True)
+    """Softmax over the last axis.
+
+    numpy reduces short rows slowly (some 50 ns a row), so the row max is
+    taken column by column; a max is exact, so the bits do not change.
+    """
+    top = reduce(np.maximum, [logits[..., j] for j in range(logits.shape[-1])])
+    e = logits - top[..., None]
     np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
@@ -211,33 +276,41 @@ def _net_probs(layers, X):
     return _softmax(_net_forward(layers, X)[-1])
 
 
+def _one_hot(y, k):
+    return (y[..., None] == np.arange(k)).astype(np.float64)
+
+
 def network_loss_and_grad(layers, X, y):
     """Mean cross-entropy and its gradients w.r.t. every weight and bias."""
     grads = [(np.empty_like(W), np.empty_like(b)) for W, b in layers]
-    loss = _backprop(layers, X, y, grads, with_loss=True)
+    (loss,) = _backprop(layers, X, _one_hot(y, layers[-1][0].shape[-1]), grads,
+                        with_loss=True)
     return loss, grads
 
 
-def _backprop(layers, X, y, grads, with_loss):
+def _backprop(layers, X, Y, grads, with_loss):
     """Write the mean cross-entropy gradients into the (gW, gb) arrays of `grads`.
 
-    Returns the loss when `with_loss` is set, else None.
+    `Y` holds the one-hot labels.  Shapes are those of `_net_forward`, for
+    one network or R stacked ones.  Returns the loss of each network when
+    `with_loss` is set, else None.
     """
-    n = X.shape[0]
-    rows = np.arange(n)
+    n = X.shape[-2]
     acts = _net_forward(layers, X)
     delta = _softmax(acts[-1])
     loss = None
     if with_loss:
-        loss = float(-np.mean(np.log(delta[rows, y] + 1e-12)))
-    delta[rows, y] -= 1.0
+        picked = delta[Y == 1.0].reshape(-1, n)
+        loss = [float(-np.mean(np.log(p + 1e-12))) for p in picked]
+    # x - 0.0 is x, so this changes only the labelled entries, each by -1.0
+    delta -= Y
     delta /= n
     for i in reversed(range(len(layers))):
         gW, gb = grads[i]
-        np.matmul(acts[i].T, delta, out=gW)
-        delta.sum(axis=0, out=gb)
+        np.matmul(acts[i].swapaxes(-1, -2), delta, out=gW)
+        delta.sum(axis=-2, out=gb)
         if i > 0:
-            delta = (delta @ layers[i][0].T) * (acts[i] > 0.0)
+            delta = (delta @ layers[i][0].swapaxes(-1, -2)) * (acts[i] > 0.0)
     return loss
 
 
@@ -259,47 +332,68 @@ def _net_input_gradients(layers, X, labels):
 
 
 def _layer_views(buf, layers):
-    """(W, b) views into the flat `buf`, shaped like `layers`, in order."""
+    """(W, b) views into the last axis of `buf`, shaped like `layers`, in order.
+
+    Leading axes of `buf` lead every view: a (R, P) buffer gives (R, n_in,
+    n_out) weights and (R, n_out) biases.
+    """
+    lead = buf.shape[:-1]
     views, at = [], 0
     for W, b in layers:
-        view = buf[at:at + W.size].reshape(W.shape)
+        view = buf[..., at:at + W.size].reshape(lead + W.shape)
         at += W.size
-        views.append((view, buf[at:at + b.size]))
+        views.append((view, buf[..., at:at + b.size]))
         at += b.size
     return views
 
 
-def _net_fit(X, y, k, hidden, cfg: TrainConfig):
-    """Minibatch Adam on one flat parameter buffer.
+def _net_fit(X, y, k, hidden, cfg: TrainConfig, seeds):
+    """Minibatch Adam for R networks at once, on one (R, P) parameter buffer.
 
-    Every Adam expression is elementwise, so applying it to the whole flat
-    buffer gives the same bits as applying it array by array.  The loss is
-    computed only for the last minibatch, before its update; a non-finite
-    gradient anywhere earlier shows up in the second moment `v`.
+    X is (R, n, d) and y is (R, n).  Network r draws its initial weights and
+    then each epoch's permutation from its own RandomSource(seeds[r]), in the
+    order a network trained alone draws them.  Every Adam expression is
+    elementwise, so applying it to the whole buffer gives the same bits as
+    applying it network by network and array by array.  The loss is computed
+    only for the last minibatch, before its update; a non-finite gradient
+    anywhere earlier shows up in the second moment `v`.
+
+    Returns, per network, (layers, final loss) or a TrainingError.  A
+    diverged network keeps running, on NaNs that stay in its own row, until
+    every network has diverged or the epochs are done.
     """
-    rng = RandomSource(cfg.seed)
-    init = _net_init(X.shape[1], k, hidden, rng)
-    theta = np.concatenate([a.ravel() for pair in init for a in pair])
-    layers = _layer_views(theta, init)
+    R, n, d = X.shape
+    rngs = [RandomSource(seed) for seed in seeds]
+    inits = [_net_init(d, k, hidden, rng) for rng in rngs]
+    theta = np.stack([np.concatenate([a.ravel() for pair in init for a in pair])
+                      for init in inits])
+    layers = _layer_views(theta, inits[0])
     g = np.empty_like(theta)
-    grads = _layer_views(g, init)
+    grads = _layer_views(g, inits[0])
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     tmp = np.empty_like(theta)
     step = np.empty_like(theta)
-    n = X.shape[0]
+    # rows of every network, one after another, for one np.take per epoch
+    # (some 15x faster than fancy indexing X[cells, order])
+    X_rows, Y_rows = X.reshape(R * n, d), _one_hot(y, k).reshape(R * n, k)
+    offsets = np.arange(0, R * n, n)[:, None]
     last_start = (n - 1) // cfg.batch_size * cfg.batch_size
-    loss = None
+    losses = [None] * R
+    errors: dict[int, TrainingError] = {}
     t = 0
-    with np.errstate(over="ignore"):  # overflow is detected below
+    with np.errstate(all="ignore"):  # divergence is detected below, per network
         for epoch in range(cfg.epochs):
-            order = rng.permutation(n)
-            X_epoch, y_epoch = X[order], y[order]
+            rows = (np.stack([rng.permutation(n) for rng in rngs]) + offsets).ravel()
+            X_epoch = np.take(X_rows, rows, axis=0).reshape(R, n, d)
+            Y_epoch = np.take(Y_rows, rows, axis=0).reshape(R, n, k)
             for start in range(0, n, cfg.batch_size):
                 batch = slice(start, start + cfg.batch_size)
                 final = epoch == cfg.epochs - 1 and start == last_start
-                loss = _backprop(layers, X_epoch[batch], y_epoch[batch], grads,
+                loss = _backprop(layers, X_epoch[:, batch], Y_epoch[:, batch], grads,
                                  with_loss=final)
+                if final:
+                    losses = loss
                 t += 1
                 # m = B1*m + (1-B1)*g and v = B2*v + ((1-B2)*g)*g, in place
                 m *= _ADAM_B1
@@ -310,10 +404,14 @@ def _net_fit(X, y, k, hidden, cfg: TrainConfig):
                 tmp *= g
                 v += tmp
                 if not np.isfinite(v).all():
-                    raise TrainingError(
-                        f"non-finite gradient moments at epoch {epoch}, step {t} "
-                        f"(step_size={cfg.step_size}, batch={cfg.batch_size})"
-                    )
+                    for r in np.flatnonzero(~np.isfinite(v).all(axis=1)).tolist():
+                        if r not in errors:
+                            errors[r] = TrainingError(
+                                f"non-finite gradient moments at epoch {epoch}, step {t} "
+                                f"(step_size={cfg.step_size}, batch={cfg.batch_size})"
+                            )
+                    if len(errors) == R:
+                        return [errors[r] for r in range(R)]
                 # theta -= (step_size * m_hat) / (sqrt(v_hat) + eps)
                 np.divide(v, 1 - _ADAM_B2**t, out=tmp)
                 np.sqrt(tmp, out=tmp)
@@ -322,9 +420,16 @@ def _net_fit(X, y, k, hidden, cfg: TrainConfig):
                 step *= cfg.step_size
                 step /= tmp
                 theta -= step
-    if not np.isfinite(theta).all():
-        raise TrainingError("non-finite parameters after optimization")
-    return layers, loss
+    finite = np.isfinite(theta).all(axis=1)
+    results = []
+    for r in range(R):
+        if r in errors:
+            results.append(errors[r])
+        elif not finite[r]:
+            results.append(TrainingError("non-finite parameters after optimization"))
+        else:
+            results.append((_layer_views(theta[r].copy(), inits[0]), losses[r]))
+    return results
 
 
 # -- CART decision tree --------------------------------------------------------

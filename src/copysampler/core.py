@@ -103,9 +103,11 @@ class LabeledSample:
 class SyntheticDataset:
     """Oracle-labelled samples in generation order plus provenance metadata.
 
-    Samplers generate points accumulatively, so truncating to the first j
-    samples (:meth:`prefix`) reproduces exactly the dataset a smaller budget
-    would have produced.  ``query_count`` may exceed ``len`` because some
+    For the random, jacobian and bayesian samplers, the first j samples
+    (:meth:`prefix`) are exactly the dataset a budget of j would have
+    produced.  A boundary prefix is not: that sampler's first N/2 rows are
+    uniform, so a prefix of N/2 rows or fewer holds no thread point
+    (ROADMAP.md, item 1).  ``query_count`` may exceed ``len`` because some
     generators query points they discard.
     """
 

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import metrics
-from .copies import ARCHITECTURES, TrainConfig, train
+from .copies import ARCHITECTURES, TrainConfig, train, train_many
 from .core import (
     CopySamplerError,
     RandomSource,
@@ -511,16 +511,104 @@ def _generate_one(cfg, out, method, rep):
     _write_dataset_atomically(profile.dataset, ds_path)
 
 
-def _evaluate_cell(cfg, out, method, arch, n, rep, dataset, reference):
-    cell = _cell_path(out, method, arch, n, rep)
+# Phase 2 holds the training prefixes of at most this many floats of X at
+# once, so every (arch, N) lockstep group stacks at most that many (plus one
+# permuted copy per epoch).  The toy configs fit under it, so each (network
+# arch, N) trains as one group; at full scale (10^6 rows x 8) every dataset's
+# prefixes are over the cap on their own, so its cells train alone and memory
+# stays that of one cell trained on its own.
+_LOCKSTEP_FLOATS = 1 << 20
+
+
+def _cell_label(method, arch, n, rep) -> str:
+    return f"cell {method} {arch} n{n} rep {rep}"
+
+
+def _loaded_batches(tasks, summary: RunSummary):
+    """Batches of (method, rep, {N: prefix}, wanted); each dataset is read once.
+
+    A batch holds at most _LOCKSTEP_FLOATS floats of X, or the prefixes of
+    one dataset that are larger on their own.  A dataset that cannot be read
+    or is too short fails its wanted cells.
+    """
+    batch, floats = [], 0
+    for method, rep, ds_path, wanted in tasks:
+        try:
+            dataset = SyntheticDataset.from_csv(ds_path)
+            prefixes = {n: dataset.prefix(n) for _, n in wanted}
+        except Exception as exc:
+            log.exception("cannot take the cells of %s", ds_path)
+            summary.failures.extend((_cell_label(method, arch, n, rep), str(exc))
+                                    for arch, n in wanted)
+            continue
+        size = sum(ds.X.size for ds in prefixes.values())
+        if batch and floats + size > _LOCKSTEP_FLOATS:
+            yield batch
+            batch, floats = [], 0
+        batch.append((method, rep, prefixes, wanted))
+        floats += size
+    if batch:
+        yield batch
+
+
+def _fit_group(cfg, arch, subsets, seeds):
+    """Fit one copy per subset: a list of (model or exception, train seconds).
+
+    Network cells train together in one `train_many` call, and each is
+    charged an equal share of its time; dt cells train one at a time.
+    """
+    cfgs = [dc_replace(cfg.train, seed=seed) for seed in seeds]
+    if arch == "dt":
+        fits = []
+        for subset, train_cfg in zip(subsets, cfgs):
+            t0 = time.perf_counter()
+            try:
+                fit = train(arch, subset, train_cfg)
+            except Exception as exc:
+                fit = exc
+            fits.append((fit, time.perf_counter() - t0))
+        return fits
     t0 = time.perf_counter()
-    subset = dataset.prefix(n)
-    seed = RandomSource.derive(cfg.seed, "train", method, arch, n, rep).seed
-    model = train(arch, subset, dc_replace(cfg.train, seed=seed))
+    try:
+        models = train_many(arch, subsets, cfgs)
+    except Exception as exc:
+        models = [exc] * len(subsets)
+    share = (time.perf_counter() - t0) / len(subsets)
+    return [(model, share) for model in models]
+
+
+def _cells_of_batch(cfg, out, batch, reference, summary: RunSummary) -> int:
+    """Train and score every wanted cell of a batch; returns the cells written."""
+    groups: dict[tuple[str, int], list] = {}
+    for method, rep, prefixes, wanted in batch:
+        for arch, n in wanted:
+            groups.setdefault((arch, n), []).append((method, rep, prefixes[n]))
+    done = 0
+    for (arch, n), members in groups.items():
+        seeds = [RandomSource.derive(cfg.seed, "train", method, arch, n, rep).seed
+                 for method, rep, _ in members]
+        fits = _fit_group(cfg, arch, [subset for _, _, subset in members], seeds)
+        cells = [(method, arch, n, rep, seed, fit)
+                 for (method, rep, _), seed, fit in zip(members, seeds, fits)]
+        done += _run_tasks(cells, lambda c: _write_cell(cfg, out, reference, *c),
+                           summary, label=lambda c: _cell_label(*c[:4]))
+    return done
+
+
+def _write_cell(cfg, out, reference, method, arch, n, rep, seed, fit):
+    """Score a fitted copy on the reference and write its cell CSV.
+
+    `fit` is (model or the exception its training raised, train seconds);
+    the cell's wall time is those seconds plus its own predict and score.
+    """
+    model, train_s = fit
+    if isinstance(model, Exception):
+        raise model
+    t0 = time.perf_counter()
     preds = model.predict_many(reference.X)
     r_f = metrics.empirical_fidelity_error(preds, reference.y)
     r_fb = metrics.balanced_empirical_fidelity_error(preds, reference.y, reference.k)
-    wall = time.perf_counter() - t0
+    wall = train_s + time.perf_counter() - t0
     record = metrics.RunRecord(
         oracle=cfg.oracle.oracle_id,
         method=method,
@@ -531,10 +619,12 @@ def _evaluate_cell(cfg, out, method, arch, n, rep, dataset, reference):
         r_fb=r_fb,
         wall_time_s=wall,
     )
+    cell = _cell_path(out, method, arch, n, rep)
     cell.parent.mkdir(parents=True, exist_ok=True)
     header = ",".join(metrics.REPORT_HEADER)
     row = ",".join(metrics.format_report_row(record))
     _atomic_write(cell, header + "\n" + row + "\n")
+    return 1
 
 
 def _reference_for(cfg: ExperimentConfig, out: Path) -> metrics.ReferenceSet:
@@ -571,9 +661,11 @@ def run_experiment(
     """Execute (or resume) the full sweep into `out`.
 
     Per (method, repetition) the largest budget is generated once and
-    smaller budgets are taken as prefixes.  The optional filters restrict
-    which cells this invocation computes without changing the resolved
-    configuration.
+    smaller budgets are taken as prefixes.  The network cells that share
+    (arch, N) train together with one `train_many` call, each with the bits
+    it would get alone, and a cell whose training fails fails alone.  The
+    optional filters restrict which cells this invocation computes without
+    changing the resolved configuration.
     """
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
@@ -616,7 +708,7 @@ def run_experiment(
         label=lambda t: f"dataset {t[0]} rep {t[1]}",
     )
 
-    # phase 2: cells
+    # phase 2: cells, grouped by (arch, N) across every (method, rep)
     cell_tasks = []
     for method in methods:
         for rep in range(cfg.repetitions_for(method)):
@@ -634,20 +726,9 @@ def run_experiment(
             if wanted:
                 cell_tasks.append((method, rep, ds_path, wanted))
 
-    def run_cells(task):
-        method, rep, ds_path, wanted = task
-        dataset = SyntheticDataset.from_csv(ds_path)
-        done = 0
-        for arch, n in wanted:
-            _evaluate_cell(cfg, out, method, arch, n, rep, dataset, reference)
-            done += 1
-        return done
-
     failures_before = len(summary.failures)
-    summary.cells_computed += _run_tasks(
-        cell_tasks, run_cells, summary,
-        label=lambda t: f"cells {t[0]} rep {t[1]}",
-    )
+    for batch in _loaded_batches(cell_tasks, summary):
+        summary.cells_computed += _cells_of_batch(cfg, out, batch, reference, summary)
 
     # phase 3: deterministic aggregates
     records = []
@@ -686,7 +767,7 @@ def run_experiment(
         _emit_plots(cfg, out, methods, summary)
 
     if len(summary.failures) > failures_before:
-        log.warning("%d cell group(s) failed", len(summary.failures) - failures_before)
+        log.warning("%d cell(s) failed", len(summary.failures) - failures_before)
     return summary
 
 

@@ -106,15 +106,6 @@ class AnalyticOracle(Oracle):
         )
 
 
-def boundary_distance(oracle: Oracle, z: Point) -> float:
-    """Euclidean distance from z to the oracle's true decision boundary."""
-    if not isinstance(oracle, AnalyticOracle):
-        raise UnsupportedOracleError(
-            f"boundary_distance needs an analytic oracle, got {type(oracle).__name__}"
-        )
-    return oracle.boundary_distance(np.asarray(z, dtype=np.float64))
-
-
 class HalfspaceOracle(AnalyticOracle):
     """Linear binary classifier: label 1 iff w . z >= c."""
 

@@ -2,11 +2,16 @@
 gradient-sign augmentation.
 
 Every sampler takes a budget N and an oracle and returns exactly N labelled
-points inside the unit hypercube, generated accumulatively so that prefixes
-reproduce smaller budgets.  The boundary sampler spends half of its budget
-on uniform exploration and the other half on threads: chains of points that
-hop across the decision boundary at a fixed step, seeded by bisection
-between differently-labelled uniform draws.
+points inside the unit hypercube.  The boundary sampler spends half of its
+budget on uniform exploration and the other half on threads: chains of
+points that hop across the decision boundary at a fixed step, seeded by
+bisection between differently-labelled uniform draws.
+
+The random and jacobian samplers generate points accumulatively, so a
+prefix of a run reproduces a smaller budget's run.  The boundary sampler
+does not: its first N/2 rows are its uniform points, so a prefix of N/2
+rows or fewer holds no thread point, where its own run of that budget
+spends half on threads (ROADMAP.md, item 1).
 """
 
 from __future__ import annotations

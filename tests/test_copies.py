@@ -1,6 +1,7 @@
 """Copy models: training, prediction, determinism, persistence."""
 
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from copysampler import (
     boundary_sampler,
     random_sampler,
     train,
+    train_many,
 )
-from copysampler.copies import _net_init, network_loss_and_grad
+from copysampler.copies import _net_init, _softmax, network_loss_and_grad
 from copysampler.core import RandomSource, SyntheticDataset
 
 
@@ -128,6 +130,98 @@ class TestTrainingIsPinned:
             train(arch, make_dataset(X, ds.y, k=2), TrainConfig(seed=1, epochs=3))
 
 
+def shaped_datasets(shape, count):
+    """`count` datasets drawn like pinned_datasets()[shape], each its own rows.
+
+    k2d2 has 300 rows and k3d8 150, so both end on a partial batch of 64.
+    """
+    out = []
+    for r in range(count):
+        rng = RandomSource(100 + r)
+        if shape == "k2d2":
+            X = rng.uniform((300, 2))
+            out.append(make_dataset(X, (((X - 0.5) ** 2).sum(axis=1) < 0.06).astype(int), k=2))
+        else:
+            X = rng.uniform((150, 8))
+            out.append(make_dataset(X, np.argmax(X[:, :3] + 0.3 * X[:, 3:6], axis=1), k=3))
+    return out
+
+
+def assert_same_model(got, want):
+    """Same weight bytes and the same train_meta, which holds final_loss and
+    training_fidelity_error."""
+    assert got.constant_label == want.constant_label
+    assert len(got.params.get("layers", [])) == len(want.params.get("layers", []))
+    for (W, b), (W_want, b_want) in zip(got.params.get("layers", []),
+                                        want.params.get("layers", [])):
+        assert W.shape == W_want.shape and b.shape == b_want.shape
+        assert W.tobytes() == W_want.tobytes()
+        assert b.tobytes() == b_want.tobytes()
+    assert got.train_meta == want.train_meta
+
+
+class TestLockstepTraining:
+    @pytest.mark.parametrize("cells", [1, 3, 7])
+    @pytest.mark.parametrize("shape", ["k2d2", "k3d8"])
+    @pytest.mark.parametrize("arch", ["lr", "ann", "ann2"])
+    def test_matches_training_alone(self, arch, shape, cells):
+        datasets = shaped_datasets(shape, cells)
+        cfgs = [TrainConfig(seed=40 + r, epochs=4 if arch == "ann2" else 12)
+                for r in range(cells)]
+        models = train_many(arch, datasets, cfgs)
+        assert len(models) == cells
+        for model, ds, cfg in zip(models, datasets, cfgs):
+            assert_same_model(model, train(arch, ds, cfg))
+
+    def test_constant_dataset_gives_constant_model(self):
+        datasets = shaped_datasets("k2d2", 3)
+        datasets[1] = make_dataset(datasets[1].X, np.ones(300, dtype=int), k=2)
+        cfgs = [TrainConfig(seed=r, epochs=5) for r in range(3)]
+        models = train_many("ann", datasets, cfgs)
+        assert models[1].constant_label == 1
+        assert models[1].train_meta["training_fidelity_error"] == 0.0
+        for i in (0, 2):
+            assert_same_model(models[i], train("ann", datasets[i], cfgs[i]))
+
+    def test_diverging_cell_fails_alone(self):
+        datasets = shaped_datasets("k2d2", 3)
+        X = datasets[1].X.copy()
+        X[7, 1] = np.nan
+        datasets[1] = make_dataset(X, datasets[1].y, k=2)
+        cfgs = [TrainConfig(seed=r, epochs=3) for r in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            models = train_many("ann", datasets, cfgs)
+        assert isinstance(models[1], TrainingError)
+        with pytest.raises(TrainingError) as alone:
+            train("ann", datasets[1], cfgs[1])
+        assert str(models[1]) == str(alone.value)
+        assert "epoch 0, step" in str(models[1])
+        for i in (0, 2):
+            assert_same_model(models[i], train("ann", datasets[i], cfgs[i]))
+
+    @pytest.mark.parametrize("change", ["rows", "d", "k", "config"])
+    def test_mismatched_group_rejected(self, change):
+        datasets = shaped_datasets("k2d2", 2)
+        cfgs = [TrainConfig(seed=0, epochs=3), TrainConfig(seed=1, epochs=3)]
+        last = datasets[1]
+        if change == "rows":
+            datasets[1] = last.prefix(299)
+        elif change == "d":
+            datasets[1] = make_dataset(np.hstack([last.X, last.X[:, :1]]), last.y, k=2)
+        elif change == "k":
+            datasets[1] = make_dataset(last.X, last.y, k=3)
+        else:
+            cfgs[1] = TrainConfig(seed=1, epochs=4)
+        with pytest.raises(ValueError):
+            train_many("lr", datasets, cfgs)
+
+    def test_only_networks(self):
+        datasets = shaped_datasets("k2d2", 2)
+        with pytest.raises(ValueError):
+            train_many("dt", datasets, [TrainConfig(seed=0), TrainConfig(seed=1)])
+
+
 class TestPredict:
     def test_planted_lr_matches_halfspace(self, halfspace):
         model = CopyModel("lr", d=2, k=2)
@@ -208,6 +302,15 @@ class TestNetworkInternals:
         model = train("ann", ds, TrainConfig(seed=3, epochs=30))
         probs = model.class_probabilities(RandomSource(9).uniform((200, 2)))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_softmax_has_the_bits_of_a_row_max(self, k):
+        logits = RandomSource(k).normal((3, 200, k)) * np.array([0.1, 1.0, 10.0])[:, None, None]
+        e = logits - logits.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        e /= e.sum(axis=-1, keepdims=True)
+        assert _softmax(logits).tobytes() == e.tobytes()
+        assert _softmax(logits[1]).tobytes() == e[1].tobytes()
 
     def test_gradients_match_finite_differences(self):
         rng = RandomSource(10)

@@ -18,7 +18,6 @@ from copysampler import (
     SEKernel,
     TableOracle,
     acquisition_value,
-    boundary_distance,
     fast_bayesian_sampler,
     kernel_eval,
     maximize_acquisition,
@@ -532,10 +531,10 @@ class TestReferenceBayesianSampler:
             fast = fast_bayesian_sampler(50, circles, rng=RandomSource(300 + seed))
             ref = reference_bayesian_sampler(50, circles, rng=RandomSource(300 + seed))
             fast_fracs.append(np.mean([
-                boundary_distance(circles, z) <= 0.1 for z in fast.X
+                circles.boundary_distance(z) <= 0.1 for z in fast.X
             ]))
             ref_fracs.append(np.mean([
-                boundary_distance(circles, z) <= 0.1 for z in ref.X
+                circles.boundary_distance(z) <= 0.1 for z in ref.X
             ]))
         assert np.median(ref_fracs) >= np.median(fast_fracs)
 

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,9 @@ from copysampler import (
     TableOracle,
     build_reference_set,
     harness,
+    metrics,
     random_sampler,
+    train,
 )
 from copysampler.cli import main as cli_main
 from copysampler.core import RandomSource, fit_normalization, load_labeled_csv, meta_path
@@ -481,6 +484,68 @@ class TestRunAccounting:
         records = read_report_csv(tmp_path / "out" / "report.csv")
         assert len(records) == 1
         assert summary.cells_computed == 1
+
+
+DIVERGING_RUN = """
+[experiment]
+seed = 4
+repetitions = 2
+
+[oracle]
+kind = circles
+center = 0.5 0.5
+radii = 0.25
+
+[samplers]
+methods = random boundary
+
+[copies]
+architectures = lr
+epochs = 20
+
+[evaluation]
+n_grid = 50 100
+reference_size = 300
+"""
+
+
+class TestCellFailureIsolation:
+    def test_diverging_cell_fails_alone(self, tmp_path):
+        path = tmp_path / "diverge.ini"
+        path.write_text(DIVERGING_RUN)
+        cfg = load_config(path)
+        out = tmp_path / "out"
+        run_experiment(cfg, out, only_archs=[])  # the datasets, no cells
+        ds_path = out / "datasets" / "random_r01.csv"
+        dataset = SyntheticDataset.from_csv(ds_path)
+        X = dataset.X.copy()
+        X[70, 0] = np.nan  # inside the N = 100 prefix, outside the N = 50 one
+        replace(dataset, X=X).to_csv(ds_path)
+
+        summary = run_experiment(cfg, out)
+        assert [label for label, _ in summary.failures] == ["cell random lr n100 rep 1"]
+        assert "non-finite gradient moments" in summary.failures[0][1]
+        assert summary.cells_computed == 7
+        assert not (out / "cells" / "random__lr__n100__r01.csv").exists()
+
+        reference = SyntheticDataset.from_csv(out / "reference" / "reference.csv")
+        for method, rep in (("random", 0), ("boundary", 0), ("boundary", 1)):
+            dataset = SyntheticDataset.from_csv(out / "datasets" / f"{method}_r{rep:02d}.csv")
+            seed = RandomSource.derive(cfg.seed, "train", method, "lr", 100, rep).seed
+            alone = train("lr", dataset.prefix(100), replace(cfg.train, seed=seed))
+            preds = alone.predict_many(reference.X)
+            record = metrics.RunRecord(
+                oracle="circles", method=method, arch="lr", n=100, seed=seed,
+                r_f=metrics.empirical_fidelity_error(preds, reference.y),
+                r_fb=metrics.balanced_empirical_fidelity_error(preds, reference.y,
+                                                               reference.k),
+                wall_time_s=0.0,
+            )
+            expected = "\n".join([",".join(metrics.REPORT_HEADER),
+                                  ",".join(metrics.format_report_row(record))])
+            cell = out / "cells" / f"{method}__lr__n100__r{rep:02d}.csv"
+            assert (without_wall_time(cell.read_bytes())
+                    == without_wall_time(expected.encode()))
 
 
 class TestResume:

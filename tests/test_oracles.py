@@ -12,8 +12,6 @@ from copysampler import (
     Oracle,
     Spiral2DOracle,
     TableOracle,
-    UnsupportedOracleError,
-    boundary_distance,
     random_sampler,
 )
 from copysampler.core import RandomSource
@@ -34,12 +32,12 @@ class TestHalfspace:
         assert halfspace.query(np.array([0.3, 0.9])) == 0
 
     def test_distance(self, halfspace):
-        assert boundary_distance(halfspace, np.array([0.7, 0.2])) == pytest.approx(0.2)
+        assert halfspace.boundary_distance(np.array([0.7, 0.2])) == pytest.approx(0.2)
 
     def test_unnormalized_weights(self):
         oracle = HalfspaceOracle(w=(2.0, 0.0), c=1.0)  # same boundary x0 = 0.5
         assert oracle.query(np.array([0.7, 0.2])) == 1
-        assert boundary_distance(oracle, np.array([0.7, 0.2])) == pytest.approx(0.2)
+        assert oracle.boundary_distance(np.array([0.7, 0.2])) == pytest.approx(0.2)
 
 
 class TestCircles:
@@ -125,11 +123,6 @@ class TestTableOracle:
             y_ref[np.argmin(((X_ref - z) ** 2).sum(axis=1))] for z in probes
         ])
         np.testing.assert_array_equal(got, expected)
-
-    def test_boundary_distance_unsupported(self):
-        oracle = TableOracle(np.zeros((1, 2)), np.array([0]))
-        with pytest.raises(UnsupportedOracleError):
-            boundary_distance(oracle, np.zeros(2))
 
 
 def brute_force_labels(X_ref, y_ref, Z):

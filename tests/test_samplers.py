@@ -18,7 +18,6 @@ from copysampler import (
     TrainConfig,
     TrainingError,
     binary_search_boundary,
-    boundary_distance,
     boundary_sampler,
     jacobian_sampler,
     random_sampler,
@@ -234,7 +233,7 @@ class TestBoundarySampler:
     def test_boundary_concentration_smoke(self, circles):
         ds = boundary_sampler(600, circles, rng=RandomSource(15))
         split = ds.metadata["phase_split"]
-        dists = np.array([boundary_distance(circles, z) for z in ds.X[split:]])
+        dists = np.array([circles.boundary_distance(z) for z in ds.X[split:]])
         assert np.mean(dists <= 0.1) >= 0.25
 
     def test_min_budget(self, circles):
