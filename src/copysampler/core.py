@@ -1,7 +1,8 @@
 """Shared domain types: the pinned random stream, labelled synthetic
-datasets and their serialization, and the normalization / splitting
-plumbing used by every other module.  Every point lives in the closed unit
-hypercube; the samplers draw from it with `RandomSource.uniform`."""
+datasets and their serialization, the sample ledger the samplers build
+their datasets through, and the normalization / splitting plumbing used by
+every other module.  Every point lives in the closed unit hypercube; the
+samplers draw from it with `RandomSource.uniform`."""
 
 from __future__ import annotations
 
@@ -188,6 +189,64 @@ class SyntheticDataset:
                        side.get("metadata", {}))
         k = int(y.max()) + 1 if len(y) else 1
         return cls(X, y, k, "unknown", 0, len(y))
+
+
+class SampleLedger:
+    """The points one run labels through `oracle`, in order, and their cost.
+
+    Points are kept as the blocks they arrived in, never as rows, so `X`
+    is one concatenation however the run labelled them.  `progress`, when
+    given, is called with the running count after every addition: this is
+    where timing checkpoints come from.
+    """
+
+    def __init__(self, oracle, progress=None):
+        self.oracle = oracle
+        self._progress = progress
+        self._queries_before = oracle.query_count
+        self._X: list[np.ndarray] = []
+        self._y: list[np.ndarray] = []
+        self._n = 0
+
+    def __len__(self) -> int:
+        return self._n
+
+    def _append(self, X: np.ndarray, y: np.ndarray):
+        self._X.append(X)
+        self._y.append(y)
+        self._n += y.shape[0]
+        if self._progress is not None:
+            self._progress(self._n)
+
+    def add(self, point, label):
+        """Record one point the caller has already labelled."""
+        self._append(np.asarray(point, dtype=np.float64)[None, :],
+                     np.array([label], dtype=np.int64))
+
+    def label(self, Z: np.ndarray):
+        """Label the rows of Z with one `query_many` and record them all."""
+        self._append(Z, self.oracle.query_many(Z))
+
+    @property
+    def X(self) -> np.ndarray:
+        return np.concatenate(self._X) if self._X else np.empty((0, self.oracle.d))
+
+    @property
+    def y(self) -> np.ndarray:
+        return np.concatenate(self._y) if self._y else np.empty(0, dtype=np.int64)
+
+    def dataset(self, generator_id: str, seed: int,
+                metadata: dict | None = None) -> SyntheticDataset:
+        """The points so far; `query_count` is every query since the ledger began."""
+        return SyntheticDataset(
+            X=self.X,
+            y=self.y,
+            k=self.oracle.k,
+            generator_id=generator_id,
+            seed=seed,
+            query_count=self.oracle.query_count - self._queries_before,
+            metadata=metadata or {},
+        )
 
 
 def meta_path(csv_path) -> Path:

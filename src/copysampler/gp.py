@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError  # the very class scipy.linalg raises
 
-from .core import CopySamplerError, RandomSource, SyntheticDataset, round_half_up
+from .core import (
+    CopySamplerError, RandomSource, SampleLedger, SyntheticDataset, round_half_up,
+)
 from .oracles import Oracle
 
 log = logging.getLogger(__name__)
@@ -268,15 +270,6 @@ def round_to_class(mu: float, k: int) -> int:
     return int(min(max(round_half_up(mu), 0), k - 1))
 
 
-def _uniform_init(count, oracle, rng, progress):
-    """`count` uniform points and their labels, drawn and labelled as one block."""
-    Z = rng.uniform((count, oracle.d))
-    labels = oracle.query_many(Z).tolist()
-    if progress is not None:
-        progress(count)
-    return list(Z), labels
-
-
 def fast_bayesian_sampler(
     N: int,
     oracle: Oracle,
@@ -303,15 +296,15 @@ def fast_bayesian_sampler(
         raise ValueError("rng is required")
     if N < params.init_count:
         raise ValueError(f"budget N={N} below the uniform init count {params.init_count}")
-    q0 = oracle.query_count
-    pts, labels = _uniform_init(params.init_count, oracle, rng, progress)
+    ledger = SampleLedger(oracle, progress)
+    ledger.label(rng.uniform((params.init_count, oracle.d)))
     fits = 0
     fallback_batches = 0
-    while len(pts) < N:
-        X = np.array(pts)
-        yv = np.array(labels, dtype=np.float64)
-        if len(pts) > params.cap:
-            idx = rng.subset(len(pts), params.cap)
+    while len(ledger) < N:
+        X = ledger.X
+        yv = ledger.y.astype(np.float64)
+        if len(ledger) > params.cap:
+            idx = rng.subset(len(ledger), params.cap)
             X, yv = X[idx], yv[idx]
         try:
             gp = posterior_fit(X, yv, kern)
@@ -319,9 +312,9 @@ def fast_bayesian_sampler(
         except PosteriorFitError:
             gp = None
             fallback_batches += 1
-            log.warning("posterior fit failed at %d samples; uniform batch", len(pts))
+            log.warning("posterior fit failed at %d samples; uniform batch", len(ledger))
         batch = max(1, round_half_up(X.shape[0] / params.slowness))
-        count = min(batch, N - len(pts))
+        count = min(batch, N - len(ledger))
         # Each restart draws its uniform start and then, if the fit held,
         # its directions: the order of the one-restart search.
         Z0 = np.empty((count, oracle.d))
@@ -332,27 +325,16 @@ def fast_bayesian_sampler(
                 U[r] = rng.normal((params.local_iters, oracle.d))
         Z = Z0 if gp is None else _pattern_search(
             gp, Z0, U, acq, NEIGHBOURHOOD_RADIUS)
-        pts.extend(Z)
-        labels.extend(oracle.query_many(Z).tolist())
-        if progress is not None:
-            progress(len(pts))
-    return SyntheticDataset(
-        X=np.array(pts),
-        y=np.array(labels),
-        k=oracle.k,
-        generator_id="bayesian",
-        seed=rng.seed,
-        query_count=oracle.query_count - q0,
-        metadata={
-            "posterior_fits": fits,
-            "fallback_batches": fallback_batches,
-            "cap": params.cap,
-            "slowness": params.slowness,
-            "tau": acq.tau,
-            "length_scale": kern.length_scale,
-            "kernel_variance": kern.variance,
-        },
-    )
+        ledger.label(Z)
+    return ledger.dataset("bayesian", rng.seed, {
+        "posterior_fits": fits,
+        "fallback_batches": fallback_batches,
+        "cap": params.cap,
+        "slowness": params.slowness,
+        "tau": acq.tau,
+        "length_scale": kern.length_scale,
+        "kernel_variance": kern.variance,
+    })
 
 
 def reference_bayesian_sampler(
@@ -378,27 +360,19 @@ def reference_bayesian_sampler(
         )
     if N < INIT_COUNT:
         raise ValueError(f"budget N={N} below the uniform init count {INIT_COUNT}")
-    q0 = oracle.query_count
-    pts, labels = _uniform_init(INIT_COUNT, oracle, rng, None)
+    ledger = SampleLedger(oracle)
+    ledger.label(rng.uniform((INIT_COUNT, oracle.d)))
     fits = 0
-    while len(pts) < N:
+    while len(ledger) < N:
         try:
-            gp = posterior_fit(np.array(pts), np.array(labels, dtype=np.float64), kern)
+            gp = posterior_fit(ledger.X, ledger.y.astype(np.float64), kern)
             fits += 1
         except PosteriorFitError:
             gp = None
         z0 = rng.uniform(oracle.d)
         z = z0 if gp is None else maximize_acquisition(gp, z0, local_iters, rng, acq)
-        pts.append(z)
-        labels.append(oracle.query(z))
-    return SyntheticDataset(
-        X=np.array(pts),
-        y=np.array(labels),
-        k=oracle.k,
-        generator_id="bayesian-ref",
-        seed=rng.seed,
-        query_count=oracle.query_count - q0,
-        metadata={"posterior_fits": fits, "tau": acq.tau,
-                  "length_scale": kern.length_scale,
-                  "kernel_variance": kern.variance},
-    )
+        ledger.add(z, oracle.query(z))
+    return ledger.dataset("bayesian-ref", rng.seed, {
+        "posterior_fits": fits, "tau": acq.tau,
+        "length_scale": kern.length_scale, "kernel_variance": kern.variance,
+    })

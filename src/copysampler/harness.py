@@ -135,8 +135,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if list(self.n_grid) != sorted(self.n_grid) or len(set(self.n_grid)) != len(self.n_grid):
             raise ConfigError("n_grid must be strictly ascending")
+        if not self.n_grid or self.n_grid[0] < 1:
+            raise ConfigError(f"n_grid must list budgets >= 1, got {list(self.n_grid)}")
         if self.repetitions < 1 or self.bayesian_repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        if self.reference_size < 1:
+            raise ConfigError(f"reference_size must be >= 1, got {self.reference_size}")
+        if not self.tie_margin >= 0:
+            raise ConfigError(f"tie_margin must be >= 0, got {self.tie_margin}")
+        for name in ("kernel_length_scale", "kernel_variance"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{name.removeprefix('kernel_')} must be > 0, got {value}")
         for method in self.methods:
             if method not in METHODS:
                 raise ConfigError(f"unknown sampling method {method!r}")
@@ -150,8 +160,10 @@ class ExperimentConfig:
     def kernel_for(self, oracle: Oracle) -> SEKernel:
         default = SEKernel.for_problem(oracle.d, oracle.k)
         return SEKernel(
-            length_scale=self.kernel_length_scale or default.length_scale,
-            variance=self.kernel_variance or default.variance,
+            length_scale=(default.length_scale if self.kernel_length_scale is None
+                          else self.kernel_length_scale),
+            variance=(default.variance if self.kernel_variance is None
+                      else self.kernel_variance),
         )
 
 
@@ -627,27 +639,17 @@ def _write_cell(cfg, out, reference, method, arch, n, rep, seed, fit):
     return 1
 
 
-def _reference_for(cfg: ExperimentConfig, out: Path) -> metrics.ReferenceSet:
+def _reference_for(cfg: ExperimentConfig, out: Path) -> SyntheticDataset:
     ref_path = out / "reference" / "reference.csv"
     if ref_path.exists():
-        ds = SyntheticDataset.from_csv(ref_path)
-        counts = np.bincount(ds.y, minlength=ds.k)
-        return metrics.ReferenceSet(
-            ds.X, ds.y, ds.k, cfg.reference_balanced, counts,
-            bool(ds.metadata.get("complete", True)), ds.seed,
-        )
+        return SyntheticDataset.from_csv(ref_path)
     with cfg.oracle.build() as oracle:
         rng = RandomSource.derive(cfg.seed, "reference")
         ref = metrics.build_reference_set(
             oracle, cfg.reference_size, cfg.reference_balanced, rng
         )
-    ds = SyntheticDataset(
-        X=ref.X, y=ref.y, k=ref.k, generator_id="reference", seed=ref.seed,
-        query_count=oracle.query_count,
-        metadata={"complete": ref.complete, "balanced": ref.balanced},
-    )
     ref_path.parent.mkdir(parents=True, exist_ok=True)
-    _write_dataset_atomically(ds, ref_path)
+    _write_dataset_atomically(ref, ref_path)
     return ref
 
 

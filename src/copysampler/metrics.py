@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .copies import TrainConfig, train
-from .core import CopySamplerError, RandomSource, SyntheticDataset
+from .core import CopySamplerError, RandomSource, SampleLedger, SyntheticDataset
 from .oracles import Oracle
 
 
@@ -26,22 +26,6 @@ class MissingClassError(CopySamplerError):
 
 class ComparisonError(CopySamplerError):
     """Reports being compared do not cover the same evaluation grid."""
-
-
-@dataclass
-class ReferenceSet:
-    """Large uniform, oracle-labelled evaluation set; optionally balanced."""
-
-    X: np.ndarray
-    y: np.ndarray
-    k: int
-    balanced: bool
-    per_class_counts: np.ndarray
-    complete: bool
-    seed: int
-
-    def __len__(self) -> int:
-        return int(self.y.shape[0])
 
 
 @dataclass(frozen=True)
@@ -136,13 +120,15 @@ def build_reference_set(
     balanced: bool,
     rng: RandomSource,
     max_attempts: int | None = None,
-) -> ReferenceSet:
+) -> SyntheticDataset:
     """Uniform oracle-labelled points; balanced via per-class rejection.
 
-    Balanced quotas are ceil(L/k) for the first L mod k classes and
-    floor(L/k) for the rest.  If some quota cannot be filled within
-    `max_attempts` drawn points (default 100 L) the partial set is returned
-    with `complete=False`.
+    The set is a `SyntheticDataset` with generator id "reference", the
+    queries it spent, and metadata `balanced` and `complete`.  Balanced
+    quotas are ceil(L/k) for the first L mod k classes and floor(L/k) for
+    the rest.  If some quota cannot be filled within `max_attempts` drawn
+    points (default 100 L) the partial set is returned with
+    `complete=False`.
     """
     if L < 1:
         raise ValueError("L must be positive")
@@ -152,19 +138,10 @@ def build_reference_set(
         max_attempts = 100 * L
     d, k = oracle.d, oracle.k
     if not balanced:
-        rows = []
-        labels = []
-        remaining = L
-        while remaining > 0:
-            chunk = min(remaining, 65536)
-            Xc = rng.uniform((chunk, d))
-            rows.append(Xc)
-            labels.append(oracle.query_many(Xc))
-            remaining -= chunk
-        X = np.concatenate(rows)
-        y = np.concatenate(labels)
-        counts = np.bincount(y, minlength=k)
-        return ReferenceSet(X, y, k, False, counts, True, rng.seed)
+        ledger = SampleLedger(oracle)
+        while len(ledger) < L:
+            ledger.label(rng.uniform((min(L - len(ledger), 65536), d)))
+        return ledger.dataset("reference", rng.seed, {"complete": True, "balanced": False})
 
     base, extra = divmod(L, k)
     quotas = np.full(k, base, dtype=np.int64)
@@ -185,14 +162,19 @@ def build_reference_set(
                 accepted_y.append(int(cls))
                 if counts.sum() == L:
                     break
-    complete = bool(counts.sum() == L)
-    X = np.array(accepted_X) if accepted_X else np.empty((0, d))
-    y = np.array(accepted_y, dtype=np.int64)
-    return ReferenceSet(X, y, k, True, counts, complete, rng.seed)
+    return SyntheticDataset(
+        X=np.array(accepted_X) if accepted_X else np.empty((0, d)),
+        y=np.array(accepted_y, dtype=np.int64),
+        k=k,
+        generator_id="reference",
+        seed=rng.seed,
+        query_count=attempts,
+        metadata={"complete": bool(counts.sum() == L), "balanced": True},
+    )
 
 
 def quality_checks(
-    ref: ReferenceSet,
+    ref: SyntheticDataset,
     original_train: tuple[np.ndarray, np.ndarray],
     arch: str,
     cfg: TrainConfig | None = None,
@@ -203,15 +185,7 @@ def quality_checks(
     supplied original training data (whose labels are taken as given, so
     pass oracle labels to measure fidelity).
     """
-    ds = SyntheticDataset(
-        X=ref.X,
-        y=ref.y,
-        k=ref.k,
-        generator_id="reference",
-        seed=ref.seed,
-        query_count=len(ref),
-    )
-    model = train(arch, ds, cfg or TrainConfig())
+    model = train(arch, ref, cfg or TrainConfig())
     on_ref = balanced_empirical_fidelity_error(model.predict_many(ref.X), ref.y, ref.k)
     Xd, yd = original_train
     on_original = balanced_empirical_fidelity_error(model.predict_many(Xd), yd, ref.k)

@@ -11,9 +11,11 @@ protocol so models in other processes (or languages) can be queried.
 from __future__ import annotations
 
 import math
+import os
 import select
 import subprocess
 import sys
+import time
 from typing import IO, Sequence
 
 import numpy as np
@@ -408,7 +410,8 @@ def parse_handshake(line: str) -> tuple[int, int]:
 
 def external_handshake(reader: IO[str]) -> tuple[int, int]:
     """Read and validate the greeting from an open transport."""
-    _await_line(reader)
+    if not isinstance(reader, _LineReader):
+        reader = _LineReader(reader)
     line = reader.readline()
     if not line:
         raise ProtocolError("transport closed before handshake")
@@ -422,22 +425,39 @@ CLOSE_GRACE_S = 10.0
 QUERY_TIMEOUT_S = 120.0
 
 
-def _await_line(reader: IO[str]) -> None:
-    """Wait until `reader`'s descriptor is readable, at most QUERY_TIMEOUT_S.
+class _LineReader:
+    """Whole lines from a transport, each within QUERY_TIMEOUT_S.
 
-    The protocol is lockstep, so a reply is never already buffered when
-    this is called.  Readers with no descriptor, such as StringIO, are
-    read directly.
+    A stream with a descriptor is read with `os.read` into a buffer of our
+    own, so a reply that stops half-way through its line times out like
+    one that never starts.  A whole line costs one `select` and one read.
+    Readers with no descriptor, such as StringIO, are read directly.
     """
-    try:
-        fd = reader.fileno()
-    except (OSError, ValueError):
-        return
-    ready, _, _ = select.select([fd], [], [], QUERY_TIMEOUT_S)
-    if not ready:
-        raise QueryTransportError(
-            f"no reply from the oracle within {QUERY_TIMEOUT_S:g} s")
 
+    def __init__(self, stream: IO[str]):
+        self._stream = stream
+        try:
+            self._fd = stream.fileno()
+        except (OSError, ValueError):
+            self._fd = None
+        self._buffer = b""
+
+    def readline(self) -> str:
+        """The next line with its newline; at end of stream, what is left."""
+        if self._fd is None:
+            return self._stream.readline()
+        deadline = time.monotonic() + QUERY_TIMEOUT_S
+        while b"\n" not in self._buffer:
+            wait = max(0.0, deadline - time.monotonic())
+            if not select.select([self._fd], [], [], wait)[0]:
+                raise QueryTransportError(
+                    f"no reply from the oracle within {QUERY_TIMEOUT_S:g} s")
+            chunk = os.read(self._fd, 65536)
+            if not chunk:
+                break
+            self._buffer += chunk
+        line, newline, self._buffer = self._buffer.partition(b"\n")
+        return (line + newline).decode()
 
 class ExternalOracle(Oracle):
     """Client for a model served over the wire protocol.
@@ -447,12 +467,12 @@ class ExternalOracle(Oracle):
     labels.
     """
 
-    def __init__(self, reader: IO[str], writer: IO[str], on_close=None):
-        d, k = external_handshake(reader)
+    def __init__(self, reader: IO[str], writer: IO[str]):
+        self._lines = _LineReader(reader)
+        d, k = external_handshake(self._lines)
         super().__init__(d=d, k=k)
         self._reader = reader
         self._writer = writer
-        self._on_close = on_close
         self._proc: subprocess.Popen | None = None
 
     @classmethod
@@ -483,8 +503,7 @@ class ExternalOracle(Oracle):
             try:
                 self._writer.write(request + "\n")
                 self._writer.flush()
-                _await_line(self._reader)
-                line = self._reader.readline()
+                line = self._lines.readline()
             except (OSError, ValueError) as exc:
                 raise QueryTransportError(f"transport failed mid-query: {exc}") from exc
             if not line:
@@ -515,8 +534,6 @@ class ExternalOracle(Oracle):
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
-        if self._on_close is not None:
-            self._on_close()
 
 
 def serve_oracle(oracle: Oracle, reader: IO[str], writer: IO[str]) -> int:

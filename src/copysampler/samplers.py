@@ -24,7 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .copies import TrainConfig, TrainingError, train
-from .core import LabeledSample, RandomSource, SyntheticDataset, round_half_up
+from .core import (
+    LabeledSample, RandomSource, SampleLedger, SyntheticDataset, round_half_up,
+)
 from .oracles import Oracle
 
 log = logging.getLogger(__name__)
@@ -116,42 +118,9 @@ def random_sampler(
     """N i.i.d. uniform points, drawn and labelled as one block."""
     if N < 1:
         raise ValueError("budget must be at least 1")
-    X = rng.uniform((N, oracle.d))
-    y = oracle.query_many(X)
-    if progress is not None:
-        progress(N)
-    return SyntheticDataset(
-        X=X,
-        y=y,
-        k=oracle.k,
-        generator_id="random",
-        seed=rng.seed,
-        query_count=N,
-    )
-
-
-def _emitters(oracle, pts, labels, progress):
-    """Appenders to `pts` and `labels` that report the new count to `progress`.
-
-    `emit(point, label)` appends one labelled point; `emit_block(Z)` labels
-    the rows of Z with one `query_many` and appends them all.
-    """
-
-    def report():
-        if progress is not None:
-            progress(len(pts))
-
-    def emit(point, label):
-        pts.append(np.asarray(point, dtype=np.float64))
-        labels.append(int(label))
-        report()
-
-    def emit_block(Z):
-        pts.extend(Z)
-        labels.extend(oracle.query_many(Z).tolist())
-        report()
-
-    return emit, emit_block
+    ledger = SampleLedger(oracle, progress)
+    ledger.label(rng.uniform((N, oracle.d)))
+    return ledger.dataset("random", rng.seed)
 
 
 def binary_search_boundary(
@@ -278,27 +247,23 @@ def boundary_sampler(
         raise ValueError("rng is required")
     params = (params or BoundaryParams()).resolved(N)
     d = oracle.d
-    q0 = oracle.query_count
-    pts: list[np.ndarray] = []
-    labels: list[int] = []
-
-    emit, emit_block = _emitters(oracle, pts, labels, progress)
+    ledger = SampleLedger(oracle, progress)
     uniform_quota = N // 2
-    emit_block(rng.uniform((uniform_quota, d)))
+    ledger.label(rng.uniform((uniform_quota, d)))
 
     fallback = False
     scan_limit = _CONSTANT_SCAN_FACTOR * params.max_steps
-    while len(pts) < N and not fallback:
+    while len(ledger) < N and not fallback:
         # uniform scan until two consecutive draws disagree
         z_a = rng.uniform(d)
         y_a = oracle.query(z_a)
         same_run = 0
         found = False
-        while len(pts) < N:
+        while len(ledger) < N:
             z_b, y_b = z_a, y_a
             z_a = rng.uniform(d)
             y_a = oracle.query(z_a)
-            emit(z_a, y_a)
+            ledger.add(z_a, y_a)
             if y_a != y_b:
                 found = True
                 break
@@ -310,21 +275,21 @@ def boundary_sampler(
                     scan_limit,
                 )
                 break
-        if not found or len(pts) >= N:
+        if not found or len(ledger) >= N:
             continue
 
         pair, visited = binary_search_boundary(
             LabeledSample(z_a, y_a), LabeledSample(z_b, y_b), params.epsilon, oracle
         )
         for sample in visited:
-            if len(pts) >= N:
+            if len(ledger) >= N:
                 break
-            emit(sample.point, sample.label)
+            ledger.add(sample.point, sample.label)
         seed_sample = visited[-1] if visited else pair[1]
 
         pending: deque[LabeledSample] = deque([seed_sample] * params.runs)
         starts = 0
-        while pending and starts < params.max_threads and len(pts) < N:
+        while pending and starts < params.max_threads and len(ledger) < N:
             origin = pending.popleft()
             starts += 1
             thread = Thread(
@@ -333,36 +298,28 @@ def boundary_sampler(
                 steps_taken=0,
                 spawn_countdown=_draw_spawn_gap(rng, params.spawn_rate),
             )
-            while thread.steps_taken < params.max_steps and len(pts) < N:
+            while thread.steps_taken < params.max_steps and len(ledger) < N:
                 advanced = thread_step(
                     thread, oracle, params.step, params.spawn_rate, rng, pending
                 )
                 if advanced is None:
                     break
                 thread = advanced
-                emit(thread.current.point, thread.current.label)
+                ledger.add(thread.current.point, thread.current.label)
 
-    if len(pts) < N:  # constant-oracle fallback fill
-        emit_block(rng.uniform((N - len(pts), d)))
+    if len(ledger) < N:  # constant-oracle fallback fill
+        ledger.label(rng.uniform((N - len(ledger), d)))
 
-    return SyntheticDataset(
-        X=np.array(pts),
-        y=np.array(labels),
-        k=oracle.k,
-        generator_id="boundary",
-        seed=rng.seed,
-        query_count=oracle.query_count - q0,
-        metadata={
-            "phase_split": uniform_quota,
-            "fallback_uniform": fallback,
-            "epsilon": params.epsilon,
-            "step": params.step,
-            "spawn_rate": params.spawn_rate,
-            "runs": params.runs,
-            "max_threads": params.max_threads,
-            "max_steps": params.max_steps,
-        },
-    )
+    return ledger.dataset("boundary", rng.seed, {
+        "phase_split": uniform_quota,
+        "fallback_uniform": fallback,
+        "epsilon": params.epsilon,
+        "step": params.step,
+        "spawn_rate": params.spawn_rate,
+        "runs": params.runs,
+        "max_threads": params.max_threads,
+        "max_steps": params.max_steps,
+    })
 
 
 def jacobian_sampler(
@@ -392,25 +349,15 @@ def jacobian_sampler(
             f"budget N={N} cannot cover the {params.seeds_per_refit} uniform seeds"
         )
     d = oracle.d
-    q0 = oracle.query_count
-    pts: list[np.ndarray] = []
-    labels: list[int] = []
-    _, emit_block = _emitters(oracle, pts, labels, progress)
-    emit_block(rng.uniform((params.seeds_per_refit, d)))
+    ledger = SampleLedger(oracle, progress)
+    ledger.label(rng.uniform((params.seeds_per_refit, d)))
 
     substitute = None
     refit_attempts = 0
     refits_skipped = 0
-    while len(pts) < N and refit_attempts < params.refits:
+    while len(ledger) < N and refit_attempts < params.refits:
         refit_attempts += 1
-        pool = SyntheticDataset(
-            X=np.array(pts),
-            y=np.array(labels),
-            k=oracle.k,
-            generator_id="jacobian-substitute-pool",
-            seed=rng.seed,
-            query_count=len(pts),
-        )
+        pool = ledger.dataset("jacobian-substitute-pool", rng.seed)
         try:
             # the substitute only supplies gradient signs, so a light
             # training budget keeps refits linear in the collected pool
@@ -422,15 +369,14 @@ def jacobian_sampler(
             refits_skipped += 1
             log.warning("substitute refit skipped (%s); reusing previous", exc)
         for _ in range(params.rounds):
-            if len(pts) >= N:
+            if len(ledger) >= N:
                 break
-            base_X = np.array(pts)
-            base_y = np.array(labels)
+            base_X, base_y = ledger.X, ledger.y
             if substitute is not None and substitute.constant_label is None:
                 grads = substitute.input_gradients(base_X, base_y)
             else:
                 grads = np.zeros_like(base_X)
-            keep = min(len(base_X), N - len(pts))
+            keep = min(len(base_X), N - len(ledger))
             base_X = base_X[:keep]
             signs = np.sign(grads[:keep])
             # degenerate substitute: fall back to a random diagonal, one
@@ -440,26 +386,18 @@ def jacobian_sampler(
             pre_clip = base_X + params.step * signs
             if trace is not None:
                 trace.extend(zip(base_X, pre_clip))
-            emit_block(np.clip(pre_clip, 0.0, 1.0))
+            ledger.label(np.clip(pre_clip, 0.0, 1.0))
 
-    filled_uniform = len(pts) < N
+    filled_uniform = len(ledger) < N
     if filled_uniform:  # guard for exhausted refit budgets
-        emit_block(rng.uniform((N - len(pts), d)))
+        ledger.label(rng.uniform((N - len(ledger), d)))
 
-    return SyntheticDataset(
-        X=np.array(pts),
-        y=np.array(labels),
-        k=oracle.k,
-        generator_id="jacobian",
-        seed=rng.seed,
-        query_count=oracle.query_count - q0,
-        metadata={
-            "refit_attempts": refit_attempts,
-            "refits_skipped": refits_skipped,
-            "filled_uniform": filled_uniform,
-            "seeds_per_refit": params.seeds_per_refit,
-            "step": params.step,
-            "rounds": params.rounds,
-            "refit_cap": params.refits,
-        },
-    )
+    return ledger.dataset("jacobian", rng.seed, {
+        "refit_attempts": refit_attempts,
+        "refits_skipped": refits_skipped,
+        "filled_uniform": filled_uniform,
+        "seeds_per_refit": params.seeds_per_refit,
+        "step": params.step,
+        "rounds": params.rounds,
+        "refit_cap": params.refits,
+    })

@@ -9,6 +9,7 @@ from copysampler import (
     DegenerateColumnError,
     HalfspaceOracle,
     LabeledSample,
+    SampleLedger,
     StratificationError,
     SyntheticDataset,
     fit_normalization,
@@ -109,6 +110,46 @@ class TestPrefix:
     def test_query_count_invariant(self):
         with pytest.raises(ValueError):
             SyntheticDataset(np.zeros((3, 1)), np.zeros(3), 1, "t", 0, query_count=2)
+
+
+class TestSampleLedger:
+    def test_query_count_starts_at_the_ledger(self, halfspace):
+        halfspace.query_many(np.full((7, 2), 0.25))  # spent before the run
+        ledger = SampleLedger(halfspace)
+        ledger.label(np.full((3, 2), 0.75))
+        halfspace.query(np.array([0.1, 0.1]))  # spent and discarded by the run
+        ledger.add(np.array([0.9, 0.9]), 1)
+        ds = ledger.dataset("unit", seed=5, metadata={"note": 1})
+        assert ds.query_count == 4
+        assert (len(ds), ds.generator_id, ds.seed, ds.metadata) == (4, "unit", 5, {"note": 1})
+
+    def test_progress_once_per_block_and_per_add(self, halfspace):
+        reported = []
+        ledger = SampleLedger(halfspace, reported.append)
+        ledger.label(np.full((5, 2), 0.75))
+        ledger.add(np.array([0.2, 0.3]), 0)
+        ledger.add(np.array([0.6, 0.3]), 1)
+        ledger.label(np.full((2, 2), 0.25))
+        assert reported == [5, 6, 7, 9]
+        assert len(ledger) == 9
+
+    def test_points_and_labels_in_arrival_order(self, halfspace):
+        blocks = [RandomSource(3).uniform((4, 2)), np.array([[0.4, 0.1]]),
+                  RandomSource(4).uniform((6, 2))]
+        ledger = SampleLedger(halfspace)
+        ledger.label(blocks[0])
+        ledger.add(blocks[1][0], 1)  # the caller's label is kept as given
+        ledger.label(blocks[2])
+        np.testing.assert_array_equal(ledger.X, np.concatenate(blocks))
+        expected_y = np.concatenate([halfspace.query_many(blocks[0]), [1],
+                                     halfspace.query_many(blocks[2])])
+        np.testing.assert_array_equal(ledger.y, expected_y)
+        assert ledger.y.dtype == np.int64
+
+    def test_empty_ledger_gives_an_empty_dataset(self, halfspace):
+        ds = SampleLedger(halfspace).dataset("unit", seed=0)
+        assert ds.X.shape == (0, 2) and len(ds) == 0 and ds.query_count == 0
+        assert ds.k == 2 and ds.metadata == {}
 
 
 class TestDatasetSerialization:

@@ -27,7 +27,7 @@ from copysampler import (
     round_to_class,
 )
 import copysampler.gp as gp_mod
-from copysampler.core import RandomSource
+from copysampler.core import RandomSource, SampleLedger
 from copysampler.gp import PosteriorFitError, _pattern_search
 
 
@@ -417,7 +417,7 @@ def ring_table():
 
 
 def reference_uniform_init(count, oracle, rng):
-    """The per-point loop `_uniform_init` replaced: one draw, one query."""
+    """The per-point loop that labelling one uniform block replaced."""
     pts, labels = [], []
     for _ in range(count):
         z = rng.uniform(oracle.d)
@@ -435,10 +435,11 @@ class TestUniformInit:
         oracle, ref_oracle = make(), make()
         rng, ref_rng = RandomSource(51), RandomSource(51)
         reported = []
-        pts, labels = gp_mod._uniform_init(25, oracle, rng, reported.append)
+        ledger = SampleLedger(oracle, reported.append)
+        ledger.label(rng.uniform((25, oracle.d)))
         ref_pts, ref_labels = reference_uniform_init(25, ref_oracle, ref_rng)
-        assert np.array(pts).tobytes() == np.array(ref_pts).tobytes()
-        assert labels == ref_labels
+        assert ledger.X.tobytes() == np.array(ref_pts).tobytes()
+        assert ledger.y.tolist() == ref_labels
         assert oracle.query_count == ref_oracle.query_count == 25
         assert reported == [25]  # one progress call for the block
         assert rng.uniform(4).tobytes() == ref_rng.uniform(4).tobytes()

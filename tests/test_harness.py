@@ -11,6 +11,7 @@ import pytest
 from copysampler import (
     ConcentricCirclesOracle,
     ExternalOracle,
+    SEKernel,
     SyntheticDataset,
     TableOracle,
     build_reference_set,
@@ -411,6 +412,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="radii"):
             load_config(path)
 
+    @pytest.mark.parametrize("section, key, match", [
+        ("samplers.bayesian", "length_scale = 0", "length_scale must be > 0"),
+        ("samplers.bayesian", "length_scale = -0.5", "length_scale must be > 0"),
+        ("samplers.bayesian", "variance = 0", "variance must be > 0"),
+        ("evaluation", "reference_size = 0", "reference_size must be >= 1"),
+        ("evaluation", "n_grid = 0 5", "n_grid must list budgets >= 1"),
+        ("evaluation", "n_grid =", "n_grid must list budgets >= 1"),
+        ("evaluation", "tie_margin = -1", "tie_margin must be >= 0"),
+    ], ids=["zero-length-scale", "negative-length-scale", "zero-variance",
+            "zero-reference-size", "zero-budget", "no-budget", "negative-tie-margin"])
+    def test_out_of_range_value_rejected(self, tmp_path, section, key, match):
+        path = tmp_path / "bad.ini"
+        path.write_text(CIRCLES_ORACLE + f"[{section}]\n{key}\n")
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
+
+    def test_explicit_kernel_values_are_kept(self, tmp_path):
+        path = tmp_path / "k.ini"
+        path.write_text(CIRCLES_ORACLE + "[samplers.bayesian]\nlength_scale = 0.125\n")
+        kern = load_config(path).kernel_for(ConcentricCirclesOracle((0.5, 0.5), [0.25]))
+        assert kern.length_scale == 0.125
+        assert kern.variance == SEKernel.for_problem(2, 2).variance
+
     @pytest.mark.parametrize("workers, ok", [("1", True), ("2", False), ("0", False)])
     def test_workers_accepts_only_one(self, tmp_path, workers, ok):
         path = tmp_path / "w.ini"
@@ -722,6 +746,13 @@ class TestCLI:
         code = cli_main(["run", "--config", str(bad), "--out",
                          str(tmp_path / "o")])
         assert code == 2
+
+    def test_zero_reference_size_exits_before_writing(self, tmp_path):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(CIRCLES_ORACLE + "[evaluation]\nreference_size = 0\n")
+        code = cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert not (tmp_path / "o" / "config.resolved.ini").exists()
 
     @pytest.mark.parametrize("workers, code", [("1", 0), ("2", 2)])
     def test_run_workers_flag(self, tmp_path, capsys, workers, code):

@@ -1,5 +1,7 @@
 """Fidelity metrics, reference sets, quality checks, and comparisons."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from copysampler import (
     empirical_fidelity_error,
     quality_checks,
 )
-from copysampler.core import RandomSource
+from copysampler.core import RandomSource, meta_path
 from copysampler.metrics import (
     ComparisonError,
     MissingClassError,
@@ -114,30 +116,31 @@ class TestBalancedError:
 class TestBuildReferenceSet:
     def test_balanced_halfspace_quota(self, halfspace):
         ref = build_reference_set(halfspace, 1000, True, RandomSource(5))
-        assert ref.per_class_counts.tolist() == [500, 500]
-        assert ref.complete
+        assert np.bincount(ref.y, minlength=ref.k).tolist() == [500, 500]
+        assert ref.metadata["complete"]
         assert len(ref) == 1000
 
     def test_single_class_oracle_trivially_balanced(self):
         oracle = TableOracle(np.array([[0.5, 0.5]]), np.array([0]))
         ref = build_reference_set(oracle, 50, True, RandomSource(6))
-        assert ref.per_class_counts.tolist() == [50]
-        assert ref.complete
+        assert np.bincount(ref.y, minlength=ref.k).tolist() == [50]
+        assert ref.metadata["complete"]
 
     def test_infeasible_quota_sets_warning(self):
         oracle = ConcentricCirclesOracle(center=(0.5, 0.5), radii=[0.01])
         L = 400
         ref = build_reference_set(oracle, L, True, RandomSource(7),
                                   max_attempts=10 * L)
-        assert not ref.complete
+        assert not ref.metadata["complete"]
         assert len(ref) < L
-        assert ref.per_class_counts[1] > ref.per_class_counts[0]
+        counts = np.bincount(ref.y, minlength=ref.k)
+        assert counts[1] > counts[0]
 
     def test_unbalanced_is_plain_uniform(self, circles):
         ref = build_reference_set(circles, 2000, False, RandomSource(8))
         assert len(ref) == 2000
         # class-0 share approximates the inner-disk volume pi/16
-        assert abs(ref.per_class_counts[0] / 2000 - np.pi / 16) < 0.04
+        assert abs(np.bincount(ref.y, minlength=ref.k)[0] / 2000 - np.pi / 16) < 0.04
 
     def test_deterministic(self, circles):
         import copy
@@ -147,11 +150,22 @@ class TestBuildReferenceSet:
         np.testing.assert_array_equal(a.X, b.X)
         np.testing.assert_array_equal(a.y, b.y)
 
+    @pytest.mark.parametrize("balanced", [True, False])
+    def test_sidecar_records_provenance(self, circles, tmp_path, balanced):
+        ref = build_reference_set(circles, 300, balanced, RandomSource(14))
+        side = json.loads(meta_path(ref.to_csv(tmp_path / "reference.csv")).read_text())
+        assert side["generator_id"] == "reference"
+        assert side["seed"] == RandomSource(14).seed
+        assert side["query_count"] == circles.query_count
+        assert side["query_count"] > 300 if balanced else side["query_count"] == 300
+        assert side["metadata"] == {"complete": True, "balanced": balanced}
+
     def test_uneven_quota_assignment(self):
         oracle = ConcentricCirclesOracle(center=(0.5, 0.5), radii=[0.3])
         ref = build_reference_set(oracle, 101, True, RandomSource(10))
-        assert sorted(ref.per_class_counts.tolist()) == [50, 51]
-        assert ref.per_class_counts[0] == 51  # lower class indices get the extra
+        counts = np.bincount(ref.y, minlength=ref.k)
+        assert sorted(counts.tolist()) == [50, 51]
+        assert counts[0] == 51  # lower class indices get the extra
 
 
 class TestEstimatorConsistency:

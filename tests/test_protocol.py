@@ -131,6 +131,20 @@ class TestChildProcess:
         remote.close()
         assert remote._proc.poll() is not None
 
+    @pytest.mark.parametrize("snippet", [
+        "import sys, time; print('HELLO 2 2', flush=True); sys.stdin.readline();"
+        " sys.stdout.write('1'); sys.stdout.flush(); time.sleep(60)",
+        "import sys, time; sys.stdout.write('HELLO 2'); sys.stdout.flush(); time.sleep(60)",
+    ], ids=["label", "greeting"])
+    def test_child_that_stalls_mid_line_times_out(self, monkeypatch, snippet):
+        monkeypatch.setattr(oracles, "QUERY_TIMEOUT_S", 0.3)
+        monkeypatch.setattr(oracles, "CLOSE_GRACE_S", 0.2)
+        start = time.monotonic()
+        with pytest.raises(QueryTransportError, match="no reply"):
+            with ExternalOracle.spawn([sys.executable, "-c", snippet]) as remote:
+                remote.query(np.array([0.1, 0.2]))
+        assert time.monotonic() - start < 10
+
     def test_child_that_never_greets_times_out(self, monkeypatch):
         monkeypatch.setattr(oracles, "QUERY_TIMEOUT_S", 0.3)
         started = []
