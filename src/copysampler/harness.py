@@ -64,8 +64,9 @@ class ConfigError(CopySamplerError):
 class OracleSpec:
     """Declarative oracle description; `build()` yields a fresh instance.
 
-    A table is read and normalized once, at the first `build()`; every build
-    wraps those read-only arrays in a new TableOracle with its own count.
+    `copysampler run` builds one per run (see `run_experiment`).  A table is
+    read and normalized once, at the first `build()`; every build wraps
+    those read-only arrays in a new TableOracle with its own count.
     """
 
     kind: str
@@ -147,9 +148,19 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ConfigError(f"{name.removeprefix('kernel_')} must be > 0, got {value}")
+        # the smallest budget each method can run, and the setting behind it
+        least = {
+            "boundary": (2, "one uniform and one boundary point"),
+            "bayesian": (self.bayes.init_count, "[samplers.bayesian] init_count"),
+            "jacobian": (self.jacobian.seeds_per_refit, "[samplers.jacobian] seeds_per_refit"),
+        }
         for method in self.methods:
             if method not in METHODS:
                 raise ConfigError(f"unknown sampling method {method!r}")
+            need, why = least.get(method, (1, ""))
+            if self.n_grid[-1] < need:
+                raise ConfigError(f"n_grid tops out at {self.n_grid[-1]}, below the "
+                                  f"{need} samples the {method} sampler needs ({why})")
         for arch in self.architectures:
             if arch not in ARCHITECTURES:
                 raise ConfigError(f"unknown architecture {arch!r}")
@@ -513,11 +524,10 @@ def _write_dataset_atomically(ds: SyntheticDataset, path: Path):
     tmp_csv.replace(path)
 
 
-def _generate_one(cfg, out, method, rep):
+def _generate_one(cfg, out, method, rep, oracle):
     ds_path, timing_path = _dataset_paths(out, method, rep)
-    with cfg.oracle.build() as oracle:
-        rng = RandomSource.derive(cfg.seed, "dataset", method, rep)
-        profile = timing_profile(cfg, method, cfg.n_grid, oracle, rng)
+    rng = RandomSource.derive(cfg.seed, "dataset", method, rep)
+    profile = timing_profile(cfg, method, cfg.n_grid, oracle, rng)
     timing_path.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(timing_path, profile.csv_text())
     _write_dataset_atomically(profile.dataset, ds_path)
@@ -639,15 +649,12 @@ def _write_cell(cfg, out, reference, method, arch, n, rep, seed, fit):
     return 1
 
 
-def _reference_for(cfg: ExperimentConfig, out: Path) -> SyntheticDataset:
-    ref_path = out / "reference" / "reference.csv"
-    if ref_path.exists():
-        return SyntheticDataset.from_csv(ref_path)
-    with cfg.oracle.build() as oracle:
-        rng = RandomSource.derive(cfg.seed, "reference")
-        ref = metrics.build_reference_set(
-            oracle, cfg.reference_size, cfg.reference_balanced, rng
-        )
+def _reference_for(cfg: ExperimentConfig, ref_path: Path, oracle: Oracle) -> SyntheticDataset:
+    """Build the run's reference set through `oracle` and write it."""
+    rng = RandomSource.derive(cfg.seed, "reference")
+    ref = metrics.build_reference_set(
+        oracle, cfg.reference_size, cfg.reference_balanced, rng
+    )
     ref_path.parent.mkdir(parents=True, exist_ok=True)
     _write_dataset_atomically(ref, ref_path)
     return ref
@@ -663,7 +670,11 @@ def run_experiment(
     """Execute (or resume) the full sweep into `out`.
 
     Per (method, repetition) the largest budget is generated once and
-    smaller budgets are taken as prefixes.  The network cells that share
+    smaller budgets are taken as prefixes.  The reference set and every
+    dataset are labelled through one oracle, built when the first of them
+    needs it and closed before training starts; each keeps its own query
+    count.  A dataset whose generation fails closes that oracle, so the next
+    one gets a fresh build.  The network cells that share
     (arch, N) train together with one `train_many` call, each with the bits
     it would get alone, and a cell whose training fails fails alone.  The
     optional filters restrict which cells this invocation computes without
@@ -688,9 +699,7 @@ def run_experiment(
     archs = [a for a in cfg.architectures if only_archs is None or a in only_archs]
     grid = [n for n in cfg.n_grid if only_ns is None or n in only_ns]
 
-    reference = _reference_for(cfg, out)
-
-    # phase 1: datasets
+    # phase 1: the reference set and the datasets, through one oracle
     gen_tasks = []
     for method in methods:
         for rep in range(cfg.repetitions_for(method)):
@@ -700,15 +709,34 @@ def run_experiment(
             else:
                 gen_tasks.append((method, rep))
 
-    def run_gen(task):
-        method, rep = task
-        _generate_one(cfg, out, method, rep)
-        return 1
+    ref_path = out / "reference" / "reference.csv"
+    oracle = None  # built by the first task that needs it
+    try:
+        if ref_path.exists():
+            reference = SyntheticDataset.from_csv(ref_path)
+        else:
+            oracle = cfg.oracle.build()
+            reference = _reference_for(cfg, ref_path, oracle)
 
-    summary.datasets_computed += _run_tasks(
-        gen_tasks, run_gen, summary,
-        label=lambda t: f"dataset {t[0]} rep {t[1]}",
-    )
+        def run_gen(task):
+            nonlocal oracle
+            if oracle is None:
+                oracle = cfg.oracle.build()
+            try:
+                _generate_one(cfg, out, *task, oracle)
+            except Exception:
+                oracle.close()  # it may be dead, or still owe labels
+                oracle = None
+                raise
+            return 1
+
+        summary.datasets_computed += _run_tasks(
+            gen_tasks, run_gen, summary,
+            label=lambda t: f"dataset {t[0]} rep {t[1]}",
+        )
+    finally:
+        if oracle is not None:
+            oracle.close()
 
     # phase 2: cells, grouped by (arch, N) across every (method, rep)
     cell_tasks = []

@@ -148,23 +148,24 @@ def build_reference_set(
     quotas[:extra] += 1
     counts = np.zeros(k, dtype=np.int64)
     accepted_X: list[np.ndarray] = []
-    accepted_y: list[int] = []
+    accepted_y: list[np.ndarray] = []
     attempts = 0
     while attempts < max_attempts and counts.sum() < L:
         chunk = min(4096, max_attempts - attempts)
         Xc = rng.uniform((chunk, d))
         yc = oracle.query_many(Xc)
         attempts += chunk
-        for row, cls in zip(Xc, yc):
-            if counts[cls] < quotas[cls]:
-                counts[cls] += 1
-                accepted_X.append(row)
-                accepted_y.append(int(cls))
-                if counts.sum() == L:
-                    break
+        # a row's 1-based rank among the chunk's rows of its class; the
+        # first quota - count of each class are kept.  The quotas sum to L,
+        # so every quota is full once L rows are kept, and no later row is.
+        rank = np.cumsum(yc[:, None] == np.arange(k), axis=0)[np.arange(chunk), yc]
+        keep = rank <= quotas[yc] - counts[yc]
+        accepted_X.append(Xc[keep])
+        accepted_y.append(yc[keep])
+        counts += np.bincount(yc[keep], minlength=k)
     return SyntheticDataset(
-        X=np.array(accepted_X) if accepted_X else np.empty((0, d)),
-        y=np.array(accepted_y, dtype=np.int64),
+        X=np.concatenate(accepted_X) if accepted_X else np.empty((0, d)),
+        y=np.concatenate(accepted_y) if accepted_y else np.empty(0, dtype=np.int64),
         k=k,
         generator_id="reference",
         seed=rng.seed,

@@ -390,8 +390,10 @@ class TableOracle(Oracle):
 # Server response:   <integer label in [0, k-1]>\n
 # Client shutdown:   BYE\n
 #
-# Strict lockstep: every request receives exactly one response before the
-# next request is sent.
+# Every request receives exactly one response, in request order.  The client
+# may send several requests before reading their responses (pipelining), so
+# a server must answer in order but may do so line by line, as `serve_oracle`
+# does.
 
 def parse_handshake(line: str) -> tuple[int, int]:
     """Parse the `HELLO <d> <k>` greeting; raise ProtocolError otherwise."""
@@ -423,6 +425,13 @@ CLOSE_GRACE_S = 10.0
 
 # Seconds to wait for the greeting or for a label before giving up.
 QUERY_TIMEOUT_S = 120.0
+
+# Most request text one pipelined window sends: one page, the smallest pipe
+# buffer Linux allocates, so a window always fits in a drained pipe.
+_WINDOW_BYTES = 4096
+
+# One coordinate of a request: 17 significant digits read back exactly.
+_REQUEST_FIELD = "{:.17g}".format
 
 
 class _LineReader:
@@ -462,9 +471,18 @@ class _LineReader:
 class ExternalOracle(Oracle):
     """Client for a model served over the wire protocol.
 
-    Strictly serial: one request in flight at a time.  Transport failures
-    raise QueryTransportError so samplers abort instead of fabricating
-    labels.
+    A block of rows is sent in windows: each window's requests go out in one
+    write, then its labels are read back in order, each within
+    QUERY_TIMEOUT_S.  A window holds at most _WINDOW_BYTES of request text,
+    and always at least one row.  Every earlier label has been read before a
+    window is written, so the server has read every earlier request, and a
+    window of one page fits in the drained pipe without blocking.  A single
+    request longer than a page goes alone, and its write waits only for the
+    server to read its line.
+
+    Transport failures raise QueryTransportError so samplers abort instead
+    of fabricating labels.  Once a block has failed, labels may still be in
+    flight, so every later query raises QueryTransportError without writing.
     """
 
     def __init__(self, reader: IO[str], writer: IO[str]):
@@ -474,6 +492,7 @@ class ExternalOracle(Oracle):
         self._reader = reader
         self._writer = writer
         self._proc: subprocess.Popen | None = None
+        self._failed: str | None = None  # why a block failed, once one has
 
     @classmethod
     def spawn(cls, command: Sequence[str]) -> "ExternalOracle":
@@ -497,25 +516,55 @@ class ExternalOracle(Oracle):
         return oracle
 
     def _label_many(self, X):
+        if self._failed is not None:
+            raise QueryTransportError(
+                f"the oracle failed earlier and may still owe labels: {self._failed}")
+        try:
+            return self._pipelined(X)
+        except BaseException as exc:
+            self._failed = f"{type(exc).__name__}: {exc}"
+            raise
+
+    def _pipelined(self, X):
         labels = np.empty(X.shape[0], dtype=np.int64)
-        for i, z in enumerate(X):  # lockstep: one request in flight
-            request = " ".join(f"{v:.17g}" for v in z)
-            try:
-                self._writer.write(request + "\n")
-                self._writer.flush()
-                line = self._lines.readline()
-            except (OSError, ValueError) as exc:
-                raise QueryTransportError(f"transport failed mid-query: {exc}") from exc
-            if not line:
-                raise QueryTransportError("transport closed while awaiting a label")
-            try:
-                label = int(line.strip())
-            except ValueError:
-                raise ProtocolError(f"malformed label line: {line!r}") from None
-            if not 0 <= label < self.k:
-                raise ProtocolError(f"label {label} outside [0, {self.k - 1}]")
-            labels[i] = label
+        window, size, sent = [], 0, 0
+        for z in X:  # each row is formatted only as its window fills
+            request = " ".join(map(_REQUEST_FIELD, z.tolist())) + "\n"
+            if window and size + len(request) > _WINDOW_BYTES:
+                sent = self._exchange(window, labels, sent)
+                window, size = [], 0
+            window.append(request)
+            size += len(request)
+        if window:
+            self._exchange(window, labels, sent)
         return labels
+
+    def _exchange(self, window, labels, start) -> int:
+        """Send a window in one write, read its labels into `labels[start:]`."""
+        try:
+            self._writer.write("".join(window))
+            self._writer.flush()
+        except (OSError, ValueError) as exc:
+            raise QueryTransportError(f"transport failed mid-query: {exc}") from exc
+        end = start + len(window)
+        for i in range(start, end):
+            labels[i] = self._read_label()
+        return end
+
+    def _read_label(self) -> int:
+        try:
+            line = self._lines.readline()
+        except (OSError, ValueError) as exc:
+            raise QueryTransportError(f"transport failed mid-query: {exc}") from exc
+        if not line:
+            raise QueryTransportError("transport closed while awaiting a label")
+        try:
+            label = int(line.strip())
+        except ValueError:
+            raise ProtocolError(f"malformed label line: {line!r}") from None
+        if not 0 <= label < self.k:
+            raise ProtocolError(f"label {label} outside [0, {self.k - 1}]")
+        return label
 
     def close(self):
         try:

@@ -2,6 +2,8 @@
 
 import json
 import re
+import shlex
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -428,6 +430,36 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=match):
             load_config(path)
 
+    @pytest.mark.parametrize("samplers, grid, match", [
+        ("methods = random jacobian", "10 20",
+         "below the 50 samples the jacobian sampler needs .*seeds_per_refit"),
+        ("methods = jacobian\n[samplers.jacobian]\nseeds_per_refit = 30", "10 29",
+         "below the 30 samples the jacobian sampler needs"),
+        ("methods = random bayesian", "5 9",
+         "below the 10 samples the bayesian sampler needs .*init_count"),
+        ("methods = bayesian\n[samplers.bayesian]\ninit_count = 4", "3",
+         "below the 4 samples the bayesian sampler needs"),
+        ("methods = random boundary", "1", "below the 2 samples the boundary sampler needs"),
+    ], ids=["jacobian", "jacobian-set", "bayesian", "bayesian-set", "boundary"])
+    def test_grid_below_a_method_minimum_rejected(self, tmp_path, samplers, grid, match):
+        path = tmp_path / "small.ini"
+        path.write_text(CIRCLES_ORACLE + f"[evaluation]\nn_grid = {grid}\n"
+                        f"[samplers]\n{samplers}\n")
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
+
+    @pytest.mark.parametrize("samplers, grid", [
+        ("methods = random jacobian\n[samplers.jacobian]\nseeds_per_refit = 20", "10 20"),
+        ("methods = bayesian\n[samplers.bayesian]\ninit_count = 4", "2 4"),
+        ("methods = random boundary", "1 2"),
+        ("methods = random", "1"),
+    ], ids=["jacobian", "bayesian", "boundary", "random"])
+    def test_grid_at_a_method_minimum_loads(self, tmp_path, samplers, grid):
+        path = tmp_path / "small.ini"
+        path.write_text(CIRCLES_ORACLE + f"[evaluation]\nn_grid = {grid}\n"
+                        f"[samplers]\n{samplers}\n")
+        assert load_config(path).n_grid[-1] == int(grid.split()[-1])
+
     def test_explicit_kernel_values_are_kept(self, tmp_path):
         path = tmp_path / "k.ini"
         path.write_text(CIRCLES_ORACLE + "[samplers.bayesian]\nlength_scale = 0.125\n")
@@ -754,6 +786,15 @@ class TestCLI:
         assert code == 2
         assert not (tmp_path / "o" / "config.resolved.ini").exists()
 
+    def test_grid_below_jacobian_seeds_exits_before_writing(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(CIRCLES_ORACLE + "[samplers]\nmethods = random jacobian\n"
+                       "[evaluation]\nn_grid = 10 20\n")
+        code = cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "seeds_per_refit" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "config.resolved.ini").exists()
+
     @pytest.mark.parametrize("workers, code", [("1", 0), ("2", 2)])
     def test_run_workers_flag(self, tmp_path, capsys, workers, code):
         path = tmp_path / "mini.ini"
@@ -810,6 +851,7 @@ class TestExternalOracleConfig:
                    "serve_stdio(HalfspaceOracle(w=(1.0, 0.0), c=0.5))")
         path.write_text("[experiment]\nseed = 1\n"
                         f"[oracle]\nkind = external\ncommand = {sys.executable} -c \"{snippet}\"\n"
+                        "[samplers]\nmethods = random\n"
                         "[evaluation]\nn_grid = 40\nreference_size = 200\n")
         cfg = load_config(path)
         oracle = cfg.oracle.build()
@@ -832,6 +874,7 @@ class TestTableOracleConfig:
         path = tmp_path / "t.ini"
         path.write_text("[experiment]\nseed = 1\n"
                         f"[oracle]\nkind = table\npath = {csv}\nnormalize = true\n"
+                        "[samplers]\nmethods = random\n"
                         "[evaluation]\nn_grid = 40\nreference_size = 200\n")
         oracle = load_config(path).oracle.build()
         assert oracle.d == 2
@@ -945,3 +988,123 @@ class TestTableReadOncePerRun:
         assert len(reads) == 1
         assert second.X_ref is first.X_ref
         assert not second.X_ref.flags.writeable and not second.y_ref.flags.writeable
+
+
+# A plain-Python server for a halfspace.  It answers `limit` queries, then
+# exits on the next one unless the file `flag` exists, which it then makes:
+# the first server started crashes, and every later one is healthy.  A
+# negative limit never crashes.
+CRASH_ONCE_SERVER = """
+import os, sys
+limit, flag = int(sys.argv[1]), sys.argv[2]
+print("HELLO 2 2", flush=True)
+answered = 0
+for line in sys.stdin:
+    if line.strip() == "BYE":
+        break
+    if answered == limit and not os.path.exists(flag):
+        open(flag, "w").close()
+        sys.exit(3)
+    print(int(float(line.split()[0]) >= 0.5), flush=True)
+    answered += 1
+"""
+
+ONE_ORACLE_RUN = """
+[experiment]
+seed = 5
+repetitions = 3
+
+[oracle]
+kind = external
+command = {command}
+
+[samplers]
+methods = random
+
+[copies]
+architectures = dt
+
+[evaluation]
+n_grid = 30 60
+reference_size = 200
+reference_balanced = false
+"""
+
+
+class TestOneOraclePerRun:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Every oracle `OracleSpec.build` returns, in order."""
+        built = []
+        build = harness.OracleSpec.build
+
+        def counted(spec):
+            built.append(build(spec))
+            return built[-1]
+
+        monkeypatch.setattr(harness.OracleSpec, "build", counted)
+        return built
+
+    def test_fresh_run_builds_one_and_resume_none(self, tmp_path, builds):
+        path = tmp_path / "t.ini"
+        path.write_text(TOY_CONFIG.replace("repetitions = 5", "repetitions = 2")
+                        .replace("methods = random boundary bayesian jacobian",
+                                 "methods = random boundary"))
+        out = tmp_path / "out"
+        summary = run_experiment(load_config(path), out)
+        assert summary.exit_code == 0 and summary.datasets_computed == 4
+        assert len(builds) == 1
+        # the reference's 4000 balanced rows and both methods' datasets
+        assert builds[0].query_count > 4000 + 4 * 1000
+        del builds[:]
+        summary = run_experiment(load_config(path), out)
+        assert summary.datasets_computed == 0 and summary.cells_computed == 0
+        assert builds == []
+
+    def _config(self, directory, limit):
+        script = directory / "server.py"
+        script.write_text(CRASH_ONCE_SERVER)
+        command = shlex.join([sys.executable, str(script), str(limit),
+                              str(directory / "crashed")])
+        path = directory / "ext.ini"
+        path.write_text(ONE_ORACLE_RUN.format(command=command))
+        return load_config(path)
+
+    def test_crashed_server_fails_only_its_dataset(self, tmp_path, builds):
+        clean_dir, crash_dir = tmp_path / "clean", tmp_path / "crash"
+        clean_dir.mkdir()
+        crash_dir.mkdir()
+        clean = run_experiment(self._config(clean_dir, -1), clean_dir / "out")
+        assert clean.exit_code == 0 and len(builds) == 1
+        del builds[:]
+
+        # 200 reference queries, then 60 per dataset: query 291 is mid-rep-1
+        cfg = self._config(crash_dir, 290)
+        summary = run_experiment(cfg, crash_dir / "out")
+        assert [label for label, _ in summary.failures] == ["dataset random rep 1"]
+        assert summary.datasets_computed == 2
+        assert len(builds) == 2  # the crashed server, then a fresh one
+        assert (crash_dir / "crashed").exists()
+
+        def files(out):
+            return sorted(p.relative_to(out) for p in out.glob("*/*")
+                          if p.parent.name in ("datasets", "reference"))
+
+        got, want = crash_dir / "out", clean_dir / "out"
+        assert files(got) == [f for f in files(want) if "random_r01" not in f.name]
+        for name in files(got):
+            assert (got / name).read_bytes() == (want / name).read_bytes()
+        cells = sorted(p.name for p in (got / "cells").glob("*.csv"))
+        assert cells and all("r01" not in c for c in cells)
+        for cell in cells:
+            assert (without_wall_time((got / "cells" / cell).read_bytes())
+                    == without_wall_time((want / "cells" / cell).read_bytes()))
+
+        # a resume makes the missing dataset with the bytes of the clean run
+        del builds[:]
+        summary = run_experiment(cfg, got)
+        assert summary.exit_code == 0 and summary.datasets_computed == 1
+        assert len(builds) == 1
+        assert files(got) == files(want)
+        for name in files(got):
+            assert (got / name).read_bytes() == (want / name).read_bytes()

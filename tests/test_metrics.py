@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from copysampler import (
+    CheckerboardOracle,
     ConcentricCirclesOracle,
     FidelityReport,
     RunRecord,
@@ -166,6 +167,61 @@ class TestBuildReferenceSet:
         counts = np.bincount(ref.y, minlength=ref.k)
         assert sorted(counts.tolist()) == [50, 51]
         assert counts[0] == 51  # lower class indices get the extra
+
+
+def loop_balanced_reference(oracle, L, rng, max_attempts):
+    """The balanced reference set's per-row accept loop, as a yardstick.
+
+    Returns (X, y, attempts, complete) as `build_reference_set` once
+    computed them one row at a time.
+    """
+    k, d = oracle.k, oracle.d
+    base, extra = divmod(L, k)
+    quotas = np.full(k, base, dtype=np.int64)
+    quotas[:extra] += 1
+    counts = np.zeros(k, dtype=np.int64)
+    accepted_X, accepted_y = [], []
+    attempts = 0
+    while attempts < max_attempts and counts.sum() < L:
+        chunk = min(4096, max_attempts - attempts)
+        Xc = rng.uniform((chunk, d))
+        yc = oracle.query_many(Xc)
+        attempts += chunk
+        for row, cls in zip(Xc, yc):
+            if counts[cls] < quotas[cls]:
+                counts[cls] += 1
+                accepted_X.append(row)
+                accepted_y.append(int(cls))
+                if counts.sum() == L:
+                    break
+    X = np.array(accepted_X) if accepted_X else np.empty((0, d))
+    return X, np.array(accepted_y, dtype=np.int64), attempts, bool(counts.sum() == L)
+
+
+class TestBalancedAcceptMatchesLoop:
+    """The vectorised accept step keeps the rows the per-row loop kept."""
+
+    @pytest.mark.parametrize("oracle, L, max_attempts", [
+        (ConcentricCirclesOracle((0.5, 0.5), [0.25]), 3, None),
+        (ConcentricCirclesOracle((0.5, 0.5), [0.25]), 20_000, None),
+        (ConcentricCirclesOracle((0.5, 0.5), [0.25]), 100_000, None),
+        (ConcentricCirclesOracle((0.5, 0.5), [0.2, 0.4]), 20_001, None),
+        (CheckerboardOracle(cells_per_dim=3, d=3), 20_000, None),
+        (CheckerboardOracle(cells_per_dim=3, d=3), 100_000, None),
+        (ConcentricCirclesOracle((0.5, 0.5), [0.01]), 3000, 10_000),
+    ], ids=["circles-3", "circles-2e4", "circles-1e5", "rings-2e4+1",
+            "checkerboard3d-2e4", "checkerboard3d-1e5", "unfillable"])
+    def test_same_rows_counts_and_completeness(self, oracle, L, max_attempts):
+        seed = 40 + L
+        ref = build_reference_set(oracle, L, True, RandomSource(seed),
+                                  max_attempts=max_attempts)
+        X, y, attempts, complete = loop_balanced_reference(
+            oracle, L, RandomSource(seed), 100 * L if max_attempts is None else max_attempts)
+        assert ref.X.tobytes() == X.tobytes() and ref.X.shape == X.shape
+        assert ref.y.tobytes() == y.tobytes()
+        assert ref.query_count == attempts
+        assert ref.metadata["complete"] is complete
+        assert complete is (max_attempts is None)
 
 
 class TestEstimatorConsistency:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from copysampler import (
+    ConcentricCirclesOracle,
     ExternalOracle,
     HalfspaceOracle,
     ProtocolError,
@@ -160,6 +161,115 @@ class TestChildProcess:
             ExternalOracle.spawn([sys.executable, "-c", "import time; time.sleep(60)"])
         assert time.monotonic() - start < 30
         assert started[0].poll() is not None  # the failed spawn reaped its child
+
+
+# Servers for the pipelining tests.  They never import copysampler: each
+# reads a line at a time from stdin and prints one label per request.
+RINGS_SERVER = """
+import math, sys
+print("HELLO 2 3", flush=True)
+for line in sys.stdin:
+    if line.strip() == "BYE":
+        break
+    x, y = map(float, line.split())
+    r = math.sqrt((x - 0.5) * (x - 0.5) + (y - 0.5) * (y - 0.5))
+    print(int(r >= 0.2) + int(r >= 0.4), flush=True)
+"""
+
+WIDE_SERVER = """
+import sys
+print("HELLO 300 2", flush=True)
+for line in sys.stdin:
+    if line.strip() == "BYE":
+        break
+    print(int(float(line.split()[0]) >= 0.5), flush=True)
+"""
+
+# Answers `good` requests, then does `then`; `good` comes as argv[1].
+FAILING_SERVER = """
+import sys, time
+print("HELLO 2 2", flush=True)
+good = int(sys.argv[1])
+for _ in range(good):
+    sys.stdin.readline()
+    print(1, flush=True)
+{then}
+"""
+
+
+class RecordingWriter:
+    """A transport writer that keeps the text of every write it passes on."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return self.inner.write(text)
+
+    def flush(self):
+        self.inner.flush()
+
+    def close(self):
+        self.inner.close()
+
+
+def spawn_recorded(source, *args):
+    remote = ExternalOracle.spawn([sys.executable, "-c", source, *map(str, args)])
+    remote._writer = RecordingWriter(remote._writer)
+    return remote
+
+
+class TestPipelinedQueries:
+    def test_third_party_server_labels_a_large_block_exactly(self):
+        direct = ConcentricCirclesOracle((0.5, 0.5), [0.2, 0.4])
+        X = RandomSource(41).uniform((10_000, 2))
+        with spawn_recorded(RINGS_SERVER) as remote:
+            labels = remote.query_many(X)
+            assert remote.query_count == 10_000
+            writes = list(remote._writer.writes)  # BYE comes after
+        np.testing.assert_array_equal(labels, direct.query_many(X))
+        assert set(labels.tolist()) == {0, 1, 2}
+        # requests went out in windows of whole lines, each within one page
+        assert len(writes) < 10_000 / 50
+        assert all(w.endswith("\n") and len(w) <= 4096 for w in writes)
+        assert "".join(writes).count("\n") == 10_000
+
+    def test_request_wider_than_a_page_goes_alone(self):
+        X = RandomSource(42).uniform((20, 300))
+        with spawn_recorded(WIDE_SERVER) as remote:
+            labels = remote.query_many(X)
+            writes = list(remote._writer.writes)  # BYE comes after
+        np.testing.assert_array_equal(labels, (X[:, 0] >= 0.5).astype(np.int64))
+        assert len(writes) == 20
+        assert all(len(w) > 4096 and w.count("\n") == 1 for w in writes)
+
+    def test_malformed_label_mid_window_fails_every_later_query(self, monkeypatch):
+        monkeypatch.setattr(oracles, "CLOSE_GRACE_S", 0.2)
+        then = "sys.stdin.readline(); print('oops', flush=True); time.sleep(60)"
+        with spawn_recorded(FAILING_SERVER.format(then=then), 3) as remote:
+            with pytest.raises(ProtocolError, match="oops"):
+                remote.query_many(RandomSource(43).uniform((6, 2)))
+            sent = len(remote._writer.writes)
+            assert sent == 1  # all six requests went out in one window
+            with pytest.raises(QueryTransportError, match="failed earlier"):
+                remote.query(np.array([0.1, 0.2]))
+            with pytest.raises(QueryTransportError, match="failed earlier"):
+                remote.query_many(RandomSource(44).uniform((2, 2)))
+            assert len(remote._writer.writes) == sent
+
+    def test_server_silent_mid_window_times_out(self, monkeypatch):
+        monkeypatch.setattr(oracles, "QUERY_TIMEOUT_S", 0.3)
+        monkeypatch.setattr(oracles, "CLOSE_GRACE_S", 0.2)
+        start = time.monotonic()
+        with spawn_recorded(FAILING_SERVER.format(then="time.sleep(60)"), 2) as remote:
+            with pytest.raises(QueryTransportError, match="no reply"):
+                remote.query_many(RandomSource(45).uniform((5, 2)))
+            with pytest.raises(QueryTransportError, match="failed earlier"):
+                remote.query(np.array([0.1, 0.2]))
+            assert len(remote._writer.writes) == 1
+        assert time.monotonic() - start < 10
 
 
 class TestStreamPairTransport:
