@@ -115,12 +115,12 @@ def cmd_sample(args) -> int:
     with cfg.oracle.build() as oracle:
         ds = generate_dataset(cfg, args.method, args.n, oracle,
                               RandomSource(args.seed))
-    ds.to_csv(args.out)
-    print(f"wrote {len(ds)} samples to {args.out} ({ds.query_count} oracle queries)")
-    if args.plot:
-        overlay = oracle if isinstance(oracle, AnalyticOracle) else None
-        plot_2d(ds, overlay, args.plot)
-        print(f"wrote {args.plot}")
+        ds.to_csv(args.out)
+        print(f"wrote {len(ds)} samples to {args.out} ({ds.query_count} oracle queries)")
+        if args.plot:
+            overlay = oracle if isinstance(oracle, AnalyticOracle) else None
+            plot_2d(ds, overlay, args.plot)
+            print(f"wrote {args.plot}")
     return EXIT_OK
 
 
@@ -188,12 +188,11 @@ def cmd_profile(args) -> int:
 
 def cmd_plot(args) -> int:
     ds = SyntheticDataset.from_csv(args.data)
-    overlay = None
     if args.config:
         with _load(args.config, args.seed).oracle.build() as oracle:
-            if isinstance(oracle, AnalyticOracle):
-                overlay = oracle
-    plot_2d(ds, overlay, args.out)
+            plot_2d(ds, oracle if isinstance(oracle, AnalyticOracle) else None, args.out)
+    else:
+        plot_2d(ds, None, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 

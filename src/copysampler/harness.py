@@ -10,6 +10,7 @@ sweep.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import json
 import logging
 import shlex
@@ -817,20 +818,18 @@ _ANALYTIC_KINDS = ("halfspace", "circles", "checkerboard", "spiral")
 
 
 def _emit_plots(cfg, out: Path, methods, summary: RunSummary):
-    overlay = None
-    if cfg.oracle.kind in _ANALYTIC_KINDS:
-        built = cfg.oracle.build()
-        if isinstance(built, AnalyticOracle) and built.d == 2:
-            overlay = built
-    for method in methods:
-        ds_path, _ = _dataset_paths(out, method, 0)
-        plot_path = out / "plots" / f"{method}.svg"
-        if not ds_path.exists() or plot_path.exists():
-            continue
-        dataset = SyntheticDataset.from_csv(ds_path)
-        if dataset.d != 2:
-            continue
-        try:
-            plot_2d(dataset, overlay, plot_path)
-        except Exception as exc:
-            summary.failures.append((f"plot {method}", str(exc)))
+    analytic = cfg.oracle.kind in _ANALYTIC_KINDS
+    with cfg.oracle.build() if analytic else contextlib.nullcontext() as built:
+        overlay = built if isinstance(built, AnalyticOracle) and built.d == 2 else None
+        for method in methods:
+            ds_path, _ = _dataset_paths(out, method, 0)
+            plot_path = out / "plots" / f"{method}.svg"
+            if not ds_path.exists() or plot_path.exists():
+                continue
+            dataset = SyntheticDataset.from_csv(ds_path)
+            if dataset.d != 2:
+                continue
+            try:
+                plot_2d(dataset, overlay, plot_path)
+            except Exception as exc:
+                summary.failures.append((f"plot {method}", str(exc)))

@@ -1,5 +1,6 @@
 """Copy models: training, prediction, determinism, persistence."""
 
+import re
 import signal
 import warnings
 
@@ -15,7 +16,8 @@ from copysampler import (
     train,
     train_many,
 )
-from copysampler.copies import _net_init, _softmax, network_loss_and_grad
+from copysampler import copies
+from copysampler.copies import _net_init, _softmax, _tree_fit, network_loss_and_grad
 from copysampler.core import RandomSource, SyntheticDataset
 
 
@@ -183,20 +185,33 @@ class TestLockstepTraining:
         for i in (0, 2):
             assert_same_model(models[i], train("ann", datasets[i], cfgs[i]))
 
-    def test_diverging_cell_fails_alone(self):
+    def test_diverging_cell_fails_alone(self, monkeypatch):
         datasets = shaped_datasets("k2d2", 3)
         X = datasets[1].X.copy()
         X[7, 1] = np.nan
         datasets[1] = make_dataset(X, datasets[1].y, k=2)
         cfgs = [TrainConfig(seed=r, epochs=3) for r in range(3)]
+        cells_per_step = []
+        backprop = copies._backprop
+
+        def counted(layers, X, *args, **kwargs):
+            cells_per_step.append(X.shape[0])
+            return backprop(layers, X, *args, **kwargs)
+
+        monkeypatch.setattr(copies, "_backprop", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             models = train_many("ann", datasets, cfgs)
+        monkeypatch.undo()
         assert isinstance(models[1], TrainingError)
         with pytest.raises(TrainingError) as alone:
             train("ann", datasets[1], cfgs[1])
         assert str(models[1]) == str(alone.value)
         assert "epoch 0, step" in str(models[1])
+        # the failed cell leaves the buffers after its divergence step
+        diverged_at = int(re.search(r"step (\d+)", str(models[1])).group(1))
+        steps = 3 * 5  # 3 epochs of 300 rows in minibatches of 64
+        assert cells_per_step == [3] * diverged_at + [2] * (steps - diverged_at)
         for i in (0, 2):
             assert_same_model(models[i], train("ann", datasets[i], cfgs[i]))
 
@@ -220,6 +235,153 @@ class TestLockstepTraining:
         datasets = shaped_datasets("k2d2", 2)
         with pytest.raises(ValueError):
             train_many("dt", datasets, [TrainConfig(seed=0), TrainConfig(seed=1)])
+
+
+def reference_gini_best_split(Xf, y, k, min_leaf):
+    """Best (impurity, threshold) for one feature column, or None."""
+    order = np.argsort(Xf, kind="stable")
+    xs = Xf[order]
+    ys = y[order]
+    n = xs.shape[0]
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), ys] = 1.0
+    left_counts = np.cumsum(onehot, axis=0)
+    total = left_counts[-1]
+    # split after position i puts i+1 samples on the left
+    idx = np.arange(1, n)
+    valid = xs[1:] != xs[:-1]
+    valid &= (idx >= min_leaf) & (n - idx >= min_leaf)
+    if not np.any(valid):
+        return None
+    lc = left_counts[:-1][valid]
+    nl = idx[valid].astype(np.float64)
+    nr = n - nl
+    rc = total[None, :] - lc
+    gini_l = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=1)
+    gini_r = 1.0 - ((rc / nr[:, None]) ** 2).sum(axis=1)
+    impurity = (nl * gini_l + nr * gini_r) / n
+    j = int(np.argmin(impurity))
+    pos = idx[valid][j]
+    threshold = (xs[pos - 1] + xs[pos]) / 2.0
+    if threshold >= xs[pos]:
+        # one ulp apart, the midpoint can round onto the upper value; that
+        # puts it on the wrong side, and a node with only these two values
+        # would send every row left and be split again forever
+        threshold = xs[pos - 1]
+    return float(impurity[j]), float(threshold)
+
+
+def reference_tree_fit(X, y, k, cfg):
+    """CART that re-sorts every feature at every node, as fitting worked
+    before the presorted attribute lists."""
+    n, d = X.shape
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    leaf_label: list[int] = []
+    max_depth_seen = 0
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        leaf_label.append(-1)
+        return len(feature) - 1
+
+    root = new_node()
+    stack = [(root, np.arange(n), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        max_depth_seen = max(max_depth_seen, depth)
+        ys = y[idx]
+        counts = np.bincount(ys, minlength=k)
+        majority = int(np.argmax(counts))
+        pure = counts[majority] == idx.size
+        depth_capped = cfg.max_depth is not None and depth >= cfg.max_depth
+        best = None
+        if not pure and not depth_capped and idx.size >= 2 * cfg.min_leaf:
+            for f in range(d):
+                cand = reference_gini_best_split(X[idx, f], ys, k, cfg.min_leaf)
+                if cand is not None and (best is None or cand[0] < best[0]):
+                    best = (cand[0], f, cand[1])
+        if best is None:
+            leaf_label[node] = majority
+            continue
+        _, f, thr = best
+        feature[node] = f
+        threshold[node] = thr
+        go_left = X[idx, f] <= thr
+        l_node = new_node()
+        r_node = new_node()
+        left[node] = l_node
+        right[node] = r_node
+        stack.append((l_node, idx[go_left], depth + 1))
+        stack.append((r_node, idx[~go_left], depth + 1))
+    return {
+        "feature": np.array(feature, dtype=np.int64),
+        "threshold": np.array(threshold, dtype=np.float64),
+        "left": np.array(left, dtype=np.int64),
+        "right": np.array(right, dtype=np.int64),
+        "leaf_label": np.array(leaf_label, dtype=np.int64),
+        "depth": np.int64(max_depth_seen),
+    }
+
+
+TREE_KEYS = ("feature", "threshold", "left", "right", "leaf_label", "depth")
+
+
+def tree_case(name, seed):
+    """(X, y, k, cfg) for one named case of the tree equality test."""
+    rng = RandomSource(seed)
+    n, d, k, cfg = 300, 3, 3, TrainConfig()
+    if name == "two_rows":
+        n = 2
+    elif name == "d1":
+        d = 1
+    elif name in ("k5", "k9"):
+        k = int(name[1])
+    elif name == "min_leaf":
+        cfg = TrainConfig(min_leaf=4)
+    elif name == "max_depth":
+        cfg = TrainConfig(max_depth=3)
+    X = rng.uniform((n, d))
+    if name == "duplicates":
+        X = np.round(X * 4) / 4
+    elif name == "one_ulp":
+        a = 0.08609775692680265
+        X[:, 0] = np.where(rng.uniform(n) < 0.5, a, np.nextafter(a, 1.0))
+    elif name == "constant_column":
+        X[:, 1] = 0.5
+    y = np.array([rng.integers(k) for _ in range(n)])
+    if name == "two_rows":
+        y = np.array([0, 1])
+    return X, y, k, cfg
+
+
+class TestTreeMatchesReference:
+    CASES = ["random", "duplicates", "one_ulp", "constant_column", "min_leaf",
+             "max_depth", "k5", "k9", "d1", "two_rows"]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", CASES)
+    def test_same_arrays(self, name, seed):
+        X, y, k, cfg = tree_case(name, seed)
+        got = _tree_fit(X, y, k, cfg)
+        want = reference_tree_fit(X, y, k, cfg)
+        for key in TREE_KEYS:
+            assert got[key].dtype == want[key].dtype
+            assert got[key].tobytes() == want[key].tobytes(), key
+
+    def test_saved_model_bytes(self, tmp_path):
+        X, y, k, cfg = tree_case("duplicates", 3)
+        model = train("dt", make_dataset(X, y, k=k), cfg)
+        reference = CopyModel("dt", X.shape[1], k,
+                              params=reference_tree_fit(X, y, k, cfg),
+                              train_meta=model.train_meta)
+        assert (model.save(tmp_path / "new.npz").read_bytes()
+                == reference.save(tmp_path / "reference.npz").read_bytes())
 
 
 class TestPredict:

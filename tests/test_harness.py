@@ -19,6 +19,7 @@ from copysampler import (
     build_reference_set,
     harness,
     metrics,
+    oracles,
     random_sampler,
     train,
 )
@@ -1060,6 +1061,44 @@ class TestOneOraclePerRun:
         summary = run_experiment(load_config(path), out)
         assert summary.datasets_computed == 0 and summary.cells_computed == 0
         assert builds == []
+
+    @pytest.fixture
+    def closed(self, monkeypatch):
+        """Every analytic oracle closed, in order."""
+        closed = []
+        monkeypatch.setattr(oracles.Oracle, "close", lambda self: closed.append(self))
+        return closed
+
+    def test_plot_overlay_oracle_is_closed(self, tmp_path, builds, closed):
+        path = tmp_path / "t.ini"
+        path.write_text(TOY_CONFIG.replace("repetitions = 5", "repetitions = 1")
+                        .replace("workers = 1", "workers = 1\nplots = true")
+                        .replace("methods = random boundary bayesian jacobian",
+                                 "methods = random")
+                        .replace("n_grid = 100 1000", "n_grid = 100"))
+        out = tmp_path / "out"
+        summary = run_experiment(load_config(path), out)
+        assert summary.exit_code == 0 and (out / "plots" / "random.svg").exists()
+        assert len(builds) == 2  # the run's oracle, then the overlay's
+        assert closed == builds
+
+    def test_sample_plots_with_an_open_oracle(self, tmp_path, monkeypatch, builds, closed,
+                                              toy_config):
+        from copysampler import cli
+
+        plotted = []
+        plot_2d = cli.plot_2d
+
+        def recording_plot(ds, overlay, path):
+            plotted.append(overlay is not None and overlay not in closed)
+            return plot_2d(ds, overlay, path)
+
+        monkeypatch.setattr(cli, "plot_2d", recording_plot)
+        assert cli_main(["sample", "--config", str(toy_config), "--method", "boundary",
+                         "--n", "60", "--seed", "3", "--out", str(tmp_path / "ds.csv"),
+                         "--plot", str(tmp_path / "ds.svg")]) == 0
+        assert plotted == [True]
+        assert closed == builds
 
     def _config(self, directory, limit):
         script = directory / "server.py"
