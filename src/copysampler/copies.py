@@ -31,6 +31,9 @@ _ADAM_B1 = 0.9
 _ADAM_B2 = 0.999
 _ADAM_EPS = 1e-8
 
+# entries of (features, rows, classes) class counts a tree node scores at once
+_SCORE_BLOCK = 1 << 20
+
 
 class TrainingError(CopySamplerError):
     """Optimization diverged; carries the diagnostics in its message."""
@@ -450,13 +453,17 @@ def _tree_fit(X, y, k, cfg: TrainConfig):
     passes each list on, filtered and still in order, to the children.
     Filtering keeps ties in row order, so each list is the stable argsort
     of the node's own column, and the trees are those of a fit that
-    re-sorts every feature at every node.  `_best_split` scores all
-    features of a node in one pass.
+    re-sorts every feature at every node.  `_best_split` scores the
+    features of a node together.
 
-    Memory: the lists cost d x n int64 (64 MB at 10^6 x 8), and scoring a
-    node takes a few (d, m, k) temporaries, largest at the root.  One fit on
-    10^5 x 8 rows with k = 2 raised the peak RSS of a fresh process by 46 MB
-    (15 MB when each node sorted its own columns).
+    Memory: the lists cost d x n int64 (64 MB at 10^6 x 8), and a split
+    holds a node's lists and its children's at once.  Scoring a node adds a
+    few (d, m) arrays and, per block of features, one int32 and one float64
+    (features, m, k) array of at most `_SCORE_BLOCK` entries, or of one
+    feature if that is more.  Peak RSS growth of one fit on 8 features in a
+    fresh process: 44 MB at 10^5 rows and 210 MB at 10^6 rows with k = 2,
+    37 MB and 362 MB with k = 10 (re-sorting each node's columns: 14 and
+    49 MB with k = 2, 47 and 421 MB with k = 10).
     """
     n, d = X.shape
     XT = np.ascontiguousarray(X.T)
@@ -515,43 +522,26 @@ def _tree_fit(X, y, k, cfg: TrainConfig):
     }
 
 
-def _row_sum(a):
-    """`a.sum(axis=-1)` with its bits.
-
-    numpy reduces short rows slowly (some 20 ns a row), and adds fewer than
-    8 contiguous terms left to right, so short rows are summed column by
-    column in that order.
-    """
-    if a.shape[-1] >= 8:
-        return a.sum(axis=-1)
-    return reduce(np.add, [a[..., j] for j in range(a.shape[-1])])
-
-
 def _best_split(XT, y, lists, counts, min_leaf):
     """The Gini-best (feature, pos, threshold) over all features of a node, or None.
 
     `lists` holds the node's rows, sorted by each feature in turn; a split
     at `pos` puts the first `pos` rows of its feature's list on the left.
-    Ties go to the lowest position of the lowest feature.
+    Ties go to the lowest position of the lowest feature.  Features are
+    scored together, as many at a time as keep a block's (features, rows,
+    classes) counts within `_SCORE_BLOCK` entries, and at least one.
     """
     d, m = lists.shape
-    k = counts.size
     lo, hi = min_leaf, m - min_leaf
     xs = XT[np.arange(d)[:, None], lists]
     # a split between equal values would separate nothing
     valid = xs[:, lo:hi + 1] != xs[:, lo - 1:hi]
     if not valid.any():
         return None
-    # class counts of the first lo..hi rows; exact integers, as float64
-    # cumulative sums of one-hot rows would be
-    lc = np.cumsum(y[lists[:, :hi]][..., None] == np.arange(k), axis=1,
-                   dtype=np.int32)[:, lo - 1:]
-    rc = counts.astype(np.int32) - lc
-    nl = np.arange(lo, hi + 1, dtype=np.float64)
-    nr = m - nl
-    gini_l = 1.0 - _row_sum((lc / nl[:, None]) ** 2)
-    gini_r = 1.0 - _row_sum((rc / nr[:, None]) ** 2)
-    impurity = (nl * gini_l + nr * gini_r) / m
+    impurity = np.empty(valid.shape)
+    step = max(1, _SCORE_BLOCK // (m * counts.size))
+    for f in range(0, d, step):
+        impurity[f:f + step] = _impurity(y[lists[f:f + step, :hi]], counts, lo, m)
     impurity[~valid] = np.inf
     f, j = divmod(int(np.argmin(impurity)), hi - lo + 1)
     pos = lo + j
@@ -562,6 +552,28 @@ def _best_split(XT, y, lists, counts, min_leaf):
         # `<= thr` would then send left, against the split grown here
         thr = below
     return f, pos, float(thr)
+
+
+def _impurity(ys, counts, lo, m):
+    """Weighted Gini of the splits of a node of m rows at positions lo..hi.
+
+    Row f of `ys` is the labels of the first hi rows of feature f's list.
+    One float64 (features, positions, classes) array serves both sides.
+    """
+    # class counts of the first lo..hi rows; exact integers, as float64
+    # cumulative sums of one-hot rows would be
+    lc = np.cumsum(ys[..., None] == np.arange(counts.size), axis=1,
+                   dtype=np.int32)[:, lo - 1:]
+    nl = np.arange(lo, ys.shape[1] + 1, dtype=np.float64)
+    nr = m - nl
+    p = lc / nl[:, None]
+    p *= p
+    gini_l = 1.0 - p.sum(axis=-1)
+    rc = np.subtract(counts.astype(np.int32), lc, out=lc)
+    np.divide(rc, nr[:, None], out=p)
+    p *= p
+    gini_r = 1.0 - p.sum(axis=-1)
+    return (nl * gini_l + nr * gini_r) / m
 
 
 def _tree_predict(params, X):

@@ -364,9 +364,13 @@ class TestTreeMatchesReference:
     CASES = ["random", "duplicates", "one_ulp", "constant_column", "min_leaf",
              "max_depth", "k5", "k9", "d1", "two_rows"]
 
+    # 1 scores one feature at a time; 1800 scores the 3 features of a
+    # 300-row, k = 3 root as blocks of 2 and 1, and small nodes whole
+    @pytest.mark.parametrize("block", [copies._SCORE_BLOCK, 1, 1800])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("name", CASES)
-    def test_same_arrays(self, name, seed):
+    def test_same_arrays(self, name, seed, block, monkeypatch):
+        monkeypatch.setattr(copies, "_SCORE_BLOCK", block)
         X, y, k, cfg = tree_case(name, seed)
         got = _tree_fit(X, y, k, cfg)
         want = reference_tree_fit(X, y, k, cfg)
