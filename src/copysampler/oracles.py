@@ -305,15 +305,18 @@ class TableOracle(Oracle):
     distance `((X_ref - z) ** 2).sum(axis=1)`; ties go to the lowest row
     index, which makes the rule deterministic for any input.  Rows holding
     NaN or +-inf, or values whose squares overflow, are rejected.  Queries
-    are ranked in chunks of at most 2**18 query-row pairs (one query when M
+    are ranked in chunks of at most 2**16 query-row pairs (one query when M
     is larger), so memory stays O(M*d) however many points are labelled at
-    once.
+    once.  A one-row query within `_NEAR_RADIUS` of the last one ranked over
+    the whole table is ranked over the rows that can be nearest there, with
+    the same labels.
     """
 
-    # 2 MB of float64 per chunk, small enough to stay in a core's L2 cache:
-    # on a 2-vCPU Xeon with 2 MB of L2 per core, M = 10**4 rows labelled
-    # twice as fast as with chunks of 2**21 pairs.
-    _CHUNK_PAIRS = 1 << 18
+    # 512 kB of float64 per chunk: with the (d + 1, M) table (720 kB at
+    # M = 10**4, d = 8) it stays in a 2 MB L2 cache.  On a 2-vCPU Xeon with
+    # 2 MB of L2 per core, M = 10**4 rows labelled a query in 11-12 us,
+    # against 13-15 us with chunks of 2**17 pairs and 15-16 us with 2**18.
+    _CHUNK_PAIRS = 1 << 16
 
     def __init__(self, X_ref: np.ndarray, y_ref: np.ndarray, k: int | None = None):
         X_ref = np.atleast_2d(np.asarray(X_ref, dtype=np.float64))
@@ -329,46 +332,98 @@ class TableOracle(Oracle):
         super().__init__(d=X_ref.shape[1], k=int(y_ref.max()) + 1 if k is None else k)
         self.X_ref = X_ref
         self.y_ref = y_ref
-        self._sq_norms = sq_norms
-        # C-contiguous (d, M): a single query is then one gemv over long
-        # rows, 20 us against 35-45 us through the transposed view for
-        # M = 10**4 and d = 8 on a 2-vCPU Xeon.
-        self._neg2_XT = np.ascontiguousarray((-2.0 * X_ref).T)
+        # C-contiguous (d + 1, M): -2 X_ref^T over the squared row norms.  A
+        # query extended by a 1 gets h = |r|^2 - 2 q.r from one product, and
+        # the first d rows make a single query one gemv over long rows, 20 us
+        # against 35-45 us through the transposed view for M = 10**4 and
+        # d = 8 on a 2-vCPU Xeon.
+        self._table = np.empty((X_ref.shape[1] + 1, X_ref.shape[0]))
+        self._table[:-1] = (-2.0 * X_ref).T
+        self._table[-1] = sq_norms
         self._max_sq_norm = float(sq_norms.max())
+        self._rows = np.arange(X_ref.shape[0])
+        # (centre, rows, their columns of _table): the rows that can be
+        # nearest to any point within _NEAR_RADIUS of the centre
+        self._near = None
 
     def _label_one(self, z):
         # _label_many's ranking for one query, without its per-chunk
-        # indexing: 35-39 us against 52-60 us through _label_many(z[None])
-        # for M = 10**4 and d = 8 on a 2-vCPU Xeon, BLAS on one thread.
-        h = z @ self._neg2_XT
-        h += self._sq_norms
+        # indexing.  One-row queries come in runs a short step apart (a
+        # boundary thread's probes, a bisection's midpoints), so a query
+        # close to the last one ranked over the whole table is ranked over
+        # the rows kept near that one.
+        near = self._near
+        hit = False
+        if near is not None:
+            dz = z - near[0]
+            hit = dz @ dz <= self._NEAR_RADIUS ** 2
+        _, rows, table = near if hit else (None, self._rows, self._table)
+        h = z @ table[:-1]
+        h += table[-1]
         best = int(h.argmin())
-        limit = h[best] + 1e-9 * ((z ** 2).sum() + self._max_sq_norm)
+        sq = z @ z
+        margin = 1e-9 * (sq + self._max_sq_norm)
+        limit = h[best] + margin
+        if not hit:
+            self._near = self._neighbourhood(z, h, h[best] + sq + margin, margin - sq)
         h[best] = np.inf
         if h.min() <= limit:
-            best = self._rescore(z, h, best, limit)
-        return self.y_ref[best]
+            return self.y_ref[self._rescore(
+                z, rows[np.union1d(np.flatnonzero(h <= limit), best)])]
+        return self.y_ref[rows[best]]
 
-    def _rescore(self, q, h, best, limit):
-        """The exact formula's argmin over `best` and the rows with h <= limit."""
-        rows = np.union1d(np.flatnonzero(h <= limit), best)
+    # Radius, in query units, of the neighbourhood `_label_one` keeps rows
+    # for.  On table-sweep's one-row queries (M = 10**4, d = 8, normalised;
+    # 2-vCPU Xeon, BLAS on one thread) 0.1 kept some 200 rows, 94 % of the
+    # queries fell within it at 8-9 us each, and the rest took 40-43 us,
+    # keeping rows included: 0.15 s in all against 0.30 s over the whole
+    # table every time.
+    _NEAR_RADIUS = 0.1
+
+    def _neighbourhood(self, c, h, top, shift):
+        """(c, rows, their columns) for the rows that can be nearest near c.
+
+        `h` is c's full ranking, `top` = min h + |c|^2 + margin bounds c's
+        squared distance to its nearest row n from above, and `shift` is
+        margin - |c|^2.  For |z - c| <= rho and a row r with
+        |c - r| > t + 2 rho + eta, t >= |c - n|, the triangle inequality
+        gives |z - r| > |z - n| + eta: r is farther from z than n by 10**-6
+        of their distances, more than rounding can hide, so z's brute-force
+        argmin is a kept row.  A row is dropped only when h + |c|^2 exceeds
+        (t + 2 rho + eta)^2 by more than the margin, which covers the
+        rounding of h.  None when the rows would not cut the work by four.
+        """
+        t = math.sqrt(max(0.0, top))
+        rho = self._NEAR_RADIUS * (1.0 + 1e-6)
+        reach = t + 2.0 * rho + 1e-6 * (t + rho)
+        rows = np.flatnonzero(h <= reach * reach + shift)
+        if rows.size == 0 or 4 * rows.size > h.size:  # no rows: z held NaN
+            return None
+        return c.copy(), rows, self._table[:, rows]
+
+    def _rescore(self, q, rows):
+        """The exact formula's argmin over `rows`, ascending row indices."""
         d2 = ((self.X_ref[rows] - q) ** 2).sum(axis=1)
         return rows[np.argmin(d2)]
 
     def _label_many(self, X):
         out = np.empty(X.shape[0], dtype=np.int64)
         step = max(1, self._CHUNK_PAIRS // self.X_ref.shape[0])
+        # a chunk's queries, each extended by a 1
+        ext = np.ones((min(step, X.shape[0]), self.d + 1))
         for start in range(0, X.shape[0], step):
             Q = X[start:start + step]
+            ext_q = ext[:Q.shape[0]]
+            ext_q[:, :-1] = Q
             # h = |r|^2 - 2 q.r is the squared distance minus |q|^2, so it
             # ranks rows like the distance does, at one matrix product.
-            h = Q @ self._neg2_XT
-            h += self._sq_norms
+            h = ext_q @ self._table
             best = h.argmin(axis=1)
             # Rounding moves each formula's value by at most about
             # 3 (d + 3) 2**-53 (|q|^2 + |r|^2): the dot-product error bound,
-            # which holds for any BLAS summation order, for h, and the
-            # bound for summed squared differences for the exact formula.
+            # which holds for any BLAS summation order, for h (d + 1 terms,
+            # one of them the rounded |r|^2), and the bound for summed
+            # squared differences for the exact formula.
             # So the exact formula's minimum, and every row tied with it,
             # has an h within twice the sum of both errors of the smallest
             # h.  For d below 10**5 that is below the margin (the table's
@@ -378,7 +433,8 @@ class TableOracle(Oracle):
             limit = h[idx, best] + 1e-9 * ((Q ** 2).sum(axis=1) + self._max_sq_norm)
             h[idx, best] = np.inf  # the runner-up tells whether to re-score
             for i in np.flatnonzero(h.min(axis=1) <= limit):
-                best[i] = self._rescore(Q[i], h[i], best[i], limit[i])
+                best[i] = self._rescore(
+                    Q[i], np.union1d(np.flatnonzero(h[i] <= limit[i]), best[i]))
             out[start:start + step] = self.y_ref[best]
         return out
 

@@ -32,6 +32,8 @@ from .oracles import Oracle
 log = logging.getLogger(__name__)
 
 ALPHA_SWEEP = np.linspace(1.0, -1.0, 21)
+# sqrt(1 - alpha^2) for each alpha: the weight of the fresh direction w
+_W_WEIGHT = np.sqrt(np.maximum(0.0, 1.0 - ALPHA_SWEEP * ALPHA_SWEEP))
 
 # A scan this long without a label change means the oracle looks constant.
 _CONSTANT_SCAN_FACTOR = 10
@@ -195,19 +197,19 @@ def thread_step(
     """
     z = thread.current.point
     y = thread.current.label
-    d = z.shape[0]
     u = thread.direction
-    w = _orthonormal_to(u, rng) if d > 1 else None
-    for alpha in ALPHA_SWEEP:
-        if w is None:
-            if alpha not in (1.0, -1.0):
-                continue
-            v = alpha * u
-        else:
-            v = alpha * u + math.sqrt(max(0.0, 1.0 - alpha * alpha)) * w
-        probe = z + step * v
-        if np.any(probe < 0.0) or np.any(probe > 1.0):
-            return None
+    # Every direction and probe of the sweep at once, row by row the same
+    # float operations as one alpha at a time; in 1-D only alpha = +-1.
+    if z.shape[0] > 1:
+        w = _orthonormal_to(u, rng)
+        V = ALPHA_SWEEP[:, None] * u + _W_WEIGHT[:, None] * w
+    else:
+        V = ALPHA_SWEEP[[0, -1], None] * u
+    probes = z + step * V
+    # the sweep stops at its first probe outside the hypercube
+    outside = ((probes < 0.0) | (probes > 1.0)).any(axis=1)
+    stop = int(outside.argmax()) if outside.any() else len(V)
+    for probe, v in zip(probes[:stop], V[:stop]):
         label = oracle.query(probe)
         if label != y:
             countdown = thread.spawn_countdown - 1

@@ -208,6 +208,49 @@ class TestTableOracleExactness:
         assert Z.shape[0] > TableOracle._CHUNK_PAIRS // M
         assert_matches_brute_force(X_ref, y_ref, Z)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_row_queries_a_short_step_apart(self, seed):
+        # Random walks like a boundary thread's probes, with jumps, midpoints
+        # (ties on the dyadic grid) and rows themselves: most queries are
+        # answered from the rows kept near an earlier query.
+        rng = np.random.default_rng(seed)
+        M, d = 2000, 3
+        X_ref = rng.integers(0, 16, size=(M, d)) / 16
+        y_ref = rng.integers(0, 3, size=M)
+        oracle = TableOracle(X_ref, y_ref)
+        Z, z, kept = [], rng.uniform(size=d), 0
+        for _ in range(400):
+            draw = rng.uniform()
+            if draw < 0.05:
+                z = rng.uniform(size=d)
+            elif draw < 0.2:
+                z = midpoints(X_ref, rng, 1)[0]
+            elif draw < 0.25:
+                z = X_ref[rng.integers(0, M)].copy()
+            else:
+                z = z + rng.normal(0.0, 0.03, size=d)
+            Z.append(z)
+        Z = np.array(Z)
+        got = []
+        for z in Z:
+            got.append(oracle.query(z))
+            kept += oracle._near is not None
+        np.testing.assert_array_equal(got, brute_force_labels(X_ref, y_ref, Z))
+        assert kept > 300
+
+    def test_row_tied_at_the_neighbourhood_edge_is_kept(self):
+        # The first query c = 0.25 has its nearest row n at 0.125.  Row 0, r,
+        # lies 2 * _NEAR_RADIUS beyond that, and z = c + 0.1 is exactly as
+        # far from r as from n: the tie goes to row 0 only if r was kept.
+        z = 0.25 + 0.1
+        X_ref = np.array([[2 * z - 0.125], [0.125]] + [[5.0 + i] for i in range(20)])
+        y_ref = np.array([1, 0] + [2] * 20)
+        oracle = TableOracle(X_ref, y_ref)
+        assert oracle.query(np.array([0.25])) == 0
+        assert oracle._near is not None
+        assert oracle.query(np.array([z])) == 1
+        assert brute_force_labels(X_ref, y_ref, [[z]]).tolist() == [1]
+
     def test_wrong_length_point_rejected(self):
         oracle = TableOracle(np.zeros((3, 2)), np.array([0, 1, 0]))
         for bad in (np.zeros(1), np.zeros(3)):

@@ -320,6 +320,36 @@ def reference_random_sampler(N, oracle, rng):
                             rng.seed, oracle.query_count - q0)
 
 
+def reference_thread_step(thread, oracle, step, spawn_rate, rng, pending):
+    """`thread_step` one alpha at a time, each probe built and checked alone."""
+    z = thread.current.point
+    y = thread.current.label
+    d = z.shape[0]
+    u = thread.direction
+    w = samplers_mod._orthonormal_to(u, rng) if d > 1 else None
+    for alpha in samplers_mod.ALPHA_SWEEP:
+        if w is None:
+            if alpha not in (1.0, -1.0):
+                continue
+            v = alpha * u
+        else:
+            v = alpha * u + math.sqrt(max(0.0, 1.0 - alpha * alpha)) * w
+        probe = z + step * v
+        if np.any(probe < 0.0) or np.any(probe > 1.0):
+            return None
+        label = oracle.query(probe)
+        if label != y:
+            countdown = thread.spawn_countdown - 1
+            advanced = Thread(current=LabeledSample(probe, label), direction=v,
+                              steps_taken=thread.steps_taken + 1,
+                              spawn_countdown=countdown)
+            if countdown <= 0:
+                pending.append(advanced.current)
+                advanced.spawn_countdown = samplers_mod._draw_spawn_gap(rng, spawn_rate)
+            return advanced
+    return None
+
+
 def reference_boundary_sampler(N, oracle, params, rng):
     params = (params or BoundaryParams()).resolved(N)
     d = oracle.d
@@ -374,8 +404,8 @@ def reference_boundary_sampler(N, oracle, params, rng):
                             spawn_countdown=samplers_mod._draw_spawn_gap(
                                 rng, params.spawn_rate))
             while thread.steps_taken < params.max_steps and len(pts) < N:
-                advanced = thread_step(thread, oracle, params.step,
-                                       params.spawn_rate, rng, pending)
+                advanced = reference_thread_step(thread, oracle, params.step,
+                                                 params.spawn_rate, rng, pending)
                 if advanced is None:
                     break
                 thread = advanced
@@ -515,6 +545,41 @@ class TestBlocksMatchPerPointLoops:
         ref = reference_boundary_sampler(100, PIN_ORACLES[kind](), params, ref_rng)
         assert_same_run(ds, ref, rng, ref_rng)
         assert ds.metadata["fallback_uniform"] is (kind == "constant")
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_thread_step(self, d):
+        # starts anywhere in the cube, a third of them within a step of a
+        # face, so sweeps end on a flip, on a probe outside, or on neither
+        draws = np.random.default_rng(d)
+        oracle = HalfspaceOracle(w=np.ones(d), c=d / 2)
+        ref_oracle = HalfspaceOracle(w=np.ones(d), c=d / 2)
+        ended = set()
+        for trial in range(300):
+            z = draws.uniform(size=d)
+            if trial % 3 == 0:
+                z[draws.integers(d)] = draws.choice([0.01, 0.99])
+            u = draws.normal(size=d)
+            thread = Thread(current=LabeledSample(z, int(z.sum() >= d / 2)),
+                            direction=u / np.linalg.norm(u), steps_taken=trial,
+                            spawn_countdown=int(draws.integers(1, 3)))
+            rng, ref_rng = RandomSource(trial), RandomSource(trial)
+            pending, ref_pending = deque(), deque()
+            out = thread_step(thread, oracle, 0.2, 5.0, rng, pending)
+            ref = reference_thread_step(thread, ref_oracle, 0.2, 5.0, ref_rng,
+                                        ref_pending)
+            assert (out is None) == (ref is None)
+            if out is not None:
+                assert out.current.point.tobytes() == ref.current.point.tobytes()
+                assert out.current.label == ref.current.label
+                assert out.direction.tobytes() == ref.direction.tobytes()
+                assert (out.steps_taken, out.spawn_countdown) == (
+                    ref.steps_taken, ref.spawn_countdown)
+            assert [p.point.tobytes() for p in pending] == [
+                p.point.tobytes() for p in ref_pending]
+            assert oracle.query_count == ref_oracle.query_count
+            assert rng.uniform(2).tobytes() == ref_rng.uniform(2).tobytes()
+            ended.add("flip" if out is not None else "stop")
+        assert ended == {"flip", "stop"}
 
     @pytest.mark.parametrize("kind", list(PIN_ORACLES))
     @pytest.mark.parametrize("N,params", [
