@@ -34,6 +34,13 @@ _ADAM_EPS = 1e-8
 # entries of (features, rows, classes) class counts a tree node scores at once
 _SCORE_BLOCK = 1 << 20
 
+# rows one prediction pass takes, so a network's activations stay bounded.
+# A constant, not a knob: OpenBLAS may round a row differently with the
+# number of rows in the product, so a prediction of up to this many rows
+# keeps the bits of one whole pass.  The toy config, the benchmark and the
+# tests predict at most 10^5 rows at once.
+_PREDICT_CHUNK = 1 << 17
+
 
 class TrainingError(CopySamplerError):
     """Optimization diverged; carries the diagnostics in its message."""
@@ -70,13 +77,19 @@ class CopyModel:
         return int(self.predict_many(np.asarray(z, dtype=np.float64)[None, :])[0])
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
+        """Hard labels of the rows of X, in passes of `_PREDICT_CHUNK` rows."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if self.constant_label is not None:
             return np.full(X.shape[0], self.constant_label, dtype=np.int64)
-        if self.architecture == "dt":
-            return _tree_predict(self.params, X)
-        probs = _net_probs(self.params["layers"], X)
-        return np.argmax(probs, axis=1).astype(np.int64)
+        labels = np.empty(X.shape[0], dtype=np.int64)
+        for i in range(0, X.shape[0], _PREDICT_CHUNK):
+            block = X[i:i + _PREDICT_CHUNK]
+            if self.architecture == "dt":
+                labels[i:i + _PREDICT_CHUNK] = _tree_predict(self.params, block)
+            else:
+                labels[i:i + _PREDICT_CHUNK] = np.argmax(
+                    _net_probs(self.params["layers"], block), axis=1)
+        return labels
 
     def class_probabilities(self, X: np.ndarray) -> np.ndarray:
         """Internal softmax scores; not part of the hard-label surface."""

@@ -34,19 +34,58 @@ JITTER_INITIAL_FACTOR = 1e-12
 JITTER_MAX_FACTOR = 1e-4
 
 
+# The posterior calls LAPACK's dpotrf and dtrtrs itself, with the arguments
+# scipy.linalg's cholesky and solve_triangular pass them, so it gets their
+# bits without their per-call wrapping: each input is checked for
+# finiteness once, where it enters the posterior, not on every solve.
 # scipy is imported on first use: it is about half of the package's import
 # time, and only the posterior needs it, so a process that never fits a GP
 # (a non-bayesian sweep, an oracle server) never loads it.
 def cholesky(a: np.ndarray, lower: bool) -> np.ndarray:
-    from scipy.linalg import cholesky
+    """`scipy.linalg.cholesky(a, lower=lower)` of a finite float64 matrix.
 
-    return cholesky(a, lower=lower)
+    The factor comes back in Fortran order, with its other triangle zeroed.
+    """
+    from scipy.linalg.lapack import dpotrf
+
+    c, info = dpotrf(a, lower=lower, clean=1)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return c
 
 
 def solve_triangular(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
-    from scipy.linalg import solve_triangular
+    """`scipy.linalg.solve_triangular(a, b, lower=lower)` of finite float64 arrays.
 
-    return solve_triangular(a, b, lower=lower)
+    dtrtrs reads Fortran order, so a C-ordered `a` is passed as `a.T`, which
+    is Fortran-ordered, with the transposed system and the other triangle:
+    scipy's rule, and the one that keeps its bits.
+    """
+    from scipy.linalg.lapack import dtrtrs
+
+    if a.flags.f_contiguous:
+        x, info = dtrtrs(a, b, lower=lower)
+    else:
+        x, info = dtrtrs(a.T, b, lower=not lower, trans=1)
+    if info > 0:
+        raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
+    return x
+
+
+def _check_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of `a`."""
+    a = a.view()
+    a.flags.writeable = False
+    return a
 
 
 class PosteriorFitError(CopySamplerError):
@@ -73,16 +112,28 @@ class SEKernel:
         """Default hyperparameters: l = 0.5 sqrt(d), variance = 0.25 k^2."""
         return cls(length_scale=0.5 * math.sqrt(d), variance=0.25 * k * k)
 
-    def matrix(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    def matrix(self, A: np.ndarray, B: np.ndarray,
+               A_sq: np.ndarray | None = None) -> np.ndarray:
+        """The (len(A), len(B)) covariance; `A_sq`, if given, is (A * A).sum(axis=1).
+
+        Built in one array, step by step as
+        variance * exp(-max(|a|^2 + |b|^2 - 2 a.b, 0) / (2 l^2)).
+        """
         A = np.atleast_2d(A)
         B = np.atleast_2d(B)
-        sq = (
-            (A * A).sum(axis=1)[:, None]
-            + (B * B).sum(axis=1)[None, :]
-            - 2.0 * (A @ B.T)
-        )
+        if A_sq is None:
+            A_sq = (A * A).sum(axis=1)
+        B_sq = A_sq if B is A else (B * B).sum(axis=1)
+        AB = A @ B.T
+        AB *= 2.0
+        sq = A_sq[:, None] + B_sq[None, :]
+        sq -= AB
         np.maximum(sq, 0.0, out=sq)
-        return self.variance * np.exp(-sq / (2.0 * self.length_scale**2))
+        np.negative(sq, out=sq)
+        sq /= 2.0 * self.length_scale**2
+        np.exp(sq, out=sq)
+        sq *= self.variance
+        return sq
 
 
 def kernel_eval(kern: SEKernel, z: np.ndarray, z2: np.ndarray) -> float:
@@ -117,23 +168,35 @@ class FastBayesParams:
             raise ValueError("need cap >= init_count >= 1")
         if self.slowness < 1:
             raise ValueError("slowness factor must be >= 1")
+        if self.local_iters < 0:
+            raise ValueError(f"local_iters must be >= 0, got {self.local_iters}")
 
 
 class GPPosterior:
-    """Zero-mean GP conditioned on labelled support; immutable after fit."""
+    """Zero-mean GP conditioned on labelled support; immutable after fit.
+
+    `factor` is the lower Cholesky factor of K + jitter * I.  The targets
+    and the factor are checked for finiteness once, here; `mean_var` checks
+    only the cross-covariance it builds.  The support, the factor, the
+    weights alpha = (K + jitter * I)^-1 y and the support's squared norms,
+    which every `mean_var` call reuses, are kept as read-only views.
+    """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, kern: SEKernel,
                  factor: np.ndarray, jitter: float):
-        self.support_X = X
-        self.support_y = y
+        _check_finite(y)
+        _check_finite(factor)
+        self.support_X = _frozen(X)
+        self.support_y = _frozen(y)
         self.kernel = kern
-        self.factor = factor  # lower-triangular Cholesky of K + jitter*I
+        self.factor = _frozen(factor)
         self.jitter = jitter
+        self._support_sq = _frozen((X * X).sum(axis=1))
         if len(y):
             tmp = solve_triangular(factor, y, lower=True)
-            self._alpha = solve_triangular(factor.T, tmp, lower=False)
+            self._alpha = _frozen(solve_triangular(factor.T, tmp, lower=False))
         else:
-            self._alpha = np.empty(0)
+            self._alpha = _frozen(np.empty(0))
 
     @classmethod
     def prior(cls, kern: SEKernel) -> "GPPosterior":
@@ -150,10 +213,12 @@ class GPPosterior:
         if len(self) == 0:
             m = Z.shape[0]
             return np.zeros(m), np.full(m, self.kernel.variance)
-        Ks = self.kernel.matrix(self.support_X, Z)
+        Ks = self.kernel.matrix(self.support_X, Z, self._support_sq)
+        _check_finite(Ks)
         mu = Ks.T @ self._alpha
         V = solve_triangular(self.factor, Ks, lower=True)
-        var = self.kernel.variance - (V * V).sum(axis=0)
+        V *= V
+        var = self.kernel.variance - V.sum(axis=0)
         np.maximum(var, 0.0, out=var)
         return mu, var
 
@@ -174,10 +239,12 @@ def posterior_fit(X: np.ndarray, y: np.ndarray, kern: SEKernel,
     jit = JITTER_INITIAL_FACTOR * kern.variance if jitter is None else float(jitter)
     cap = JITTER_MAX_FACTOR * kern.variance
     K = kern.matrix(X, X)
-    eye = np.eye(X.shape[0])
+    _check_finite(K)
+    diag = K.diagonal().copy()
     while True:
+        np.fill_diagonal(K, diag + jit)
         try:
-            L = cholesky(K + jit * eye, lower=True)
+            L = cholesky(K, lower=True)
             return GPPosterior(X, y, kern, L, jit)
         except LinAlgError:
             jit *= 2.0

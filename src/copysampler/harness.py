@@ -13,6 +13,7 @@ import configparser
 import contextlib
 import json
 import logging
+import math
 import shlex
 import time
 from dataclasses import dataclass, field, replace as dc_replace
@@ -216,13 +217,20 @@ def _joined(values) -> str:
     return " ".join(str(v) for v in values)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text.strip()!r}")
+    return value
+
+
 _STR = _Type(str)
 _INT = _Type(int)
-_FLOAT = _Type(float)
+_FLOAT = _Type(_finite)
 _BOOL = _Type(_bool, lambda v: str(v).lower())
 _WORDS = _Type(lambda text: tuple(text.split()), _joined)
 _INTS = _Type(lambda text: tuple(int(v) for v in text.split()), _joined)
-_FLOATS = _Type(lambda text: [float(v) for v in text.split()], _joined)
+_FLOATS = _Type(lambda text: [_finite(v) for v in text.split()], _joined)
 _COMMAND = _Type(shlex.split, _joined)
 # written as Python's True/False: existing run directories hold that spelling
 _PYBOOL = _Type(_bool)

@@ -1,8 +1,12 @@
 """Copy models: training, prediction, determinism, persistence."""
 
+import os
 import re
 import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -431,6 +435,54 @@ class TestPredict:
         X = np.array([[0.0], [1.0]])
         model = train("dt", make_dataset(X, np.array([0, 1])))
         assert model.predict(np.array([0.9])) == 1
+
+
+class TestPredictInChunks:
+    @pytest.mark.parametrize("arch", ["lr", "dt", "ann2"])
+    def test_chunks_give_each_block_its_own_labels(self, monkeypatch, arch):
+        X = RandomSource(12).uniform((300, 2))
+        y = (np.linalg.norm(X - 0.5, axis=1) > 0.3).astype(int)
+        model = train(arch, make_dataset(X, y), TrainConfig(seed=3, epochs=5))
+        Z = RandomSource(13).uniform((50, 2))
+        whole = model.predict_many(Z)
+        monkeypatch.setattr(copies, "_PREDICT_CHUNK", 7)
+        chunked = model.predict_many(Z)
+        blocks = [model.predict_many(Z[i:i + 7]) for i in range(0, 50, 7)]
+        assert chunked.dtype == whole.dtype == np.int64
+        np.testing.assert_array_equal(chunked, np.concatenate(blocks))
+        assert model.predict_many(np.empty((0, 2))).shape == (0,)
+
+    def test_one_pass_up_to_the_chunk(self):
+        model = CopyModel("ann2", d=2, k=3,
+                          params={"layers": _net_init(2, 3, (50, 50, 50), RandomSource(4))})
+        X = RandomSource(5).uniform((20_000, 2))
+        one_pass = np.argmax(copies._net_probs(model.params["layers"], X), axis=1)
+        assert model.predict_many(X).tobytes() == one_pass.astype(np.int64).tobytes()
+
+    def test_memory_stays_bounded(self):
+        # ann2 over 10^6 x 8 rows in one pass grew peak RSS by about 1.2 GB
+        code = (
+            "import resource\n"
+            "from copysampler.copies import CopyModel, _net_init\n"
+            "from copysampler.core import RandomSource\n"
+            "rng = RandomSource(0)\n"
+            "X = rng.uniform((10**6, 8))\n"
+            "model = CopyModel('ann2', d=8, k=2,\n"
+            "                  params={'layers': _net_init(8, 2, (50, 50, 50), rng)})\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "labels = model.predict_many(X)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "assert labels.shape == (10**6,)\n"
+            "print((after - before) / 1024)\n"
+        )
+        src = str(Path(copies.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout.split()[-1]) < 300.0
 
 
 class TestDeterminism:

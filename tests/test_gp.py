@@ -540,6 +540,172 @@ class TestReferenceBayesianSampler:
         assert np.median(ref_fracs) >= np.median(fast_fracs)
 
 
+def reference_kernel_matrix(kern, A, B):
+    """The SE covariance as one expression, a temporary per step."""
+    A = np.atleast_2d(A)
+    B = np.atleast_2d(B)
+    sq = (
+        (A * A).sum(axis=1)[:, None]
+        + (B * B).sum(axis=1)[None, :]
+        - 2.0 * (A @ B.T)
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return kern.variance * np.exp(-sq / (2.0 * kern.length_scale**2))
+
+
+class ReferencePosterior:
+    """The posterior through scipy.linalg's public, checked wrappers.
+
+    The yardstick for the direct LAPACK path: `posterior_fit` must give
+    this factor, these weights and these means and variances bit for bit.
+    """
+
+    def __init__(self, X, y, kern, jitter=None):
+        from scipy.linalg import cholesky, solve_triangular
+
+        self.solve = solve_triangular
+        self.support_X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        y = np.asarray(y, dtype=np.float64).reshape(-1)
+        self.kernel = kern
+        jit = gp_mod.JITTER_INITIAL_FACTOR * kern.variance if jitter is None else jitter
+        K = reference_kernel_matrix(kern, self.support_X, self.support_X)
+        eye = np.eye(len(y))
+        while True:
+            try:
+                self.factor = cholesky(K + jit * eye, lower=True)
+                tmp = solve_triangular(self.factor, y, lower=True)
+                self._alpha = solve_triangular(self.factor.T, tmp, lower=False)
+                break
+            except gp_mod.LinAlgError:
+                jit *= 2.0
+                if jit > gp_mod.JITTER_MAX_FACTOR * kern.variance:
+                    raise PosteriorFitError("reference fit failed") from None
+        self.jitter = jit
+
+    def mean_var(self, Z):
+        Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
+        Ks = reference_kernel_matrix(self.kernel, self.support_X, Z)
+        mu = Ks.T @ self._alpha
+        V = self.solve(self.factor, Ks, lower=True)
+        var = self.kernel.variance - (V * V).sum(axis=0)
+        np.maximum(var, 0.0, out=var)
+        return mu, var
+
+
+def _support(seed, n, d, m):
+    """Support, targets, queries and a kernel whose 2 l^2 has no exact inverse."""
+    rng = RandomSource(seed)
+    X = rng.uniform((n, d))
+    y = np.array([rng.integers(3) for _ in range(n)], dtype=np.float64)
+    return X, y, rng.uniform((m, d)), SEKernel(0.45 * math.sqrt(d), 2.25)
+
+
+class TestLapackPath:
+    """The direct dpotrf/dtrtrs path against scipy's wrappers, bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 6, 90])
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    @pytest.mark.parametrize("n", [1, 2, 37, 300])
+    def test_posterior_matches_scipy_path(self, n, d, m):
+        X, y, Z, kern = _support(n * 100 + d * 10 + m, n, d, m)
+        ref = ReferencePosterior(X, y, kern)
+        gp = posterior_fit(X, y, kern)
+        assert gp.jitter == ref.jitter
+        assert gp.factor.tobytes() == ref.factor.tobytes()
+        assert gp._alpha.tobytes() == ref._alpha.tobytes()
+        mu, var = gp.mean_var(Z)
+        mu_ref, var_ref = ref.mean_var(Z)
+        assert mu.tobytes() == mu_ref.tobytes()
+        assert var.tobytes() == var_ref.tobytes()
+
+    @pytest.mark.parametrize("n", [37, 300])
+    def test_escalated_jitter_matches_scipy_path(self, n):
+        # points on a line, from a jitter far too small to factor with
+        X, y, Z, kern = _support(5, n, 1, 6)
+        gp = posterior_fit(X, y, kern, jitter=1e-20)
+        ref = ReferencePosterior(X, y, kern, jitter=1e-20)
+        assert gp.jitter > 1e-15
+        assert gp.jitter == ref.jitter
+        assert gp.factor.tobytes() == ref.factor.tobytes()
+        assert gp.mean_var(Z)[1].tobytes() == ref.mean_var(Z)[1].tobytes()
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_sampler_matches_scipy_path(self, monkeypatch, d):
+        oracle = ConcentricCirclesOracle(center=[0.5] * d, radii=[0.3, 0.6])
+        params = FastBayesParams(cap=30)
+        ds = fast_bayesian_sampler(120, oracle, params=params, rng=RandomSource(d))
+        monkeypatch.setattr(gp_mod, "posterior_fit",
+                            lambda X, y, kern: ReferencePosterior(X, y, kern))
+        ref = fast_bayesian_sampler(120, oracle, params=params, rng=RandomSource(d))
+        assert ds.X.tobytes() == ref.X.tobytes()
+        assert ds.y.tobytes() == ref.y.tobytes()
+        assert ds.metadata == ref.metadata
+
+    @pytest.mark.parametrize("K", [
+        -np.eye(3),
+        np.array([[1.0, 2.0], [2.0, 1.0]]),
+        np.asfortranarray([[4.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    ], ids=["negative", "indefinite", "singular-fortran"])
+    def test_non_positive_definite_raises(self, K):
+        with pytest.raises(gp_mod.LinAlgError):
+            gp_mod.cholesky(K, lower=True)
+
+    def test_singular_factor_raises(self):
+        L = np.array([[1.0, 0.0], [1.0, 0.0]])
+        for a in (L, np.asfortranarray(L)):
+            with pytest.raises(gp_mod.LinAlgError):
+                gp_mod.solve_triangular(a, np.ones(2), lower=True)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariance_raises(self, bad):
+        X, y, _, kern = _support(3, 5, 2, 1)
+        X[2, 1] = bad  # inf - inf: NaN in K
+        with pytest.raises(ValueError, match="infs or NaNs"), np.errstate(invalid="ignore"):
+            posterior_fit(X, y, kern)
+
+    def test_infinite_covariance_raises(self):
+        X, y, _, _ = _support(3, 5, 2, 1)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            posterior_fit(X, y, SEKernel(0.5, np.inf))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_targets_raise(self, bad):
+        X, y, _, kern = _support(3, 5, 2, 1)
+        y[4] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            posterior_fit(X, y, kern)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cross_covariance_raises(self, bad):
+        X, y, Z, kern = _support(3, 5, 2, 4)
+        Z[1, 0] = bad  # inf - inf: NaN in Ks (-inf gives exp(-inf) = 0)
+        gp = posterior_fit(X, y, kern)
+        with pytest.raises(ValueError, match="infs or NaNs"), np.errstate(invalid="ignore"):
+            gp.mean_var(Z)
+
+    def test_infinite_cross_covariance_raises(self):
+        X, y, Z, _ = _support(3, 2, 2, 4)
+        gp = GPPosterior(X, y, SEKernel(0.5, np.inf), np.eye(2), 1e-12)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            gp.mean_var(Z)
+
+    def test_non_finite_factor_rejected_at_build(self):
+        L = np.eye(2)
+        L[1, 0] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            GPPosterior(np.eye(2), np.zeros(2), SEKernel(0.5, 1.0), L, 1e-12)
+
+    def test_stored_arrays_are_read_only(self):
+        X, y, Z, kern = _support(8, 12, 2, 3)
+        gp = posterior_fit(X, y, kern)
+        for a in (gp.factor, gp.support_X, gp.support_y, gp._alpha):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        X[0, 0] = 0.5  # the caller's arrays stay its own to write
+        assert GPPosterior.prior(kern).factor.flags.writeable is False
+
+
 class TestJitterEscalation:
     def test_fit_error_when_cap_exceeded(self, monkeypatch):
         # force every factorization to fail so escalation runs out
@@ -580,6 +746,23 @@ class TestLazyScipy:
     ])
     def test_import_leaves_scipy_unloaded(self, code):
         assert not self.scipy_loaded_after(code)
+
+    def test_sweep_without_the_bayesian_method_leaves_scipy_unloaded(self, tmp_path):
+        config = tmp_path / "no-bayes.ini"
+        config.write_text(
+            "[experiment]\nrepetitions = 1\n"
+            "[oracle]\nkind = circles\ncenter = 0.5 0.5\nradii = 0.25\n"
+            "[samplers]\nmethods = random boundary jacobian\n"
+            "[copies]\narchitectures = lr dt\nepochs = 5\n"
+            "[evaluation]\nn_grid = 60\nreference_size = 500\n"
+        )
+        out = tmp_path / "run"
+        assert not self.scipy_loaded_after(
+            "from copysampler import cli\n"
+            f"assert cli.main(['run', '--config', {str(config)!r}, "
+            f"'--out', {str(out)!r}, '--seed', '3']) == 0"
+        )
+        assert "jacobian" in (out / "report.csv").read_text()
 
     def test_posterior_fit_loads_scipy(self):
         assert self.scipy_loaded_after(

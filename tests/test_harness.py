@@ -423,12 +423,31 @@ class TestConfigParsing:
         ("evaluation", "n_grid = 0 5", "n_grid must list budgets >= 1"),
         ("evaluation", "n_grid =", "n_grid must list budgets >= 1"),
         ("evaluation", "tie_margin = -1", "tie_margin must be >= 0"),
+        *[("samplers.bayesian", f"{name} = {value}", "expected a finite number")
+          for name in ("length_scale", "variance", "tau", "slowness")
+          for value in ("inf", "nan")],
+        ("samplers.bayesian", "local_iters = -1", "local_iters must be >= 0"),
+        ("samplers.boundary", "step = inf", "expected a finite number"),
+        ("samplers.boundary", "spawn_rate = nan", "expected a finite number"),
+        ("copies", "step_size = nan", "expected a finite number"),
+        ("copies", "step_size = inf", "expected a finite number"),
+        ("evaluation", "tie_margin = -Infinity", "expected a finite number"),
     ], ids=["zero-length-scale", "negative-length-scale", "zero-variance",
-            "zero-reference-size", "zero-budget", "no-budget", "negative-tie-margin"])
+            "zero-reference-size", "zero-budget", "no-budget", "negative-tie-margin",
+            *[f"{name}-{value}" for name in ("length-scale", "variance", "tau", "slowness")
+              for value in ("inf", "nan")],
+            "negative-local-iters", "infinite-step", "nan-spawn-rate", "nan-step-size",
+            "infinite-step-size", "infinite-tie-margin"])
     def test_out_of_range_value_rejected(self, tmp_path, section, key, match):
         path = tmp_path / "bad.ini"
         path.write_text(CIRCLES_ORACLE + f"[{section}]\n{key}\n")
         with pytest.raises(ConfigError, match=match):
+            load_config(path)
+
+    def test_non_finite_list_value_rejected(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[oracle]\nkind = circles\ncenter = 0.5 nan\nradii = 0.25\n")
+        with pytest.raises(ConfigError, match="expected a finite number, got 'nan'"):
             load_config(path)
 
     @pytest.mark.parametrize("samplers, grid, match", [
