@@ -11,8 +11,12 @@ sample and exists only as a small-scale quality yardstick.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,17 +42,57 @@ JITTER_MAX_FACTOR = 1e-4
 # scipy.linalg's cholesky and solve_triangular pass them, so it gets their
 # bits without their per-call wrapping: each input is checked for
 # finiteness once, where it enters the posterior, not on every solve.
-# scipy is imported on first use: it is about half of the package's import
-# time, and only the posterior needs it, so a process that never fits a GP
-# (a non-bayesian sweep, an oracle server) never loads it.
+# Both come from scipy's compiled LAPACK module, loaded at the first fit
+# (see `_lapack`), so a process that never fits a GP (a non-bayesian sweep,
+# an oracle server) loads no scipy at all, and one that does loads only
+# that extension.
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _lapack():
+    """scipy's compiled LAPACK module, `scipy.linalg._flapack`.
+
+    `scipy.linalg.lapack` re-exports its functions, but importing that runs
+    the package inits of scipy and scipy.linalg: some 85 scipy modules plus
+    numpy.f2py, numpy.testing and numpy.ma, about 0.17 s and 23 MB per
+    process, against about 4 ms and 2.6 MB for the extension file alone
+    (README gives the measurement).  So the file is loaded on its own and
+    registered under its name, which a later `import scipy.linalg` reuses.
+    Should that fail (a platform whose scipy sets up library paths in its
+    package init), the module is imported through scipy as usual.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        try:
+            module = _load_flapack()
+        except (ImportError, OSError):
+            from scipy.linalg import _flapack as module
+    return module
+
+
+def _load_flapack():
+    """Load scipy's `linalg/_flapack` extension file and register it."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("scipy is not installed")
+    finder = importlib.machinery.FileFinder(
+        os.path.join(scipy.submodule_search_locations[0], "linalg"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(_FLAPACK)
+    if spec is None:
+        raise ImportError(f"no {_FLAPACK} extension file in scipy")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_FLAPACK] = module
+    return module
+
+
 def cholesky(a: np.ndarray, lower: bool) -> np.ndarray:
     """`scipy.linalg.cholesky(a, lower=lower)` of a finite float64 matrix.
 
     The factor comes back in Fortran order, with its other triangle zeroed.
     """
-    from scipy.linalg.lapack import dpotrf
-
-    c, info = dpotrf(a, lower=lower, clean=1)
+    c, info = _lapack().dpotrf(a, lower=lower, clean=1)
     if info > 0:
         raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
     if info < 0:
@@ -63,8 +107,7 @@ def solve_triangular(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
     is Fortran-ordered, with the transposed system and the other triangle:
     scipy's rule, and the one that keeps its bits.
     """
-    from scipy.linalg.lapack import dtrtrs
-
+    dtrtrs = _lapack().dtrtrs
     if a.flags.f_contiguous:
         x, info = dtrtrs(a, b, lower=lower)
     else:
@@ -104,8 +147,17 @@ class SEKernel:
     variance: float
 
     def __post_init__(self):
-        if self.length_scale <= 0 or self.variance <= 0:
-            raise ValueError("length_scale and variance must be positive")
+        try:
+            scale = 2.0 * float(self.length_scale) ** 2  # the kernel's divisor
+        except OverflowError:
+            scale = math.inf
+        if not (self.length_scale > 0 and 0 < scale < math.inf):
+            raise ValueError("length_scale must be > 0 with 2 * length_scale**2 finite "
+                             f"and > 0, got {self.length_scale}")
+        # An infinite variance gets through: every covariance it builds holds
+        # inf or NaN, which the posterior rejects where the covariance enters.
+        if not self.variance > 0:
+            raise ValueError(f"variance must be > 0, got {self.variance}")
 
     @classmethod
     def for_problem(cls, d: int, k: int) -> "SEKernel":
@@ -116,8 +168,14 @@ class SEKernel:
                A_sq: np.ndarray | None = None) -> np.ndarray:
         """The (len(A), len(B)) covariance; `A_sq`, if given, is (A * A).sum(axis=1).
 
-        Built in one array, step by step as
-        variance * exp(-max(|a|^2 + |b|^2 - 2 a.b, 0) / (2 l^2)).
+        The bits of variance * exp(-max(|a|^2 + |b|^2 - 2 a.b, 0) / (2 l^2)),
+        built in one array in fewer passes: each row starts as |b|^2 and gets
+        its |a|^2 added (a + b == b + a), the sign goes into the divisor
+        (x / -c == -(x / c)), and the clamp comes after the division, since
+        exp(min(x / -c, 0)) == exp(-max(x, 0) / c) for every x, ±0 and ±inf
+        included, as c = 2 l^2 is finite and > 0 (the constructor checks).
+        A NaN x gives NaN both ways (its sign bit may differ; the posterior
+        rejects it anyway).
         """
         A = np.atleast_2d(A)
         B = np.atleast_2d(B)
@@ -126,11 +184,12 @@ class SEKernel:
         B_sq = A_sq if B is A else (B * B).sum(axis=1)
         AB = A @ B.T
         AB *= 2.0
-        sq = A_sq[:, None] + B_sq[None, :]
+        sq = np.empty_like(AB)
+        sq[...] = B_sq
+        sq += A_sq[:, None]
         sq -= AB
-        np.maximum(sq, 0.0, out=sq)
-        np.negative(sq, out=sq)
-        sq /= 2.0 * self.length_scale**2
+        sq /= -2.0 * self.length_scale**2
+        np.minimum(sq, 0.0, out=sq)
         np.exp(sq, out=sq)
         sq *= self.variance
         return sq
@@ -152,8 +211,8 @@ class AcquisitionParams:
     tau: float = 10.0
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError("tau must be non-negative")
+        if not 0 <= self.tau < math.inf:
+            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -166,9 +225,9 @@ class FastBayesParams:
     def __post_init__(self):
         if not self.cap >= self.init_count >= 1:
             raise ValueError("need cap >= init_count >= 1")
-        if self.slowness < 1:
-            raise ValueError("slowness factor must be >= 1")
-        if self.local_iters < 0:
+        if not 1 <= self.slowness < math.inf:
+            raise ValueError(f"slowness factor must be finite and >= 1, got {self.slowness}")
+        if not self.local_iters >= 0:
             raise ValueError(f"local_iters must be >= 0, got {self.local_iters}")
 
 
@@ -227,8 +286,9 @@ def posterior_fit(X: np.ndarray, y: np.ndarray, kern: SEKernel,
                   jitter: float | None = None) -> GPPosterior:
     """Condition a zero-mean GP on (X, y) with class indices as targets.
 
-    The diagonal jitter starts at 1e-12 * variance and doubles on each
-    factorization failure, giving up at 1e-4 * variance.
+    The diagonal jitter starts at 1e-12 * variance, or at `jitter`, and
+    doubles on each factorization failure, giving up at 1e-4 * variance.
+    It must start finite and > 0, or doubling would never reach the cap.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -240,6 +300,8 @@ def posterior_fit(X: np.ndarray, y: np.ndarray, kern: SEKernel,
     cap = JITTER_MAX_FACTOR * kern.variance
     K = kern.matrix(X, X)
     _check_finite(K)
+    if not 0 < jit < math.inf:
+        raise ValueError(f"jitter must be finite and > 0, got {jit}")
     diag = K.diagonal().copy()
     while True:
         np.fill_diagonal(K, diag + jit)

@@ -150,6 +150,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ConfigError(f"{name.removeprefix('kernel_')} must be > 0, got {value}")
+        if self.kernel_length_scale is not None:
+            try:  # 2 l^2 must not overflow or underflow either
+                SEKernel(self.kernel_length_scale, 1.0)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         # the smallest budget each method can run, and the setting behind it
         least = {
             "boundary": (2, "one uniform and one boundary point"),

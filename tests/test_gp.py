@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,51 @@ def separated_points(rng, n, d, min_sep=0.1):
     return np.array(pts)
 
 
+def _kernel_case(n, m, d, same=False, bad=(), seed=0):
+    """A builder of (A, B, kernel): n by m points in d dimensions.
+
+    `same` makes B the very array A, `bad` writes (array, row, column,
+    value) entries into them.
+    """
+    def build():
+        rng = RandomSource(seed)
+        A = rng.uniform((n, d))
+        B = A if same else rng.uniform((m, d))
+        for which, row, col, value in bad:
+            (A if which == "A" else B)[row, col] = value
+        return A, B, SEKernel(0.45 * math.sqrt(d), 2.25)
+    return build
+
+
+def _coincident(copy):
+    def build():
+        A = np.repeat(RandomSource(4).uniform((6, 2)), 3, axis=0)
+        A[-1] = A[0]
+        return A, (A.copy() if copy else A), SEKernel(0.3, 1.0)
+    return build
+
+
+KERNEL_CASES = {
+    "support-300x300": _kernel_case(300, 300, 2, same=True, seed=1),
+    "support-300-by-90-queries-d8": _kernel_case(300, 90, 8, seed=2),
+    "d1": _kernel_case(37, 6, 1, seed=3),
+    "coincident-same-array": _coincident(copy=False),
+    "coincident-copy": _coincident(copy=True),
+    "inf-nan-coordinates": _kernel_case(12, 9, 3, seed=5, bad=[
+        ("A", 0, 0, np.inf), ("A", 1, 2, -np.inf), ("A", 2, 1, np.nan),
+        ("B", 3, 0, np.inf), ("B", 4, 1, -np.inf), ("B", 5, 2, np.nan),
+        ("A", 3, 0, np.inf), ("A", 3, 1, -np.inf),
+    ]),
+    "inf-nan-same-array": _kernel_case(10, 10, 2, same=True, seed=6, bad=[
+        ("A", 0, 0, np.inf), ("A", 1, 1, -np.inf), ("A", 2, 0, np.nan),
+    ]),
+    "overflow-and-far": _kernel_case(8, 7, 2, seed=7, bad=[
+        ("A", 0, 0, 1e160), ("B", 1, 1, -1e160), ("A", 2, 0, 40.0),
+        ("B", 2, 1, 1e-170), ("A", 4, 1, -0.0),
+    ]),
+}
+
+
 class TestKernel:
     def test_zero_distance(self):
         kern = SEKernel(0.4, 2.5)
@@ -78,6 +124,38 @@ class TestKernel:
         X = rng.uniform((8, 3))
         K = SEKernel(0.5, 1.0).matrix(X, X)
         np.testing.assert_allclose(K, K.T, atol=1e-15)
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_matrix_matches_one_expression_kernel(self, case):
+        A, B, kern = KERNEL_CASES[case]()
+        with np.errstate(invalid="ignore", over="ignore"):
+            expect = reference_kernel_matrix(kern, A, B)
+            got = [kern.matrix(A, B), kern.matrix(A, B, (A * A).sum(axis=1))]
+        for K in got:
+            # NaN entries may differ in sign bit alone: the one-expression
+            # kernel negates after its clamp
+            nan = np.isnan(expect)
+            assert (np.isnan(K) == nan).all()
+            assert np.where(nan, 0.0, K).tobytes() == np.where(nan, 0.0, expect).tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda: SEKernel(math.inf, 1.0),
+        lambda: SEKernel(math.nan, 1.0),
+        lambda: SEKernel(-math.inf, 1.0),
+        lambda: SEKernel(1e160, 1.0),
+        lambda: SEKernel(1e-170, 1.0),
+        lambda: SEKernel(0.5, math.nan),
+        lambda: AcquisitionParams(tau=math.inf),
+        lambda: AcquisitionParams(tau=math.nan),
+        lambda: FastBayesParams(slowness=math.inf),
+        lambda: FastBayesParams(slowness=math.nan),
+        lambda: FastBayesParams(local_iters=math.nan),
+    ], ids=["length-inf", "length-nan", "length-neg-inf", "length-square-overflows",
+            "length-square-underflows", "variance-nan", "tau-inf",
+            "tau-nan", "slowness-inf", "slowness-nan", "local-iters-nan"])
+    def test_non_finite_parameter_rejected(self, make):
+        with pytest.raises(ValueError, match="must be"):
+            make()
 
 
 class TestPosterior:
@@ -706,6 +784,19 @@ class TestLapackPath:
         assert GPPosterior.prior(kern).factor.flags.writeable is False
 
 
+def run_fresh(code: str, timeout: float = 60) -> str:
+    """The stdout of `code`, run in a fresh interpreter that finds the package."""
+    src = str(Path(gp_mod.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=timeout,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 class TestJitterEscalation:
     def test_fit_error_when_cap_exceeded(self, monkeypatch):
         # force every factorization to fail so escalation runs out
@@ -719,25 +810,53 @@ class TestJitterEscalation:
             posterior_fit(np.array([[0.1], [0.9]]), np.array([0.0, 1.0]),
                           SEKernel(0.5, 1.0))
 
+    @pytest.mark.parametrize("jitter", ["0.0", "-1e-12", "nan", "inf"])
+    def test_jitter_that_cannot_escalate_rejected(self, jitter):
+        # Doubling 0, a negative or NaN never passes the cap, so a singular
+        # kernel would loop for ever: run it apart, under a timeout.
+        out = run_fresh(f"""
+            import numpy as np
+            from copysampler import SEKernel, posterior_fit
+            try:
+                posterior_fit(np.full((2, 2), 0.5), np.array([0.0, 1.0]),
+                              SEKernel(0.5, 1.0), jitter=float({jitter!r}))
+            except ValueError as exc:
+                print(exc)
+        """, timeout=20)
+        assert "jitter must be finite and > 0" in out
+
 
 class TestLazyScipy:
-    """scipy loads at the first posterior fit, never at import.
+    """Only scipy's LAPACK extension loads, at the first posterior fit.
 
     Each check runs in a fresh interpreter: this process may hold scipy
     already.
     """
 
+    FIT = ("import numpy as np\n"
+           "from copysampler import SEKernel, posterior_fit\n"
+           "posterior_fit(np.array([[0.1], [0.9]]), np.array([0.0, 1.0]), SEKernel(0.5, 1.0))")
+
+    # a fit, its mean and variance at fixed points, and a digest of their bytes
+    DIGEST = """
+        import hashlib, numpy as np
+        from copysampler import SEKernel, posterior_fit
+        from copysampler.core import RandomSource
+        rng = RandomSource(9)
+        X, Z = rng.uniform((60, 3)), rng.uniform((25, 3))
+        gp = posterior_fit(X, (X[:, 0] > 0.5).astype(float), SEKernel(0.4, 2.25))
+        parts = (gp.factor, gp._alpha) + gp.mean_var(Z)
+        print(hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest())
+    """
+
     @staticmethod
-    def scipy_loaded_after(code: str) -> bool:
-        src = str(Path(gp_mod.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", f"{code}\nimport sys\nprint('scipy' in sys.modules)"],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True, text=True, timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-        return done.stdout.split()[-1] == "True"
+    def loaded_after(code: str, *names: str) -> list[bool]:
+        out = run_fresh(f"{code}\nimport sys\nprint(*[n in sys.modules for n in {names!r}])")
+        return [word == "True" for word in out.split()[-len(names):]]
+
+    @classmethod
+    def scipy_loaded_after(cls, code: str) -> bool:
+        return cls.loaded_after(code, "scipy")[0]
 
     @pytest.mark.parametrize("code", [
         "import copysampler",
@@ -765,11 +884,51 @@ class TestLazyScipy:
         assert "jacobian" in (out / "report.csv").read_text()
 
     def test_posterior_fit_loads_scipy(self):
-        assert self.scipy_loaded_after(
-            "import numpy as np\n"
-            "from copysampler import SEKernel, posterior_fit\n"
-            "posterior_fit(np.array([[0.1], [0.9]]), np.array([0.0, 1.0]), SEKernel(0.5, 1.0))"
-        )
+        # scipy's LAPACK extension, and not the scipy or scipy.linalg package
+        assert self.loaded_after(self.FIT, gp_mod._FLAPACK, "scipy", "scipy.linalg") == [
+            True, False, False]
+
+    def test_scipy_linalg_imported_later_reuses_the_module(self):
+        out = run_fresh(self.FIT + """
+import sys
+import numpy as np
+import copysampler.gp as gp
+lapack = sys.modules[gp._FLAPACK]
+assert "scipy.linalg" not in sys.modules
+import scipy.linalg
+assert scipy.linalg.lapack.dpotrf is gp._lapack().dpotrf is lapack.dpotrf
+assert scipy.linalg.lapack.dtrtrs is lapack.dtrtrs
+rng = np.random.default_rng(5)
+X = rng.random((40, 3))
+K = gp.SEKernel(0.6, 2.0).matrix(X, X)
+K[np.diag_indices(40)] += 1e-6
+L = gp.cholesky(K, lower=True)
+assert L.tobytes() == scipy.linalg.cholesky(K, lower=True).tobytes()
+B = rng.random((40, 7))
+for a, lower in ((L, True), (L.T, False), (np.ascontiguousarray(L), True)):
+    got = gp.solve_triangular(a, B, lower=lower)
+    assert got.tobytes() == scipy.linalg.solve_triangular(a, B, lower=lower).tobytes()
+print("same")
+""")
+        assert out.split()[-1] == "same"
+
+    @pytest.mark.parametrize("error", ["ImportError", "OSError"])
+    def test_fallback_import_gives_the_same_bits(self, error):
+        direct = run_fresh(self.DIGEST + """
+        import sys
+        print("scipy.linalg" in sys.modules)
+        """).split()
+        fallback = run_fresh(f"""
+        import copysampler.gp as gp
+        def refuse():
+            raise {error}("refused")
+        gp._load_flapack = refuse
+        """ + self.DIGEST + """
+        import sys
+        print("scipy.linalg" in sys.modules)
+        """).split()
+        assert direct[1] == "False" and fallback[1] == "True"
+        assert direct[0] == fallback[0]
 
     def test_caught_error_is_the_one_scipy_raises(self):
         with pytest.raises(gp_mod.LinAlgError):

@@ -418,6 +418,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize("section, key, match", [
         ("samplers.bayesian", "length_scale = 0", "length_scale must be > 0"),
         ("samplers.bayesian", "length_scale = -0.5", "length_scale must be > 0"),
+        ("samplers.bayesian", "length_scale = 1e160", r"2 \* length_scale\*\*2 finite"),
+        ("samplers.bayesian", "length_scale = 1e-170", r"2 \* length_scale\*\*2 finite"),
         ("samplers.bayesian", "variance = 0", "variance must be > 0"),
         ("evaluation", "reference_size = 0", "reference_size must be >= 1"),
         ("evaluation", "n_grid = 0 5", "n_grid must list budgets >= 1"),
@@ -432,7 +434,8 @@ class TestConfigParsing:
         ("copies", "step_size = nan", "expected a finite number"),
         ("copies", "step_size = inf", "expected a finite number"),
         ("evaluation", "tie_margin = -Infinity", "expected a finite number"),
-    ], ids=["zero-length-scale", "negative-length-scale", "zero-variance",
+    ], ids=["zero-length-scale", "negative-length-scale", "length-scale-square-overflows",
+            "length-scale-square-underflows", "zero-variance",
             "zero-reference-size", "zero-budget", "no-budget", "negative-tie-margin",
             *[f"{name}-{value}" for name in ("length-scale", "variance", "tau", "slowness")
               for value in ("inf", "nan")],
