@@ -257,22 +257,27 @@ def _net_init(d: int, k: int, hidden: Sequence[int], rng: RandomSource):
     return layers
 
 
-def _net_forward(layers, X):
-    """Activations of every layer.
+def _layer_outputs(layers, X):
+    """Yield each layer's output in turn, the logits last.
 
     Works on one network (2-D X) or on R stacked ones (X of shape (R, b, d),
     W of shape (R, n_in, n_out), b of shape (R, n_out)).  A stacked product
-    is one matmul per cell, the same BLAS call a lone network makes.
+    is one matmul per cell, the same BLAS call a lone network makes.  The
+    loop lets go of an output once it has computed the next, so a caller
+    that does the same holds at most a layer and its input.
     """
-    acts = [X]
     a = X
     for i, (W, b) in enumerate(layers):
         a = a @ W
         a += b[..., None, :]
         if i < len(layers) - 1:
             np.maximum(a, 0.0, out=a)
-        acts.append(a)
-    return acts
+        yield a
+
+
+def _net_forward(layers, X):
+    """Activations of every layer, the input first; shapes as `_layer_outputs`."""
+    return [X, *_layer_outputs(layers, X)]
 
 
 def _softmax(logits):
@@ -289,7 +294,9 @@ def _softmax(logits):
 
 
 def _net_probs(layers, X):
-    return _softmax(_net_forward(layers, X)[-1])
+    for logits in _layer_outputs(layers, X):
+        pass
+    return _softmax(logits)
 
 
 def _one_hot(y, k):
@@ -469,14 +476,14 @@ def _tree_fit(X, y, k, cfg: TrainConfig):
     re-sorts every feature at every node.  `_best_split` scores the
     features of a node together.
 
-    Memory: the lists cost d x n int64 (64 MB at 10^6 x 8), and a split
-    holds a node's lists and its children's at once.  Scoring a node adds a
-    few (d, m) arrays and, per block of features, one int32 and one float64
-    (features, m, k) array of at most `_SCORE_BLOCK` entries, or of one
-    feature if that is more.  Peak RSS growth of one fit on 8 features in a
-    fresh process: 44 MB at 10^5 rows and 210 MB at 10^6 rows with k = 2,
-    37 MB and 362 MB with k = 10 (re-sorting each node's columns: 14 and
-    49 MB with k = 2, 47 and 421 MB with k = 10).
+    Memory: the lists cost d x n int32 (32 MB at 10^6 x 8; int64 from 2^31
+    rows), and a split holds a node's lists and its children's at once.
+    Scoring a node adds a few (d, m) arrays and, per block of features, one
+    int32 and one float64 (features, m, k) array of at most `_SCORE_BLOCK`
+    entries, or of one feature if that is more.  Peak RSS growth of one fit
+    on 8 features in a fresh process: 42 MB at 10^5 rows and 179 MB at 10^6
+    rows with k = 2 (210 MB with int64 lists; re-sorting each node's
+    columns: 14 and 49 MB), 28 MB and 263 MB with k = 10.
     """
     n, d = X.shape
     XT = np.ascontiguousarray(X.T)
@@ -497,7 +504,10 @@ def _tree_fit(X, y, k, cfg: TrainConfig):
         return len(feature) - 1
 
     root = new_node()
-    stack = [(root, np.argsort(XT, axis=1, kind="stable"), 0)]
+    lists = np.argsort(XT, axis=1, kind="stable")
+    if n < 2**31:
+        lists = lists.astype(np.int32)
+    stack = [(root, lists, 0)]
     while stack:
         node, lists, depth = stack.pop()
         max_depth_seen = max(max_depth_seen, depth)

@@ -20,8 +20,8 @@ TARGET_STD = 1.0 / 5.152
 _MASK64 = (1 << 64) - 1
 
 # Rows formatted per write by `SyntheticDataset.to_csv`: the text of a block
-# (some 0.7 MB at d = 8) stays small however many rows a set holds.
-_CSV_BLOCK_ROWS = 4096
+# (some 0.17 MB at d = 8) stays small however many rows a set holds.
+_CSV_BLOCK_ROWS = 1024
 
 # Type aliases: points are plain float64 vectors, labels plain ints.
 Point = np.ndarray

@@ -21,7 +21,14 @@ from copysampler import (
     train_many,
 )
 from copysampler import copies
-from copysampler.copies import _net_init, _softmax, _tree_fit, network_loss_and_grad
+from copysampler.copies import (
+    _net_forward,
+    _net_init,
+    _net_probs,
+    _softmax,
+    _tree_fit,
+    network_loss_and_grad,
+)
 from copysampler.core import RandomSource, SyntheticDataset
 
 
@@ -437,6 +444,36 @@ class TestPredict:
         assert model.predict(np.array([0.9])) == 1
 
 
+ANN2_SETUP = (
+    "from copysampler.copies import CopyModel, _net_init\n"
+    "from copysampler.core import RandomSource\n"
+    "rng = RandomSource(0)\n"
+    "X = rng.uniform(({rows}, 8))\n"
+    "model = CopyModel('ann2', d=8, k=2,\n"
+    "                  params={{'layers': _net_init(8, 2, (50, 50, 50), rng)}})\n"
+)
+
+
+def peak_rss_growth_mb(setup, statement):
+    """Peak RSS growth, in MiB, over `statement` run after `setup` in a fresh process."""
+    code = (
+        "import resource\n"
+        f"{setup}\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"{statement}\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print((after - before) / 1024)\n"
+    )
+    src = str(Path(copies.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return float(done.stdout.split()[-1])
+
+
 class TestPredictInChunks:
     @pytest.mark.parametrize("arch", ["lr", "dt", "ann2"])
     def test_chunks_give_each_block_its_own_labels(self, monkeypatch, arch):
@@ -461,28 +498,19 @@ class TestPredictInChunks:
 
     def test_memory_stays_bounded(self):
         # ann2 over 10^6 x 8 rows in one pass grew peak RSS by about 1.2 GB
-        code = (
-            "import resource\n"
-            "from copysampler.copies import CopyModel, _net_init\n"
-            "from copysampler.core import RandomSource\n"
-            "rng = RandomSource(0)\n"
-            "X = rng.uniform((10**6, 8))\n"
-            "model = CopyModel('ann2', d=8, k=2,\n"
-            "                  params={'layers': _net_init(8, 2, (50, 50, 50), rng)})\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "labels = model.predict_many(X)\n"
-            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "assert labels.shape == (10**6,)\n"
-            "print((after - before) / 1024)\n"
-        )
-        src = str(Path(copies.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
-               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        assert float(done.stdout.split()[-1]) < 300.0
+        grown = peak_rss_growth_mb(ANN2_SETUP.format(rows=10**6),
+                                   "labels = model.predict_many(X)\n"
+                                   "assert labels.shape == (10**6,)")
+        assert grown < 300.0
+
+    def test_prediction_keeps_two_activations(self):
+        # a chunk's pass holds a layer and its input, not every hidden layer
+        # (keeping all three of ann2's grew peak RSS by about 150 MB)
+        rows = copies._PREDICT_CHUNK
+        activation_mb = rows * 50 * 8 / 2**20
+        grown = peak_rss_growth_mb(ANN2_SETUP.format(rows=rows),
+                                   "labels = model.predict_many(X)")
+        assert grown < 2.5 * activation_mb
 
 
 class TestDeterminism:
@@ -529,6 +557,18 @@ class TestNetworkInternals:
         e /= e.sum(axis=-1, keepdims=True)
         assert _softmax(logits).tobytes() == e.tobytes()
         assert _softmax(logits[1]).tobytes() == e[1].tobytes()
+
+    @pytest.mark.parametrize("hidden", [(), (5,), (50, 50, 50)])
+    def test_probs_have_the_bits_of_the_full_forward_pass(self, hidden):
+        rng = RandomSource(len(hidden))
+        cells = [[(W, rng.normal(b.shape)) for W, b in _net_init(4, 3, hidden, rng)]
+                 for _ in range(3)]
+        stacked = [tuple(np.stack(arrays) for arrays in zip(*pairs))
+                   for pairs in zip(*cells)]
+        X = rng.uniform((3, 40, 4))
+        for layers, Z in [(cells[0], X[0]), (stacked, X)]:
+            want = _softmax(_net_forward(layers, Z)[-1])
+            assert _net_probs(layers, Z).tobytes() == want.tobytes()
 
     def test_gradients_match_finite_differences(self):
         rng = RandomSource(10)

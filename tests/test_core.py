@@ -16,6 +16,7 @@ from copysampler import (
     random_sampler,
     stratified_split,
 )
+from copysampler import core
 from copysampler.core import (
     TARGET_MEAN,
     TARGET_STD,
@@ -169,6 +170,13 @@ class TestDatasetSerialization:
         b = random_sampler(20, HalfspaceOracle(w=(1.0, 0.0), c=0.5),
                            RandomSource(1)).to_csv(tmp_path / "b.csv")
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_text_does_not_depend_on_the_block_size(self, tmp_path, monkeypatch, block):
+        ds = _dataset(30, d=3)
+        whole = ds.to_csv(tmp_path / "whole.csv").read_bytes()
+        monkeypatch.setattr(core, "_CSV_BLOCK_ROWS", block)
+        assert ds.to_csv(tmp_path / "blocks.csv").read_bytes() == whole
 
     def test_header_and_sidecar(self, tmp_path):
         ds = _dataset(3, d=2)
