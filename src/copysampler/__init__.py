@@ -4,158 +4,54 @@ Generate oracle-labelled synthetic datasets with four strategies (uniform,
 boundary exploration, GP-uncertainty driven, gradient-sign augmentation),
 train copy models on them, and score how faithfully each copy replicates
 the oracle's decision function.
+
+Every public name is imported from its submodule on first use, so a
+program that needs only part of the package loads only that part:
+`from copysampler import Spiral2DOracle, serve_stdio` loads `core` and
+`oracles`, and none of the training, sampling or reporting code.
 """
 
-from .copies import (
-    ARCHITECTURES,
-    CopyModel,
-    TrainConfig,
-    TrainingError,
-    train,
-    train_many,
-)
-from .core import (
-    CopySamplerError,
-    DegenerateColumnError,
-    LabeledSample,
-    NormalizationTransform,
-    RandomSource,
-    SampleLedger,
-    StratificationError,
-    SyntheticDataset,
-    fit_normalization,
-    stratified_split,
-)
-from .gp import (
-    AcquisitionParams,
-    FastBayesParams,
-    GPPosterior,
-    PosteriorFitError,
-    ScaleGuardError,
-    SEKernel,
-    acquisition_value,
-    fast_bayesian_sampler,
-    kernel_eval,
-    maximize_acquisition,
-    posterior_fit,
-    reference_bayesian_sampler,
-    round_to_class,
-)
-from .harness import (
-    ExperimentConfig,
-    OracleSpec,
-    RunSummary,
-    TimingProfile,
-    load_config,
-    run_experiment,
-    timing_profile,
-)
-from .metrics import (
-    FidelityReport,
-    RunRecord,
-    balanced_empirical_fidelity_error,
-    build_reference_set,
-    compare_methods,
-    empirical_fidelity_error,
-    quality_checks,
-)
-from .oracles import (
-    AnalyticOracle,
-    CheckerboardOracle,
-    ConcentricCirclesOracle,
-    ExternalOracle,
-    HalfspaceOracle,
-    Oracle,
-    ProtocolError,
-    QueryTransportError,
-    Spiral2DOracle,
-    TableOracle,
-    UnsupportedOracleError,
-    external_handshake,
-    parse_handshake,
-    serve_oracle,
-    serve_stdio,
-)
-from .samplers import (
-    BoundaryParams,
-    JacobianParams,
-    Thread,
-    binary_search_boundary,
-    boundary_sampler,
-    jacobian_sampler,
-    random_sampler,
-    thread_step,
-)
-from .svgplot import plot_2d
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ARCHITECTURES",
-    "AcquisitionParams",
-    "AnalyticOracle",
-    "BoundaryParams",
-    "CheckerboardOracle",
-    "ConcentricCirclesOracle",
-    "CopyModel",
-    "CopySamplerError",
-    "DegenerateColumnError",
-    "ExperimentConfig",
-    "ExternalOracle",
-    "FastBayesParams",
-    "FidelityReport",
-    "GPPosterior",
-    "HalfspaceOracle",
-    "JacobianParams",
-    "LabeledSample",
-    "NormalizationTransform",
-    "Oracle",
-    "OracleSpec",
-    "PosteriorFitError",
-    "ProtocolError",
-    "QueryTransportError",
-    "RandomSource",
-    "RunRecord",
-    "RunSummary",
-    "SEKernel",
-    "SampleLedger",
-    "ScaleGuardError",
-    "Spiral2DOracle",
-    "StratificationError",
-    "SyntheticDataset",
-    "TableOracle",
-    "Thread",
-    "TimingProfile",
-    "TrainConfig",
-    "TrainingError",
-    "UnsupportedOracleError",
-    "acquisition_value",
-    "balanced_empirical_fidelity_error",
-    "binary_search_boundary",
-    "boundary_sampler",
-    "build_reference_set",
-    "compare_methods",
-    "empirical_fidelity_error",
-    "external_handshake",
-    "fast_bayesian_sampler",
-    "fit_normalization",
-    "jacobian_sampler",
-    "kernel_eval",
-    "load_config",
-    "maximize_acquisition",
-    "parse_handshake",
-    "plot_2d",
-    "posterior_fit",
-    "quality_checks",
-    "random_sampler",
-    "reference_bayesian_sampler",
-    "round_to_class",
-    "run_experiment",
-    "serve_oracle",
-    "serve_stdio",
-    "stratified_split",
-    "thread_step",
-    "timing_profile",
-    "train",
-    "train_many",
-]
+# submodule -> the public names it defines
+_PUBLIC = {
+    "copies": "ARCHITECTURES CopyModel TrainConfig TrainingError train train_many",
+    "core": """CopySamplerError DegenerateColumnError LabeledSample
+        NormalizationTransform RandomSource SampleLedger StratificationError
+        SyntheticDataset fit_normalization stratified_split""",
+    "gp": """AcquisitionParams FastBayesParams GPPosterior PosteriorFitError
+        ScaleGuardError SEKernel acquisition_value fast_bayesian_sampler
+        kernel_eval maximize_acquisition posterior_fit
+        reference_bayesian_sampler round_to_class""",
+    "harness": """ExperimentConfig OracleSpec RunSummary TimingProfile
+        load_config run_experiment timing_profile""",
+    "metrics": """FidelityReport RunRecord balanced_empirical_fidelity_error
+        build_reference_set compare_methods empirical_fidelity_error
+        quality_checks""",
+    "oracles": """AnalyticOracle CheckerboardOracle ConcentricCirclesOracle
+        ExternalOracle HalfspaceOracle Oracle ProtocolError
+        QueryTransportError Spiral2DOracle TableOracle UnsupportedOracleError
+        external_handshake parse_handshake serve_oracle serve_stdio""",
+    "samplers": """BoundaryParams JacobianParams Thread binary_search_boundary
+        boundary_sampler jacobian_sampler random_sampler thread_step""",
+    "svgplot": "plot_2d",
+}
+_SOURCE = {name: module for module, names in _PUBLIC.items() for name in names.split()}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    if name in _PUBLIC:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_PUBLIC))

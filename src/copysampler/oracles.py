@@ -448,8 +448,8 @@ class TableOracle(Oracle):
 #
 # Every request receives exactly one response, in request order.  The client
 # may send several requests before reading their responses (pipelining), so
-# a server must answer in order but may do so line by line, as `serve_oracle`
-# does.
+# a server must answer in order.  It may answer line by line, or, as
+# `serve_oracle` does, every whole request that one read brings at once.
 
 def parse_handshake(line: str) -> tuple[int, int]:
     """Parse the `HELLO <d> <k>` greeting; raise ProtocolError otherwise."""
@@ -491,38 +491,71 @@ _REQUEST_FIELD = "{:.17g}".format
 
 
 class _LineReader:
-    """Whole lines from a transport, each within QUERY_TIMEOUT_S.
+    """Whole lines from a transport, one raw read at a time.
 
     A stream with a descriptor is read with `os.read` into a buffer of our
-    own, so a reply that stops half-way through its line times out like
-    one that never starts.  A whole line costs one `select` and one read.
-    Readers with no descriptor, such as StringIO, are read directly.
+    own.  The client waits at most QUERY_TIMEOUT_S for each whole line, so a
+    reply that stops half-way through its line times out like one that never
+    starts, and a whole line costs one `select` and one read.  The server
+    takes every whole line that one read brings.  Readers with no
+    descriptor, such as StringIO, are read a line at a time, with no wait.
     """
 
     def __init__(self, stream: IO[str]):
         self._stream = stream
         try:
             self._fd = stream.fileno()
-        except (OSError, ValueError):
+        except (AttributeError, OSError, ValueError):
             self._fd = None
         self._buffer = b""
 
-    def readline(self) -> str:
-        """The next line with its newline; at end of stream, what is left."""
+    def _read(self, timeout: float | None = None) -> bool:
+        """Add one read to the buffer; False at end of stream."""
         if self._fd is None:
-            return self._stream.readline()
-        deadline = time.monotonic() + QUERY_TIMEOUT_S
-        while b"\n" not in self._buffer:
-            wait = max(0.0, deadline - time.monotonic())
-            if not select.select([self._fd], [], [], wait)[0]:
+            chunk = self._stream.readline().encode()
+        else:
+            if timeout is not None and not select.select([self._fd], [], [], timeout)[0]:
                 raise QueryTransportError(
                     f"no reply from the oracle within {QUERY_TIMEOUT_S:g} s")
             chunk = os.read(self._fd, 65536)
-            if not chunk:
-                break
-            self._buffer += chunk
-        line, newline, self._buffer = self._buffer.partition(b"\n")
-        return (line + newline).decode()
+        self._buffer += chunk
+        return bool(chunk)
+
+    def readline(self) -> str:
+        """The next line with its newline, within QUERY_TIMEOUT_S; "" at end of stream.
+
+        A stream that ends part-way through a line raises
+        QueryTransportError: a reply cut off there is not a reply.
+        """
+        deadline = time.monotonic() + QUERY_TIMEOUT_S
+        while b"\n" not in self._buffer:
+            if not self._read(max(0.0, deadline - time.monotonic())):
+                if self._buffer:
+                    raise QueryTransportError(
+                        f"transport closed part-way through the line {_text(self._buffer)}")
+                return ""
+        line, _, self._buffer = self._buffer.partition(b"\n")
+        return line.decode() + "\n"
+
+    def lines(self) -> list[bytes] | None:
+        """The whole lines one read brings, without newlines; None at end of stream.
+
+        A partial last line stays in the buffer for the next read.  At end
+        of stream, what is left comes as one last line.
+        """
+        if self._read():
+            *lines, self._buffer = self._buffer.split(b"\n")
+            return lines
+        if not self._buffer:
+            return None
+        last, self._buffer = self._buffer, b""
+        return [last]
+
+
+def _text(line: bytes) -> str:
+    """A line of the transport, quoted for an error message."""
+    return repr(line.decode(errors="replace"))
+
 
 class ExternalOracle(Oracle):
     """Client for a model served over the wire protocol.
@@ -553,13 +586,18 @@ class ExternalOracle(Oracle):
     @classmethod
     def spawn(cls, command: Sequence[str]) -> "ExternalOracle":
         """Start `command` as a child process and attach over its pipes."""
-        proc = subprocess.Popen(
-            list(command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
-        )
+        try:
+            proc = subprocess.Popen(
+                list(command),
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                text=True,
+                bufsize=1,
+            )
+        except OSError as exc:
+            raise QueryTransportError(
+                f"cannot start the oracle command {' '.join(command)!r}: "
+                f"{exc.strerror or exc}") from exc
         try:
             oracle = cls(proc.stdout, proc.stdin)
         except Exception:
@@ -628,44 +666,97 @@ class ExternalOracle(Oracle):
             self._writer.flush()
         except (OSError, ValueError):
             pass
-        for stream in (self._writer, self._reader):
-            try:
-                stream.close()
-            except OSError:
-                pass
-        if self._proc is not None:
-            try:
-                self._proc.wait(timeout=CLOSE_GRACE_S)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
+        try:
+            self._writer.close()
+        except OSError:
+            pass
+        if self._proc is not None and self._proc.returncode is None:
+            self._await_exit()
+        try:
+            self._reader.close()
+        except OSError:
+            pass
+
+    def _await_exit(self):
+        """Reap the child, killed if it still runs CLOSE_GRACE_S after BYE.
+
+        The child's stdout ends as it exits, and a select on it wakes then.
+        `Popen.wait` alone polls with sleeps that double from 0.5 ms, so a
+        child that took 16 ms to exit was reaped at 31.5 ms.
+        """
+        deadline = time.monotonic() + CLOSE_GRACE_S
+        fd = self._lines._fd
+        try:
+            while (select.select([fd], [], [], max(0.0, deadline - time.monotonic()))[0]
+                   and os.read(fd, 65536)):
+                pass  # labels still in flight after a failed block
+        except (OSError, ValueError):
+            pass
+        try:
+            self._proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
 
 
 def serve_oracle(oracle: Oracle, reader: IO[str], writer: IO[str]) -> int:
     """Serve `oracle` over the wire protocol until BYE or EOF.
 
-    Returns the number of queries answered.  Malformed requests raise
-    ProtocolError; the connection is then abandoned.
+    Each read takes every whole request that has arrived, without waiting
+    for more: they are labelled by one `query_many` and answered in one
+    write and one flush.  A lone request goes through `query`, so an
+    oracle's one-row path (a table's kept neighbourhood) still serves it.
+    Returns the number of queries answered.  A malformed request, or one
+    with a coordinate that is not finite, raises ProtocolError once the
+    requests before it are answered; the connection is then abandoned.
     """
     writer.write(f"HELLO {oracle.d} {oracle.k}\n")
     writer.flush()
+    lines = _LineReader(reader)
     answered = 0
-    while True:
-        line = reader.readline()
-        if not line or line.strip() == "BYE":
+    while (batch := lines.lines()) is not None:
+        rows, stop = _requests(batch, oracle.d)
+        if rows:
+            if len(rows) == 1:
+                labels = [oracle.query(rows[0])]
+            else:
+                labels = oracle.query_many(np.array(rows)).tolist()
+            writer.write("\n".join(map(str, labels)) + "\n")
+            writer.flush()
+            answered += len(rows)
+        if stop is _BYE:
             return answered
+        if stop is not None:
+            raise stop
+    return answered
+
+
+_BYE = object()  # what stops a batch at a BYE line
+
+
+def _requests(lines: list[bytes], d: int):
+    """The points of `lines` up to the first line that is not a request.
+
+    Returns (rows, stop): rows holds one list of d floats per request, and
+    stop is None when every line is a request, _BYE at a BYE line, or the
+    ProtocolError for the first bad line.
+    """
+    rows = []
+    for line in lines:
         fields = line.split()
-        if len(fields) != oracle.d:
-            raise ProtocolError(
-                f"expected {oracle.d} coordinates, got {len(fields)}: {line!r}"
-            )
+        if fields == [b"BYE"]:
+            return rows, _BYE
+        if len(fields) != d:
+            return rows, ProtocolError(
+                f"expected {d} coordinates, got {len(fields)}: {_text(line)}")
         try:
-            z = np.array([float(v) for v in fields])
+            row = list(map(float, fields))
         except ValueError:
-            raise ProtocolError(f"non-numeric coordinate in request: {line!r}") from None
-        writer.write(f"{oracle.query(z)}\n")
-        writer.flush()
-        answered += 1
+            return rows, ProtocolError(f"non-numeric coordinate in request: {_text(line)}")
+        if not all(map(math.isfinite, row)):
+            return rows, ProtocolError(f"non-finite coordinate in request: {_text(line)}")
+        rows.append(row)
+    return rows, None
 
 
 def serve_stdio(oracle: Oracle) -> int:

@@ -26,6 +26,38 @@ from copysampler.core import (
 )
 
 
+class TestPackageNamespace:
+    def test_every_public_name_resolves(self):
+        import copysampler
+
+        namespace = {}
+        exec("from copysampler import *", namespace)
+        assert set(copysampler.__all__) <= set(namespace)
+        assert set(copysampler.__all__) <= set(dir(copysampler))
+
+    def test_submodules_import_from_the_package(self):
+        from copysampler import cli, core, copies, gp, harness, oracles, samplers
+
+        assert [m.__name__ for m in (cli, core, copies, gp, harness, oracles, samplers)] == [
+            f"copysampler.{n}"
+            for n in ("cli", "core", "copies", "gp", "harness", "oracles", "samplers")]
+
+    def test_public_name_is_its_submodule_object(self):
+        import copysampler
+        from copysampler import oracles, train
+
+        assert copysampler.ExternalOracle is oracles.ExternalOracle
+        assert train is copysampler.copies.train
+
+    def test_unknown_name_raises_attribute_error(self):
+        import copysampler
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            copysampler.no_such_name
+        with pytest.raises(ImportError):
+            from copysampler import no_such_name  # noqa: F401
+
+
 class TestRandomSource:
     def test_same_seed_same_stream(self):
         a = RandomSource(123).uniform(32)

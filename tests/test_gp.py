@@ -866,6 +866,12 @@ class TestLazyScipy:
     def test_import_leaves_scipy_unloaded(self, code):
         assert not self.scipy_loaded_after(code)
 
+    def test_server_import_loads_only_core_and_oracles(self):
+        out = run_fresh("from copysampler import serve_stdio, Spiral2DOracle\n"
+                        "import sys\n"
+                        "print(*sorted(n for n in sys.modules if n.startswith('copysampler')))")
+        assert out.split() == ["copysampler", "copysampler.core", "copysampler.oracles"]
+
     def test_sweep_without_the_bayesian_method_leaves_scipy_unloaded(self, tmp_path):
         config = tmp_path / "no-bayes.ini"
         config.write_text(

@@ -887,6 +887,17 @@ class TestExternalOracleConfig:
             oracle.close()
 
 
+    def test_run_with_a_missing_server_command_prints_an_error(self, tmp_path, capsys):
+        path = tmp_path / "ext.ini"
+        missing = tmp_path / "no-such-server"
+        path.write_text("[experiment]\nrepetitions = 1\n"
+                        f"[oracle]\nkind = external\ncommand = {missing}\n"
+                        "[samplers]\nmethods = random\n"
+                        "[evaluation]\nn_grid = 40\nreference_size = 200\n")
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: cannot start the oracle command '{missing}'" in capsys.readouterr().err
+
+
 class TestTableOracleConfig:
     def test_table_with_normalization(self, tmp_path):
         rng = RandomSource(6)

@@ -1,6 +1,8 @@
 """The newline-delimited membership-query wire protocol."""
 
 import io
+import os
+import re
 import sys
 import threading
 import time
@@ -14,6 +16,7 @@ from copysampler import (
     HalfspaceOracle,
     ProtocolError,
     QueryTransportError,
+    Spiral2DOracle,
     external_handshake,
     parse_handshake,
     serve_oracle,
@@ -86,6 +89,89 @@ class TestInProcessServer:
         with pytest.raises(ProtocolError):
             self._run("a b\n")
 
+    def test_unterminated_last_request_is_answered_at_eof(self):
+        answered, out = self._run("0.7 0.2\n0.3 0.9")
+        assert (answered, out) == (2, "HELLO 2 2\n1\n0\n")
+
+    @pytest.mark.parametrize("request_line", ["nan 0.5", "inf inf", "1e400 0", "0.5 -Infinity"])
+    def test_non_finite_coordinate_raises_naming_the_line(self, request_line):
+        out = io.StringIO()
+        with pytest.raises(ProtocolError, match=re.escape(repr(request_line))):
+            serve_oracle(Spiral2DOracle(1.5), io.StringIO(f"{request_line}\n0.5 0.5\nBYE\n"), out)
+        assert out.getvalue() == "HELLO 2 2\n"
+
+
+def _pipe_holding(text: str):
+    """A reader whose pipe already holds `text`, then end of stream."""
+    r_fd, w_fd = os.pipe()
+    os.write(w_fd, text.encode())
+    os.close(w_fd)
+    return os.fdopen(r_fd, "r")
+
+
+class TestBatchedServer:
+    """One read brings every waiting request; they are answered in one write."""
+
+    def test_window_of_100_rows_is_answered_in_one_write(self):
+        X = RandomSource(46).uniform((100, 2))
+        window = sum(len(" ".join(map(oracles._REQUEST_FIELD, z.tolist()))) + 1 for z in X)
+        assert window <= oracles._WINDOW_BYTES  # the client sends one window
+        oracle = Spiral2DOracle(1.5)
+        c2s_r, c2s_w = _pipe_pair()
+        s2c_r, s2c_w = _pipe_pair()
+        writer = RecordingWriter(s2c_w)
+        server = threading.Thread(target=serve_oracle, args=(oracle, c2s_r, writer))
+        server.start()
+        with ExternalOracle(s2c_r, c2s_w) as client:
+            labels = client.query_many(X)
+        server.join(timeout=5)
+        assert not server.is_alive()
+        c2s_r.close()
+        s2c_w.close()
+        np.testing.assert_array_equal(labels, Spiral2DOracle(1.5).query_many(X))
+        assert writer.writes[1:] == ["".join(f"{label}\n" for label in labels.tolist())]
+        assert oracle.query_count == 100
+
+    def test_bye_inside_a_read_answers_the_requests_before_it(self):
+        out = io.StringIO()
+        with _pipe_holding("0.7 0.2\n0.3 0.9\nBYE\n0.9 0.9\n") as reader:
+            assert serve_oracle(HalfspaceOracle(w=(1.0, 0.0), c=0.5), reader, out) == 2
+        assert out.getvalue() == "HELLO 2 2\n1\n0\n"
+
+    @pytest.mark.parametrize("bad, match", [
+        ("0.5", "expected 2 coordinates, got 1: '0.5'"),
+        ("a b", "non-numeric coordinate in request: 'a b'"),
+        ("1e400 0", "non-finite coordinate in request: '1e400 0'"),
+    ])
+    def test_bad_line_in_a_read_raises_after_the_requests_before_it(self, bad, match):
+        out = io.StringIO()
+        with _pipe_holding(f"0.7 0.2\n0.3 0.9\n{bad}\n0.9 0.9\n") as reader:
+            with pytest.raises(ProtocolError, match=re.escape(match)):
+                serve_oracle(HalfspaceOracle(w=(1.0, 0.0), c=0.5), reader, out)
+        assert out.getvalue() == "HELLO 2 2\n1\n0\n"
+
+    def test_partial_line_waits_and_holds_back_no_whole_line(self, monkeypatch):
+        monkeypatch.setattr(oracles, "QUERY_TIMEOUT_S", 5.0)
+        c2s_r, c2s_w = _pipe_pair()
+        s2c_r, s2c_w = _pipe_pair()
+        replies = oracles._LineReader(s2c_r)
+        oracle = HalfspaceOracle(w=(1.0, 0.0), c=0.5)
+        server = threading.Thread(target=serve_oracle, args=(oracle, c2s_r, s2c_w))
+        server.start()
+        try:
+            assert replies.readline() == "HELLO 2 2\n"
+            os.write(c2s_w.fileno(), b"0.7 0.2\n0.3")
+            assert replies.readline() == "1\n"  # answered before the next line ends
+            os.write(c2s_w.fileno(), b" 0.9\nBYE\n")
+            assert replies.readline() == "0\n"
+        finally:
+            c2s_w.close()
+            server.join(timeout=5)
+        assert not server.is_alive()
+        assert oracle.query_count == 2
+        for stream in (c2s_r, s2c_r, s2c_w):
+            stream.close()
+
 
 class TestChildProcess:
     def test_end_to_end_matches_direct(self):
@@ -145,6 +231,41 @@ class TestChildProcess:
             with ExternalOracle.spawn([sys.executable, "-c", snippet]) as remote:
                 remote.query(np.array([0.1, 0.2]))
         assert time.monotonic() - start < 10
+
+    @pytest.mark.parametrize("snippet", [
+        "import sys; print('HELLO 2 12', flush=True); sys.stdin.readline(); sys.stdout.write('1')",
+        "import sys; sys.stdout.write('HELLO 2 2')",
+    ], ids=["label", "greeting"])
+    def test_child_that_exits_mid_line_fails(self, snippet):
+        with pytest.raises(QueryTransportError, match="part-way through the line"):
+            with ExternalOracle.spawn([sys.executable, "-c", snippet]) as remote:
+                remote.query(np.array([0.1, 0.2]))
+
+    def test_command_that_cannot_start_raises_transport_error(self, tmp_path):
+        missing = str(tmp_path / "no-such-server")
+        with pytest.raises(QueryTransportError, match=re.escape(f"'{missing} --flag'")):
+            ExternalOracle.spawn([missing, "--flag"])
+        not_executable = tmp_path / "server.txt"
+        not_executable.write_text("HELLO 2 2\n")
+        not_executable.chmod(0o644)
+        with pytest.raises(QueryTransportError, match="cannot start the oracle command"):
+            ExternalOracle.spawn([str(not_executable)])
+
+    def test_close_kills_a_child_that_ends_its_output_but_runs_on(self, monkeypatch):
+        monkeypatch.setattr(oracles, "CLOSE_GRACE_S", 0.2)
+        snippet = ("import os, time; print('HELLO 2 2', flush=True); os.close(1); "
+                   "time.sleep(60)")
+        remote = ExternalOracle.spawn([sys.executable, "-c", snippet])
+        start = time.monotonic()
+        remote.close()
+        assert time.monotonic() - start < 30
+        assert remote._proc.poll() is not None
+
+    def test_second_close_is_a_no_op(self):
+        remote = spawn_server()
+        remote.close()
+        remote.close()
+        assert remote._proc.returncode == 0
 
     def test_child_that_never_greets_times_out(self, monkeypatch):
         monkeypatch.setattr(oracles, "QUERY_TIMEOUT_S", 0.3)
@@ -298,6 +419,15 @@ class TestStreamPairTransport:
         client = ExternalOracle(reader, writer)
         with pytest.raises(ProtocolError):
             client.query(np.array([0.5]))
+
+    def test_label_cut_off_by_eof_rejected(self):
+        client = ExternalOracle(io.StringIO("HELLO 1 12\n1"), io.StringIO())
+        with pytest.raises(QueryTransportError, match="part-way through the line '1'"):
+            client.query(np.array([0.5]))
+
+    def test_greeting_cut_off_by_eof_rejected(self):
+        with pytest.raises(QueryTransportError, match="part-way through the line 'HELLO 1 2'"):
+            ExternalOracle(io.StringIO("HELLO 1 2"), io.StringIO())
 
     def test_label_beyond_int64_rejected(self):
         client = ExternalOracle(io.StringIO("HELLO 1 2\n99999999999999999999\n"),
