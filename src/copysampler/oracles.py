@@ -479,6 +479,10 @@ def external_handshake(reader: IO[str]) -> tuple[int, int]:
 # Seconds a child oracle gets to exit after BYE before it is killed.
 CLOSE_GRACE_S = 10.0
 
+# Longest wait, in seconds, between two checks whether a closed child has
+# exited.
+_EXIT_POLL_S = 0.05
+
 # Seconds to wait for the greeting or for a label before giving up.
 QUERY_TIMEOUT_S = 120.0
 
@@ -499,6 +503,8 @@ class _LineReader:
     starts, and a whole line costs one `select` and one read.  The server
     takes every whole line that one read brings.  Readers with no
     descriptor, such as StringIO, are read a line at a time, with no wait.
+    Bytes already in the stream's own buffers are not seen, so the stream
+    must not have been read from before.
     """
 
     def __init__(self, stream: IO[str]):
@@ -682,16 +688,23 @@ class ExternalOracle(Oracle):
 
         The child's stdout ends as it exits, and a select on it wakes then.
         `Popen.wait` alone polls with sleeps that double from 0.5 ms, so a
-        child that took 16 ms to exit was reaped at 31.5 ms.
+        child that took 16 ms to exit was reaped at 31.5 ms.  Each select
+        waits at most _EXIT_POLL_S, so a child whose stdout another process
+        still holds is reaped within that of its exit, and output the child
+        keeps writing is drained only until the deadline.
         """
         deadline = time.monotonic() + CLOSE_GRACE_S
         fd = self._lines._fd
-        try:
-            while (select.select([fd], [], [], max(0.0, deadline - time.monotonic()))[0]
-                   and os.read(fd, 65536)):
-                pass  # labels still in flight after a failed block
-        except (OSError, ValueError):
-            pass
+        while fd is not None and self._proc.poll() is None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                break
+            try:  # drain labels still in flight after a failed block
+                if select.select([fd], [], [], min(left, _EXIT_POLL_S))[0] \
+                        and not os.read(fd, 65536):
+                    fd = None
+            except (OSError, ValueError):
+                fd = None
         try:
             self._proc.wait(timeout=max(0.0, deadline - time.monotonic()))
         except subprocess.TimeoutExpired:
@@ -709,13 +722,14 @@ def serve_oracle(oracle: Oracle, reader: IO[str], writer: IO[str]) -> int:
     Returns the number of queries answered.  A malformed request, or one
     with a coordinate that is not finite, raises ProtocolError once the
     requests before it are answered; the connection is then abandoned.
+
+    A reader with a descriptor is read through it, below the stream's own
+    buffers, so it must not have been read from before.
     """
     writer.write(f"HELLO {oracle.d} {oracle.k}\n")
     writer.flush()
-    lines = _LineReader(reader)
-    answered = 0
-    while (batch := lines.lines()) is not None:
-        rows, stop = _requests(batch, oracle.d)
+
+    def answer(rows) -> int:
         if rows:
             if len(rows) == 1:
                 labels = [oracle.query(rows[0])]
@@ -723,40 +737,39 @@ def serve_oracle(oracle: Oracle, reader: IO[str], writer: IO[str]) -> int:
                 labels = oracle.query_many(np.array(rows)).tolist()
             writer.write("\n".join(map(str, labels)) + "\n")
             writer.flush()
-            answered += len(rows)
-        if stop is _BYE:
-            return answered
-        if stop is not None:
-            raise stop
+        return len(rows)
+
+    lines = _LineReader(reader)
+    answered = 0
+    while (batch := lines.lines()) is not None:
+        rows = []
+        for line in batch:
+            fields = line.split()
+            if fields == [b"BYE"]:
+                return answered + answer(rows)
+            try:
+                rows.append(_request(line, fields, oracle.d))
+            except ProtocolError:
+                answer(rows)
+                raise
+        answered += answer(rows)
     return answered
 
 
-_BYE = object()  # what stops a batch at a BYE line
+def _request(line: bytes, fields: list[bytes], d: int) -> list[float]:
+    """The d coordinates of a request line split into `fields`.
 
-
-def _requests(lines: list[bytes], d: int):
-    """The points of `lines` up to the first line that is not a request.
-
-    Returns (rows, stop): rows holds one list of d floats per request, and
-    stop is None when every line is a request, _BYE at a BYE line, or the
-    ProtocolError for the first bad line.
+    Raises ProtocolError if the line is not a request.
     """
-    rows = []
-    for line in lines:
-        fields = line.split()
-        if fields == [b"BYE"]:
-            return rows, _BYE
-        if len(fields) != d:
-            return rows, ProtocolError(
-                f"expected {d} coordinates, got {len(fields)}: {_text(line)}")
-        try:
-            row = list(map(float, fields))
-        except ValueError:
-            return rows, ProtocolError(f"non-numeric coordinate in request: {_text(line)}")
-        if not all(map(math.isfinite, row)):
-            return rows, ProtocolError(f"non-finite coordinate in request: {_text(line)}")
-        rows.append(row)
-    return rows, None
+    if len(fields) != d:
+        raise ProtocolError(f"expected {d} coordinates, got {len(fields)}: {_text(line)}")
+    try:
+        row = list(map(float, fields))
+    except ValueError:
+        raise ProtocolError(f"non-numeric coordinate in request: {_text(line)}") from None
+    if not all(map(math.isfinite, row)):
+        raise ProtocolError(f"non-finite coordinate in request: {_text(line)}")
+    return row
 
 
 def serve_stdio(oracle: Oracle) -> int:

@@ -3,6 +3,7 @@
 import io
 import os
 import re
+import signal
 import sys
 import threading
 import time
@@ -260,6 +261,43 @@ class TestChildProcess:
         remote.close()
         assert time.monotonic() - start < 30
         assert remote._proc.poll() is not None
+
+    def test_close_kills_a_child_that_writes_on_after_bye(self, monkeypatch):
+        monkeypatch.setattr(oracles, "CLOSE_GRACE_S", 0.2)
+        real_select = oracles.select.select
+
+        def slow_select(*args):  # the child refills the pipe before each select
+            time.sleep(0.005)
+            return real_select(*args)
+
+        monkeypatch.setattr(oracles.select, "select", slow_select)
+        snippet = ("import sys\nprint('HELLO 2 2', flush=True)\n"
+                   "while True:\n    sys.stdout.write('1\\n' * 1000); sys.stdout.flush()")
+        remote = ExternalOracle.spawn([sys.executable, "-c", snippet])
+        closer = threading.Thread(target=remote.close, daemon=True)
+        closer.start()
+        closer.join(10)
+        assert not closer.is_alive()
+        assert remote._proc.returncode == -signal.SIGKILL
+
+    def test_close_reaps_a_child_whose_stdout_a_grandchild_holds(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(oracles, "CLOSE_GRACE_S", 5.0)
+        pid_file = tmp_path / "grandchild.pid"
+        snippet = ("import subprocess, sys; print('HELLO 2 2', flush=True); "
+                   "p = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)']); "
+                   "open(sys.argv[1], 'w').write(str(p.pid)); sys.stdin.readline()")
+        remote = ExternalOracle.spawn([sys.executable, "-c", snippet, str(pid_file)])
+        try:
+            while not pid_file.exists() or not pid_file.read_text():
+                time.sleep(0.01)
+            start = time.monotonic()
+            remote.close()
+            assert time.monotonic() - start < 2
+            assert remote._proc.returncode == 0
+        finally:
+            remote.close()
+            if pid_file.exists() and pid_file.read_text():
+                os.kill(int(pid_file.read_text()), signal.SIGKILL)
 
     def test_second_close_is_a_no_op(self):
         remote = spawn_server()
