@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +27,6 @@ from .harness import (
     run_experiment,
     timing_profile,
 )
-from .oracles import AnalyticOracle
 from .svgplot import plot_2d
 
 EXIT_OK = 0
@@ -118,8 +118,7 @@ def cmd_sample(args) -> int:
         ds.to_csv(args.out)
         print(f"wrote {len(ds)} samples to {args.out} ({ds.query_count} oracle queries)")
         if args.plot:
-            overlay = oracle if isinstance(oracle, AnalyticOracle) else None
-            plot_2d(ds, overlay, args.plot)
+            plot_2d(ds, oracle, args.plot)
             print(f"wrote {args.plot}")
     return EXIT_OK
 
@@ -142,9 +141,7 @@ def cmd_evaluate(args) -> int:
             oracle, args.reference_size, cfg.reference_balanced,
             RandomSource.derive(args.seed, "reference"),
         )
-    preds = model.predict_many(ref.X)
-    r_f = metrics.empirical_fidelity_error(preds, ref.y)
-    r_fb = metrics.balanced_empirical_fidelity_error(preds, ref.y, ref.k)
+    r_f, r_fb = metrics.fidelity(model, ref.X, ref.y, ref.k)
     print(f"R_F={r_f:.6f} R_Fb={r_fb:.6f} on {len(ref)} reference points")
     if args.out:
         record = metrics.RunRecord(
@@ -160,11 +157,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     records = metrics.read_report_csv(args.report)
-    reports = metrics.summarize_runs(records)
-    by_method: dict[str, list] = {}
-    for rep in reports:
-        by_method.setdefault(rep.method, []).append(rep)
-    matrix = metrics.compare_methods(by_method, args.tie_margin)
+    matrix = metrics.compare_methods(metrics.summarize_runs(records), args.tie_margin)
     metrics.write_comparison_csv(matrix, args.out)
     for (a, b), (wins, ties, losses) in sorted(matrix.items()):
         print(f"{a} vs {b}: {wins}/{ties}/{losses}")
@@ -188,11 +181,9 @@ def cmd_profile(args) -> int:
 
 def cmd_plot(args) -> int:
     ds = SyntheticDataset.from_csv(args.data)
-    if args.config:
-        with _load(args.config, args.seed).oracle.build() as oracle:
-            plot_2d(ds, oracle if isinstance(oracle, AnalyticOracle) else None, args.out)
-    else:
-        plot_2d(ds, None, args.out)
+    overlay = _load(args.config, args.seed).oracle.overlay() if args.config else nullcontext()
+    with overlay as oracle:
+        plot_2d(ds, oracle, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 

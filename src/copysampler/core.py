@@ -160,13 +160,17 @@ class SyntheticDataset:
     # -- serialization -----------------------------------------------------
 
     def to_csv(self, path) -> Path:
-        """Write samples as CSV (17 significant digits) plus a JSON sidecar."""
+        """Write samples as CSV (17 significant digits) plus a JSON sidecar.
+
+        Both land by rename, the sidecar first, so a CSV always has its sidecar.
+        """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_suffix(path.suffix + ".tmp")
         header = ",".join([f"x{i}" for i in range(self.d)] + ["label"])
         line = ",".join(["%.17g"] * self.d + ["%d"]) + "\n"
         values = np.column_stack([self.X, self.y.astype(float)])
-        with path.open("w", newline="\n") as f:
+        with tmp.open("w", newline="\n") as f:
             f.write(header + "\n")
             # one %-format per block of rows: the text np.savetxt writes
             # with the same formats, without its per-row Python loop
@@ -181,7 +185,9 @@ class SyntheticDataset:
             "k": int(self.k),
             "metadata": _jsonable(self.metadata),
         }
-        meta_path(path).write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+        meta_path(tmp).write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+        meta_path(tmp).replace(meta_path(path))
+        tmp.replace(path)
         return path
 
     @classmethod

@@ -35,7 +35,6 @@ from .core import (
 )
 from .gp import AcquisitionParams, FastBayesParams, SEKernel, fast_bayesian_sampler
 from .oracles import (
-    AnalyticOracle,
     CheckerboardOracle,
     ConcentricCirclesOracle,
     ExternalOracle,
@@ -60,6 +59,9 @@ METHODS = ("random", "boundary", "bayesian", "jacobian")
 
 class ConfigError(CopySamplerError):
     """The experiment configuration is invalid or inconsistent."""
+
+
+_ANALYTIC_KINDS = ("halfspace", "circles", "checkerboard", "spiral")
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,13 @@ class OracleSpec:
         X.setflags(write=False)
         y.setflags(write=False)
         return X, y
+
+    def overlay(self):
+        """A context manager giving the oracle a plot overlays, or None.
+
+        Only the analytic kinds build one: no table is read, no command started.
+        """
+        return self.build() if self.kind in _ANALYTIC_KINDS else contextlib.nullcontext()
 
     def build(self) -> Oracle:
         opts = self.options
@@ -527,24 +536,13 @@ def _cell_path(out: Path, method: str, arch: str, n: int, rep: int) -> Path:
     return out / "cells" / f"{method}__{arch}__n{n}__r{rep:02d}.csv"
 
 
-def _write_dataset_atomically(ds: SyntheticDataset, path: Path):
-    # the sidecar lands first; the CSV rename last, so an existing CSV
-    # always implies a complete pair even across interruptions
-    from .core import meta_path
-
-    tmp_csv = path.with_suffix(".csv.tmp")
-    ds.to_csv(tmp_csv)
-    meta_path(tmp_csv).replace(meta_path(path))
-    tmp_csv.replace(path)
-
-
 def _generate_one(cfg, out, method, rep, oracle):
     ds_path, timing_path = _dataset_paths(out, method, rep)
     rng = RandomSource.derive(cfg.seed, "dataset", method, rep)
     profile = timing_profile(cfg, method, cfg.n_grid, oracle, rng)
     timing_path.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(timing_path, profile.csv_text())
-    _write_dataset_atomically(profile.dataset, ds_path)
+    profile.dataset.to_csv(ds_path)
 
 
 # Phase 2 holds the training prefixes of at most this many floats of X at
@@ -571,7 +569,7 @@ def _loaded_batches(tasks, summary: RunSummary):
     for method, rep, ds_path, wanted in tasks:
         try:
             dataset = SyntheticDataset.from_csv(ds_path)
-            prefixes = {n: dataset.prefix(n) for _, n in wanted}
+            prefixes = {n: dataset.prefix(n) for n in {n for _, n in wanted}}
         except Exception as exc:
             log.exception("cannot take the cells of %s", ds_path)
             summary.failures.extend((_cell_label(method, arch, n, rep), str(exc))
@@ -641,9 +639,7 @@ def _write_cell(cfg, out, reference, method, arch, n, rep, seed, fit):
     if isinstance(model, Exception):
         raise model
     t0 = time.perf_counter()
-    preds = model.predict_many(reference.X)
-    r_f = metrics.empirical_fidelity_error(preds, reference.y)
-    r_fb = metrics.balanced_empirical_fidelity_error(preds, reference.y, reference.k)
+    r_f, r_fb = metrics.fidelity(model, reference.X, reference.y, reference.k)
     wall = train_s + time.perf_counter() - t0
     record = metrics.RunRecord(
         oracle=cfg.oracle.oracle_id,
@@ -655,11 +651,7 @@ def _write_cell(cfg, out, reference, method, arch, n, rep, seed, fit):
         r_fb=r_fb,
         wall_time_s=wall,
     )
-    cell = _cell_path(out, method, arch, n, rep)
-    cell.parent.mkdir(parents=True, exist_ok=True)
-    header = ",".join(metrics.REPORT_HEADER)
-    row = ",".join(metrics.format_report_row(record))
-    _atomic_write(cell, header + "\n" + row + "\n")
+    metrics.write_report_csv([record], _cell_path(out, method, arch, n, rep))
     return 1
 
 
@@ -669,8 +661,7 @@ def _reference_for(cfg: ExperimentConfig, ref_path: Path, oracle: Oracle) -> Syn
     ref = metrics.build_reference_set(
         oracle, cfg.reference_size, cfg.reference_balanced, rng
     )
-    ref_path.parent.mkdir(parents=True, exist_ok=True)
-    _write_dataset_atomically(ref, ref_path)
+    ref.to_csv(ref_path)
     return ref
 
 
@@ -798,10 +789,7 @@ def run_experiment(
     reports = metrics.summarize_runs(records)
     have = {(r.oracle, r.method, r.copy_arch, r.n) for r in reports}
     if len(cfg.methods) >= 2 and expected <= have:
-        by_method = {}
-        for rep in reports:
-            by_method.setdefault(rep.method, []).append(rep)
-        matrix = metrics.compare_methods(by_method, cfg.tie_margin)
+        matrix = metrics.compare_methods(reports, cfg.tie_margin)
         metrics.write_comparison_csv(matrix, out / "comparison.csv")
         (out / "comparison.meta.json").write_text(
             json.dumps({"tie_margin": cfg.tie_margin}, sort_keys=True) + "\n"
@@ -827,13 +815,8 @@ def _run_tasks(tasks, fn, summary: RunSummary, label) -> int:
     return completed
 
 
-_ANALYTIC_KINDS = ("halfspace", "circles", "checkerboard", "spiral")
-
-
 def _emit_plots(cfg, out: Path, methods, summary: RunSummary):
-    analytic = cfg.oracle.kind in _ANALYTIC_KINDS
-    with cfg.oracle.build() if analytic else contextlib.nullcontext() as built:
-        overlay = built if isinstance(built, AnalyticOracle) and built.d == 2 else None
+    with cfg.oracle.overlay() as overlay:
         for method in methods:
             ds_path, _ = _dataset_paths(out, method, 0)
             plot_path = out / "plots" / f"{method}.svg"

@@ -114,6 +114,14 @@ def balanced_empirical_fidelity_error(preds: np.ndarray, y_oracle: np.ndarray, k
     return float(1.0 - rates.mean())
 
 
+def fidelity(model, X: np.ndarray, y_oracle: np.ndarray, k: int) -> tuple[float, float]:
+    """(R_F, R_Fb) of a copy against the oracle labels of X, from one prediction."""
+    preds = model.predict_many(X)
+    # through the module globals, which perfbench's tracer wraps
+    return (empirical_fidelity_error(preds, y_oracle),
+            balanced_empirical_fidelity_error(preds, y_oracle, k))
+
+
 def build_reference_set(
     oracle: Oracle,
     L: int,
@@ -187,9 +195,8 @@ def quality_checks(
     pass oracle labels to measure fidelity).
     """
     model = train(arch, ref, cfg or TrainConfig())
-    on_ref = balanced_empirical_fidelity_error(model.predict_many(ref.X), ref.y, ref.k)
-    Xd, yd = original_train
-    on_original = balanced_empirical_fidelity_error(model.predict_many(Xd), yd, ref.k)
+    _, on_ref = fidelity(model, ref.X, ref.y, ref.k)
+    _, on_original = fidelity(model, *original_train, ref.k)
     return on_ref, on_original
 
 
@@ -223,18 +230,19 @@ def summarize_runs(records: Iterable[RunRecord]) -> list[FidelityReport]:
 
 
 def compare_methods(
-    reports_by_method: Mapping[str, Sequence[FidelityReport]],
+    reports: Iterable[FidelityReport],
     tie_margin: float = 0.01,
 ) -> dict[tuple[str, str], tuple[int, int, int]]:
     """Victory/tie/loss counts of median balanced errors over shared cells.
 
-    A cell is one (oracle, arch, N) combination; the method with the smaller
-    median balanced error wins it unless the difference is within
-    `tie_margin`.  All methods must cover an identical cell grid.
+    The reports are grouped by their method.  A cell is one (oracle, arch,
+    N) combination; the method with the smaller median balanced error wins
+    it unless the difference is within `tie_margin`.  All methods must
+    cover an identical cell grid.
     """
     cells: dict[str, dict[tuple[str, str, int], float]] = {}
-    for method, reports in reports_by_method.items():
-        cells[method] = {(r.oracle, r.copy_arch, r.n): r.r_fb for r in reports}
+    for r in reports:
+        cells.setdefault(r.method, {})[(r.oracle, r.copy_arch, r.n)] = r.r_fb
     methods = sorted(cells)
     if len(methods) < 2:
         raise ComparisonError("need at least two methods to compare")
@@ -282,13 +290,16 @@ def format_report_row(rec: RunRecord) -> list[str]:
 
 
 def write_report_csv(records: Sequence[RunRecord], path) -> Path:
+    """Write report rows, quoted as CSV needs, to a temporary file renamed to `path`."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as f:
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    with tmp.open("w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(REPORT_HEADER)
         for rec in records:
             writer.writerow(format_report_row(rec))
+    tmp.replace(path)
     return path
 
 

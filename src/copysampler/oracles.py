@@ -494,13 +494,24 @@ _WINDOW_BYTES = 4096
 _REQUEST_FIELD = "{:.17g}".format
 
 
+def _readable(fd: int, timeout: float) -> bool:
+    """Whether a read of `fd` would not block within `timeout` seconds.
+
+    A descriptor at end of stream is readable.  `poll` takes descriptors of
+    any number, where `select` refuses those of 1024 and above.
+    """
+    poller = select.poll()
+    poller.register(fd, select.POLLIN)
+    return bool(poller.poll(timeout * 1000))
+
+
 class _LineReader:
     """Whole lines from a transport, one raw read at a time.
 
     A stream with a descriptor is read with `os.read` into a buffer of our
     own.  The client waits at most QUERY_TIMEOUT_S for each whole line, so a
     reply that stops half-way through its line times out like one that never
-    starts, and a whole line costs one `select` and one read.  The server
+    starts, and a whole line costs one `poll` and one read.  The server
     takes every whole line that one read brings.  Readers with no
     descriptor, such as StringIO, are read a line at a time, with no wait.
     Bytes already in the stream's own buffers are not seen, so the stream
@@ -520,7 +531,7 @@ class _LineReader:
         if self._fd is None:
             chunk = self._stream.readline().encode()
         else:
-            if timeout is not None and not select.select([self._fd], [], [], timeout)[0]:
+            if timeout is not None and not _readable(self._fd, timeout):
                 raise QueryTransportError(
                     f"no reply from the oracle within {QUERY_TIMEOUT_S:g} s")
             chunk = os.read(self._fd, 65536)
@@ -686,9 +697,9 @@ class ExternalOracle(Oracle):
     def _await_exit(self):
         """Reap the child, killed if it still runs CLOSE_GRACE_S after BYE.
 
-        The child's stdout ends as it exits, and a select on it wakes then.
+        The child's stdout ends as it exits, and a poll on it wakes then.
         `Popen.wait` alone polls with sleeps that double from 0.5 ms, so a
-        child that took 16 ms to exit was reaped at 31.5 ms.  Each select
+        child that took 16 ms to exit was reaped at 31.5 ms.  Each poll
         waits at most _EXIT_POLL_S, so a child whose stdout another process
         still holds is reaped within that of its exit, and output the child
         keeps writing is drained only until the deadline.
@@ -700,8 +711,7 @@ class ExternalOracle(Oracle):
             if left <= 0:
                 break
             try:  # drain labels still in flight after a failed block
-                if select.select([fd], [], [], min(left, _EXIT_POLL_S))[0] \
-                        and not os.read(fd, 65536):
+                if _readable(fd, min(left, _EXIT_POLL_S)) and not os.read(fd, 65536):
                     fd = None
             except (OSError, ValueError):
                 fd = None

@@ -9,7 +9,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .core import CopySamplerError, SyntheticDataset
-from .oracles import AnalyticOracle
+from .oracles import AnalyticOracle, Oracle
 
 PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -33,8 +33,8 @@ def _py(value: float) -> float:
     return _SIZE - _MARGIN - value * _SPAN
 
 
-def plot_2d(ds: SyntheticDataset, oracle: AnalyticOracle | None, path) -> Path:
-    """Scatter `ds` colored by label, optionally overlaying the true boundary."""
+def plot_2d(ds: SyntheticDataset, oracle: Oracle | None, path) -> Path:
+    """Scatter `ds` colored by label, over the true boundary if `oracle` is analytic."""
     if ds.d != 2:
         raise PlotUnsupportedError(f"plot_2d needs d == 2, got d = {ds.d}")
     lines = [
@@ -68,7 +68,7 @@ def plot_2d(ds: SyntheticDataset, oracle: AnalyticOracle | None, path) -> Path:
             f'font-family="monospace" text-anchor="end">{tick:g}</text>'
         )
     lines.append('<g clip-path="url(#data-region)">')
-    if oracle is not None:
+    if isinstance(oracle, AnalyticOracle):
         for curve in oracle.boundary_curves(512):
             points = " ".join(f"{_px(x):.3f},{_py(y):.3f}" for x, y in curve)
             lines.append(

@@ -1,6 +1,7 @@
 """Core domain types: RNG contract, datasets, normalization, splits."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +217,21 @@ class TestDatasetSerialization:
         first = path.read_text().splitlines()[0]
         assert first == "x0,x1,label"
         assert (tmp_path / "ds.meta.json").exists()
+
+    def test_pair_lands_by_rename_sidecar_first(self, tmp_path, monkeypatch):
+        renames = []
+        replace = type(tmp_path).replace
+
+        def recording_replace(self, target):
+            renames.append((self.name, Path(target).name))
+            return replace(self, target)
+
+        monkeypatch.setattr(type(tmp_path), "replace", recording_replace)
+        _dataset(4, d=2).to_csv(tmp_path / "ds.csv")
+        _dataset(5, d=2).to_csv(tmp_path / "ds.csv")  # over an existing pair
+        assert renames == [("ds.csv.meta.json", "ds.meta.json"), ("ds.csv.tmp", "ds.csv")] * 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.csv", "ds.meta.json"]
+        assert len(SyntheticDataset.from_csv(tmp_path / "ds.csv")) == 5
 
     def test_empty_dataset_round_trip(self, tmp_path):
         ds = SyntheticDataset(np.empty((0, 2)), np.empty(0, dtype=int), 2, "t", 0, 0)

@@ -12,7 +12,6 @@ import pytest
 
 from copysampler import (
     ConcentricCirclesOracle,
-    ExternalOracle,
     SEKernel,
     SyntheticDataset,
     TableOracle,
@@ -831,27 +830,44 @@ class TestCLI:
         if code:
             assert "worker pool was removed" in capsys.readouterr().err
 
-    def test_plot_closes_the_configured_oracle(self, tmp_path, monkeypatch):
-        import sys
-
+    @pytest.mark.parametrize("kind", ["circles", "external"])
+    def test_plot_overlays_only_an_analytic_oracle(self, tmp_path, monkeypatch, kind):
         closed = []
-        close = ExternalOracle.close
+        close = oracles.Oracle.close
 
         def recording_close(self):
             closed.append(self)
             close(self)
 
-        monkeypatch.setattr(ExternalOracle, "close", recording_close)
-        snippet = ("from copysampler.oracles import HalfspaceOracle, serve_stdio; "
-                   "serve_stdio(HalfspaceOracle(w=(1.0, 0.0), c=0.5))")
-        config = tmp_path / "ext.ini"
-        config.write_text(f"[oracle]\nkind = external\n"
-                          f"command = {sys.executable} -c \"{snippet}\"\n")
+        monkeypatch.setattr(oracles.Oracle, "close", recording_close)
+        config = tmp_path / "plot.ini"
+        config.write_text(CIRCLES_ORACLE if kind == "circles" else
+                          f"[oracle]\nkind = external\ncommand = {tmp_path / 'no-such-server'}\n")
         data = random_sampler(10, ConcentricCirclesOracle((0.5, 0.5), [0.25]),
                               RandomSource(7)).to_csv(tmp_path / "ds.csv")
         assert cli_main(["plot", "--data", str(data), "--out", str(tmp_path / "p.svg"),
                          "--config", str(config)]) == 0
-        assert len(closed) == 1
+        text = (tmp_path / "p.svg").read_text()
+        assert text.count("<circle") == 10
+        # an external oracle is not started: the missing command would fail
+        assert ("<polyline" in text) == (kind == "circles")
+        assert len(closed) == (kind == "circles")
+
+    def test_sweep_with_a_comma_in_the_oracle_id(self, tmp_path):
+        path = tmp_path / "comma.ini"
+        path.write_text("[experiment]\nrepetitions = 1\n"
+                        "[oracle]\nkind = halfspace\nid = rings,v2\nw = 1 0\nc = 0.5\n"
+                        "[samplers]\nmethods = random jacobian\n"
+                        "[copies]\narchitectures = dt\n"
+                        "[evaluation]\nn_grid = 60\nreference_size = 300\n")
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
+        records = read_report_csv(out / "report.csv")
+        assert len(records) == 2 and {r.oracle for r in records} == {"rings,v2"}
+        assert (out / "comparison.csv").exists()
+        assert cli_main(["compare", "--report", str(out / "report.csv"),
+                         "--out", str(tmp_path / "cmp.csv")]) == 0
+        assert (tmp_path / "cmp.csv").read_bytes() == (out / "comparison.csv").read_bytes()
 
     def test_run_exit_zero(self, tmp_path):
         path = tmp_path / "mini.ini"

@@ -21,6 +21,7 @@ from copysampler.core import RandomSource, meta_path
 from copysampler.metrics import (
     ComparisonError,
     MissingClassError,
+    fidelity,
     read_report_csv,
     summarize_runs,
     write_comparison_csv,
@@ -96,6 +97,7 @@ class TestBalancedError:
         plain = empirical_fidelity_error(model.predict_many(X), y)
         balanced = balanced_empirical_fidelity_error(model.predict_many(X), y, 3)
         assert abs(plain - balanced) <= 1e-12
+        assert fidelity(model, X, y, 3) == (plain, balanced)
 
     def test_missing_class_names_the_class(self):
         X = np.zeros((10, 1))
@@ -265,14 +267,14 @@ class TestCompareMethods:
     def test_identical_reports_all_ties(self):
         a = [report("a", 100, 0.1), report("a", 1000, 0.05)]
         b = [report("b", 100, 0.1), report("b", 1000, 0.05)]
-        matrix = compare_methods({"a": a, "b": b}, 0.01)
+        matrix = compare_methods(a + b, 0.01)
         assert matrix[("a", "b")] == (0, 2, 0)
         assert matrix[("b", "a")] == (0, 2, 0)
 
     def test_clear_victory(self):
         a = [report("a", 100, 0.10)]
         b = [report("b", 100, 0.20)]
-        matrix = compare_methods({"a": a, "b": b}, 0.01)
+        matrix = compare_methods(a + b, 0.01)
         assert matrix[("a", "b")] == (1, 0, 0)
         assert matrix[("b", "a")] == (0, 0, 1)
 
@@ -280,11 +282,8 @@ class TestCompareMethods:
         rng = RandomSource(14)
         methods = ["m1", "m2", "m3"]
         cells = [(n, arch) for n in (10, 100) for arch in ("lr", "dt")]
-        reports = {
-            m: [report(m, n, float(rng.uniform(1)[0]), arch=arch)
-                for n, arch in cells]
-            for m in methods
-        }
+        reports = [report(m, n, float(rng.uniform(1)[0]), arch=arch)
+                   for m in methods for n, arch in cells]
         matrix = compare_methods(reports, 0.05)
         for a in methods:
             for b in methods:
@@ -298,11 +297,11 @@ class TestCompareMethods:
         a = [report("a", 100, 0.1)]
         b = [report("b", 1000, 0.1)]
         with pytest.raises(ComparisonError):
-            compare_methods({"a": a, "b": b})
+            compare_methods(a + b)
 
     def test_single_method_rejected(self):
         with pytest.raises(ComparisonError):
-            compare_methods({"a": [report("a", 10, 0.1)]})
+            compare_methods([report("a", 10, 0.1)])
 
 
 class TestSummaries:

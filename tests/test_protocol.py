@@ -3,6 +3,7 @@
 import io
 import os
 import re
+import resource
 import signal
 import sys
 import threading
@@ -28,6 +29,12 @@ from copysampler.core import RandomSource
 SERVER_SNIPPET = (
     "from copysampler.oracles import HalfspaceOracle, serve_stdio; "
     "serve_stdio(HalfspaceOracle(w=(1.0, 0.0), c=0.5))"
+)
+
+
+SPIRAL_SNIPPET = (
+    "from copysampler import Spiral2DOracle, serve_stdio; "
+    "serve_stdio(Spiral2DOracle(turns=1.5))"
 )
 
 
@@ -264,13 +271,13 @@ class TestChildProcess:
 
     def test_close_kills_a_child_that_writes_on_after_bye(self, monkeypatch):
         monkeypatch.setattr(oracles, "CLOSE_GRACE_S", 0.2)
-        real_select = oracles.select.select
+        real_readable = oracles._readable
 
-        def slow_select(*args):  # the child refills the pipe before each select
+        def slow_readable(*args):  # the child refills the pipe before each poll
             time.sleep(0.005)
-            return real_select(*args)
+            return real_readable(*args)
 
-        monkeypatch.setattr(oracles.select, "select", slow_select)
+        monkeypatch.setattr(oracles, "_readable", slow_readable)
         snippet = ("import sys\nprint('HELLO 2 2', flush=True)\n"
                    "while True:\n    sys.stdout.write('1\\n' * 1000); sys.stdout.flush()")
         remote = ExternalOracle.spawn([sys.executable, "-c", snippet])
@@ -298,6 +305,23 @@ class TestChildProcess:
             remote.close()
             if pid_file.exists() and pid_file.read_text():
                 os.kill(int(pid_file.read_text()), signal.SIGKILL)
+
+    def test_spawn_with_descriptors_past_1024(self):
+        soft, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
+        if soft < 1200:
+            pytest.skip(f"the open-file limit {soft} is below 1200")
+        held = [os.open(os.devnull, os.O_RDONLY) for _ in range(1100)]
+        try:
+            with ExternalOracle.spawn([sys.executable, "-c", SPIRAL_SNIPPET]) as remote:
+                assert remote._lines._fd >= 1024
+                X = RandomSource(8).uniform((30, 2))
+                direct = Spiral2DOracle(turns=1.5)
+                assert remote.query(X[0]) == direct.query(X[0])
+                np.testing.assert_array_equal(remote.query_many(X), direct.query_many(X))
+            assert remote._proc.returncode == 0
+        finally:
+            for fd in held:
+                os.close(fd)
 
     def test_second_close_is_a_no_op(self):
         remote = spawn_server()
