@@ -112,6 +112,7 @@ def _load(config_path, seed: int) -> ExperimentConfig:
 
 def cmd_sample(args) -> int:
     cfg = _load(args.config, args.seed)
+    cfg.check_budget(args.method, args.n, "--n is")
     with cfg.oracle.build() as oracle:
         ds = generate_dataset(cfg, args.method, args.n, oracle,
                               RandomSource(args.seed))
@@ -137,6 +138,10 @@ def cmd_evaluate(args) -> int:
     cfg = _load(args.config, args.seed)
     model = CopyModel.load(args.model)
     with cfg.oracle.build() as oracle:
+        need = oracle.k if cfg.reference_balanced else 1
+        if args.reference_size < need:
+            raise ConfigError(f"--reference-size is {args.reference_size}, below the "
+                              f"{need} point(s) a reference set needs")
         ref = metrics.build_reference_set(
             oracle, args.reference_size, cfg.reference_balanced,
             RandomSource.derive(args.seed, "reference"),
@@ -166,7 +171,14 @@ def cmd_compare(args) -> int:
 
 def cmd_profile(args) -> int:
     cfg = _load(args.config, args.seed)
-    checkpoints = [int(v) for v in args.checkpoints.split()]
+    try:
+        checkpoints = [int(v) for v in args.checkpoints.split()]
+    except ValueError:
+        checkpoints = []
+    if not checkpoints or checkpoints != sorted(set(checkpoints)) or checkpoints[0] < 1:
+        raise ConfigError("--checkpoints must be ascending sample counts >= 1, "
+                          f"got {args.checkpoints!r}")
+    cfg.check_budget(args.method, checkpoints[-1], "--checkpoints tops out at")
     with cfg.oracle.build() as oracle:
         profile = timing_profile(cfg, args.method, checkpoints, oracle,
                                  RandomSource(args.seed))
@@ -197,7 +209,7 @@ def cmd_run(args) -> int:
         args.out,
         only_methods=[args.method] if args.method else None,
         only_archs=[args.arch] if args.arch else None,
-        only_ns=[args.n] if args.n else None,
+        only_ns=[args.n] if args.n is not None else None,
     )
     print(
         f"datasets: {summary.datasets_computed} computed, "

@@ -9,6 +9,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 import numpy as np
@@ -144,12 +146,14 @@ class SyntheticDataset:
         return int(self.X.shape[1])
 
     def prefix(self, j: int) -> "SyntheticDataset":
-        """First j samples in original order, same provenance metadata."""
+        """Read-only views of the first j samples, same provenance metadata."""
         if not 0 <= j <= len(self):
             raise ValueError(f"prefix length {j} out of range [0, {len(self)}]")
+        X, y = self.X[:j], self.y[:j]
+        X.flags.writeable = y.flags.writeable = False
         return SyntheticDataset(
-            X=self.X[:j].copy(),
-            y=self.y[:j].copy(),
+            X=X,
+            y=y,
             k=self.k,
             generator_id=self.generator_id,
             seed=self.seed,
@@ -162,21 +166,12 @@ class SyntheticDataset:
     def to_csv(self, path) -> Path:
         """Write samples as CSV (17 significant digits) plus a JSON sidecar.
 
-        Both land by rename, the sidecar first, so a CSV always has its sidecar.
+        Both land by rename (`atomic_write`), the sidecar first, so a CSV
+        always has its sidecar.
         """
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
         header = ",".join([f"x{i}" for i in range(self.d)] + ["label"])
         line = ",".join(["%.17g"] * self.d + ["%d"]) + "\n"
-        values = np.column_stack([self.X, self.y.astype(float)])
-        with tmp.open("w", newline="\n") as f:
-            f.write(header + "\n")
-            # one %-format per block of rows: the text np.savetxt writes
-            # with the same formats, without its per-row Python loop
-            for start in range(0, len(values), _CSV_BLOCK_ROWS):
-                block = values[start:start + _CSV_BLOCK_ROWS]
-                f.write(line * len(block) % tuple(block.ravel().tolist()))
         sidecar = {
             "generator_id": self.generator_id,
             "seed": int(self.seed),
@@ -185,9 +180,16 @@ class SyntheticDataset:
             "k": int(self.k),
             "metadata": _jsonable(self.metadata),
         }
-        meta_path(tmp).write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
-        meta_path(tmp).replace(meta_path(path))
-        tmp.replace(path)
+        with atomic_write(path) as f:
+            f.write(header + "\n")
+            # one %-format per block of rows: the text np.savetxt writes
+            # with the same formats, without its per-row Python loop
+            for start in range(0, len(self), _CSV_BLOCK_ROWS):
+                rows = slice(start, start + _CSV_BLOCK_ROWS)
+                block = np.column_stack([self.X[rows], self.y[rows]])
+                f.write(line * len(block) % tuple(block.ravel().tolist()))
+            with atomic_write(meta_path(path)) as meta:
+                meta.write(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
         return path
 
     @classmethod
@@ -205,48 +207,49 @@ class SyntheticDataset:
 
 
 class SampleLedger:
-    """The points one run labels through `oracle`, in order, and their cost.
+    """The N points one run labels through `oracle`, in order, and their cost.
 
-    Points are kept as the blocks they arrived in, never as rows, so `X`
-    is one concatenation however the run labelled them.  `progress`, when
-    given, is called with the running count after every addition: this is
-    where timing checkpoints come from.
+    Arrays of N rows are allocated once, and each addition is copied into
+    the next free rows, which `X`, `y` and `dataset()` view; a row past N
+    raises.  `progress`, when given, is called with the running count after
+    every addition: this is where timing checkpoints come from.
     """
 
-    def __init__(self, oracle, progress=None):
+    def __init__(self, oracle, N: int, progress=None):
         self.oracle = oracle
         self._progress = progress
         self._queries_before = oracle.query_count
-        self._X: list[np.ndarray] = []
-        self._y: list[np.ndarray] = []
+        self._X = np.empty((N, oracle.d))
+        self._y = np.empty(N, dtype=np.int64)
         self._n = 0
 
     def __len__(self) -> int:
         return self._n
 
-    def _append(self, X: np.ndarray, y: np.ndarray):
-        self._X.append(X)
-        self._y.append(y)
-        self._n += y.shape[0]
+    def add(self, X, y):
+        """Copy in one point or a block of points the caller has already labelled."""
+        X = np.atleast_2d(X)
+        end = self._n + X.shape[0]
+        if end > self._y.shape[0]:
+            raise ValueError(f"{X.shape[0]} more rows overfill a ledger of "
+                             f"{self._y.shape[0]} holding {self._n}")
+        self._X[self._n:end] = X
+        self._y[self._n:end] = y
+        self._n = end
         if self._progress is not None:
-            self._progress(self._n)
-
-    def add(self, point, label):
-        """Record one point the caller has already labelled."""
-        self._append(np.asarray(point, dtype=np.float64)[None, :],
-                     np.array([label], dtype=np.int64))
+            self._progress(end)
 
     def label(self, Z: np.ndarray):
         """Label the rows of Z with one `query_many` and record them all."""
-        self._append(Z, self.oracle.query_many(Z))
+        self.add(Z, self.oracle.query_many(Z))
 
     @property
     def X(self) -> np.ndarray:
-        return np.concatenate(self._X) if self._X else np.empty((0, self.oracle.d))
+        return self._X[:self._n]
 
     @property
     def y(self) -> np.ndarray:
-        return np.concatenate(self._y) if self._y else np.empty(0, dtype=np.int64)
+        return self._y[:self._n]
 
     def dataset(self, generator_id: str, seed: int,
                 metadata: dict | None = None) -> SyntheticDataset:
@@ -260,6 +263,26 @@ class SampleLedger:
             query_count=self.oracle.query_count - self._queries_before,
             metadata=metadata or {},
         )
+
+
+@contextmanager
+def atomic_write(path):
+    """A text file that replaces `path` by rename when the block ends cleanly.
+
+    The file is written as `<name>.<pid>.tmp` beside `path`, so a run in
+    another process that writes the same path never opens or renames it.
+    It is removed if the block raises.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline="") as f:
+            yield f
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def meta_path(csv_path) -> Path:

@@ -425,7 +425,7 @@ def fast_bayesian_sampler(
         raise ValueError("rng is required")
     if N < params.init_count:
         raise ValueError(f"budget N={N} below the uniform init count {params.init_count}")
-    ledger = SampleLedger(oracle, progress)
+    ledger = SampleLedger(oracle, N, progress)
     ledger.label(rng.uniform((params.init_count, oracle.d)))
     fits = 0
     fallback_batches = 0
@@ -489,7 +489,7 @@ def reference_bayesian_sampler(
         )
     if N < INIT_COUNT:
         raise ValueError(f"budget N={N} below the uniform init count {INIT_COUNT}")
-    ledger = SampleLedger(oracle)
+    ledger = SampleLedger(oracle, N)
     ledger.label(rng.uniform((INIT_COUNT, oracle.d)))
     fits = 0
     while len(ledger) < N:

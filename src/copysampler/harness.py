@@ -30,6 +30,7 @@ from .core import (
     CopySamplerError,
     RandomSource,
     SyntheticDataset,
+    atomic_write,
     fit_normalization,
     load_labeled_csv,
 )
@@ -164,22 +165,25 @@ class ExperimentConfig:
                 SEKernel(self.kernel_length_scale, 1.0)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
-        # the smallest budget each method can run, and the setting behind it
-        least = {
-            "boundary": (2, "one uniform and one boundary point"),
-            "bayesian": (self.bayes.init_count, "[samplers.bayesian] init_count"),
-            "jacobian": (self.jacobian.seeds_per_refit, "[samplers.jacobian] seeds_per_refit"),
-        }
         for method in self.methods:
             if method not in METHODS:
                 raise ConfigError(f"unknown sampling method {method!r}")
-            need, why = least.get(method, (1, ""))
-            if self.n_grid[-1] < need:
-                raise ConfigError(f"n_grid tops out at {self.n_grid[-1]}, below the "
-                                  f"{need} samples the {method} sampler needs ({why})")
+            self.check_budget(method, self.n_grid[-1], "n_grid tops out at")
         for arch in self.architectures:
             if arch not in ARCHITECTURES:
                 raise ConfigError(f"unknown architecture {arch!r}")
+
+    def check_budget(self, method: str, n: int, what: str) -> None:
+        """Raise a ConfigError naming `what` if `method` cannot run n samples."""
+        # the smallest budget each method can run, and the setting behind it
+        need, why = {
+            "boundary": (2, "one uniform and one boundary point"),
+            "bayesian": (self.bayes.init_count, "[samplers.bayesian] init_count"),
+            "jacobian": (self.jacobian.seeds_per_refit, "[samplers.jacobian] seeds_per_refit"),
+        }.get(method, (1, "one point"))
+        if n < need:
+            raise ConfigError(f"{what} {n}, below the {need} samples the {method} "
+                              f"sampler needs ({why})")
 
     def repetitions_for(self, method: str) -> int:
         return self.bayesian_repetitions if method == "bayesian" else self.repetitions
@@ -519,10 +523,9 @@ class RunSummary:
         return 1 if self.failures else 0
 
 
-def _atomic_write(path: Path, text: str):
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
+def _write_text(path: Path, text: str):
+    with atomic_write(path) as f:
+        f.write(text)
 
 
 def _dataset_paths(out: Path, method: str, rep: int) -> tuple[Path, Path]:
@@ -540,8 +543,7 @@ def _generate_one(cfg, out, method, rep, oracle):
     ds_path, timing_path = _dataset_paths(out, method, rep)
     rng = RandomSource.derive(cfg.seed, "dataset", method, rep)
     profile = timing_profile(cfg, method, cfg.n_grid, oracle, rng)
-    timing_path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(timing_path, profile.csv_text())
+    _write_text(timing_path, profile.csv_text())
     profile.dataset.to_csv(ds_path)
 
 
@@ -569,7 +571,7 @@ def _loaded_batches(tasks, summary: RunSummary):
     for method, rep, ds_path, wanted in tasks:
         try:
             dataset = SyntheticDataset.from_csv(ds_path)
-            prefixes = {n: dataset.prefix(n) for n in {n for _, n in wanted}}
+            prefixes = {n: dataset.prefix(n) for _, n in wanted}
         except Exception as exc:
             log.exception("cannot take the cells of %s", ds_path)
             summary.failures.extend((_cell_label(method, arch, n, rep), str(exc))
@@ -683,8 +685,16 @@ def run_experiment(
     (arch, N) train together with one `train_many` call, each with the bits
     it would get alone, and a cell whose training fails fails alone.  The
     optional filters restrict which cells this invocation computes without
-    changing the resolved configuration.
+    changing the resolved configuration; a filter value the configuration
+    does not list is a ConfigError, raised before anything is written.
     """
+    for name, only, listed in (("method", only_methods, cfg.methods),
+                               ("arch", only_archs, cfg.architectures),
+                               ("n", only_ns, cfg.n_grid)):
+        for value in only or ():
+            if value not in listed:
+                raise ConfigError(f"{name} filter {value!r} is not in the config's "
+                                  f"list ({' '.join(map(str, listed))})")
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     summary = RunSummary(out_dir=out)
@@ -698,7 +708,7 @@ def run_experiment(
                 "refusing to mix results"
             )
     else:
-        echo_path.write_text(resolved)
+        _write_text(echo_path, resolved)
 
     methods = [m for m in cfg.methods if only_methods is None or m in only_methods]
     archs = [a for a in cfg.architectures if only_archs is None or a in only_archs]
@@ -779,8 +789,8 @@ def run_experiment(
             lines = path.read_text().splitlines()[1:]
             timing_rows.extend(lines)
     timing_rows.sort(key=lambda row: (row.split(",")[0], int(row.split(",")[1])))
-    _atomic_write(out / "timing.csv",
-                  TIMING_HEADER + "\n" + "".join(r + "\n" for r in timing_rows))
+    _write_text(out / "timing.csv",
+                TIMING_HEADER + "\n" + "".join(r + "\n" for r in timing_rows))
 
     expected = {
         (cfg.oracle.oracle_id, m, a, n)
@@ -791,9 +801,8 @@ def run_experiment(
     if len(cfg.methods) >= 2 and expected <= have:
         matrix = metrics.compare_methods(reports, cfg.tie_margin)
         metrics.write_comparison_csv(matrix, out / "comparison.csv")
-        (out / "comparison.meta.json").write_text(
-            json.dumps({"tie_margin": cfg.tie_margin}, sort_keys=True) + "\n"
-        )
+        _write_text(out / "comparison.meta.json",
+                    json.dumps({"tie_margin": cfg.tie_margin}, sort_keys=True) + "\n")
 
     if cfg.plots:
         _emit_plots(cfg, out, methods, summary)

@@ -16,7 +16,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .copies import TrainConfig, train
-from .core import CopySamplerError, RandomSource, SampleLedger, SyntheticDataset
+from .core import (
+    CopySamplerError, RandomSource, SampleLedger, SyntheticDataset, atomic_write,
+)
 from .oracles import Oracle
 
 
@@ -142,44 +144,34 @@ def build_reference_set(
         raise ValueError("L must be positive")
     if balanced and L < oracle.k:
         raise ValueError("balanced reference needs at least one point per class")
-    if max_attempts is None:
-        max_attempts = 100 * L
     d, k = oracle.d, oracle.k
-    if not balanced:
-        ledger = SampleLedger(oracle)
-        while len(ledger) < L:
-            ledger.label(rng.uniform((min(L - len(ledger), 65536), d)))
-        return ledger.dataset("reference", rng.seed, {"complete": True, "balanced": False})
-
-    base, extra = divmod(L, k)
-    quotas = np.full(k, base, dtype=np.int64)
-    quotas[:extra] += 1
+    if balanced:
+        base, extra = divmod(L, k)
+        quotas = np.full(k, base, dtype=np.int64)
+        quotas[:extra] += 1
+        if max_attempts is None:
+            max_attempts = 100 * L
+    else:  # every draw is kept, so L draws fill the set
+        quotas = np.full(k, L, dtype=np.int64)
+        max_attempts = L
+    ledger = SampleLedger(oracle, L)
     counts = np.zeros(k, dtype=np.int64)
-    accepted_X: list[np.ndarray] = []
-    accepted_y: list[np.ndarray] = []
     attempts = 0
-    while attempts < max_attempts and counts.sum() < L:
+    while attempts < max_attempts and len(ledger) < L:
         chunk = min(4096, max_attempts - attempts)
         Xc = rng.uniform((chunk, d))
         yc = oracle.query_many(Xc)
         attempts += chunk
         # a row's 1-based rank among the chunk's rows of its class; the
-        # first quota - count of each class are kept.  The quotas sum to L,
-        # so every quota is full once L rows are kept, and no later row is.
+        # first quota - count of each class are kept.  Balanced quotas sum
+        # to L, so every quota is full once L rows are kept, and no later
+        # row is; a plain chunk never outgrows the rows still free.
         rank = np.cumsum(yc[:, None] == np.arange(k), axis=0)[np.arange(chunk), yc]
         keep = rank <= quotas[yc] - counts[yc]
-        accepted_X.append(Xc[keep])
-        accepted_y.append(yc[keep])
+        ledger.add(Xc[keep], yc[keep])
         counts += np.bincount(yc[keep], minlength=k)
-    return SyntheticDataset(
-        X=np.concatenate(accepted_X) if accepted_X else np.empty((0, d)),
-        y=np.concatenate(accepted_y) if accepted_y else np.empty(0, dtype=np.int64),
-        k=k,
-        generator_id="reference",
-        seed=rng.seed,
-        query_count=attempts,
-        metadata={"complete": bool(counts.sum() == L), "balanced": True},
-    )
+    return ledger.dataset("reference", rng.seed,
+                          {"complete": len(ledger) == L, "balanced": balanced})
 
 
 def quality_checks(
@@ -290,17 +282,13 @@ def format_report_row(rec: RunRecord) -> list[str]:
 
 
 def write_report_csv(records: Sequence[RunRecord], path) -> Path:
-    """Write report rows, quoted as CSV needs, to a temporary file renamed to `path`."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("w", newline="") as f:
+    """Write report rows, quoted as CSV needs, to `path` by rename (`atomic_write`)."""
+    with atomic_write(path) as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(REPORT_HEADER)
         for rec in records:
             writer.writerow(format_report_row(rec))
-    tmp.replace(path)
-    return path
+    return Path(path)
 
 
 def read_report_csv(path) -> list[RunRecord]:
@@ -326,11 +314,10 @@ def read_report_csv(path) -> list[RunRecord]:
 def write_comparison_csv(
     matrix: Mapping[tuple[str, str], tuple[int, int, int]], path
 ) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as f:
+    """Write the matrix to `path` by rename (`atomic_write`)."""
+    with atomic_write(path) as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(COMPARISON_HEADER)
         for (a, b), (wins, ties, losses) in sorted(matrix.items()):
             writer.writerow([a, b, str(wins), str(ties), str(losses)])
-    return path
+    return Path(path)

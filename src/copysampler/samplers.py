@@ -120,7 +120,7 @@ def random_sampler(
     """N i.i.d. uniform points, drawn and labelled as one block."""
     if N < 1:
         raise ValueError("budget must be at least 1")
-    ledger = SampleLedger(oracle, progress)
+    ledger = SampleLedger(oracle, N, progress)
     ledger.label(rng.uniform((N, oracle.d)))
     return ledger.dataset("random", rng.seed)
 
@@ -249,7 +249,7 @@ def boundary_sampler(
         raise ValueError("rng is required")
     params = (params or BoundaryParams()).resolved(N)
     d = oracle.d
-    ledger = SampleLedger(oracle, progress)
+    ledger = SampleLedger(oracle, N, progress)
     uniform_quota = N // 2
     ledger.label(rng.uniform((uniform_quota, d)))
 
@@ -351,7 +351,7 @@ def jacobian_sampler(
             f"budget N={N} cannot cover the {params.seeds_per_refit} uniform seeds"
         )
     d = oracle.d
-    ledger = SampleLedger(oracle, progress)
+    ledger = SampleLedger(oracle, N, progress)
     ledger.label(rng.uniform((params.seeds_per_refit, d)))
 
     substitute = None

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import copysampler
 from copysampler import ConcentricCirclesOracle, HalfspaceOracle
 from copysampler.core import RandomSource
 
@@ -41,3 +47,23 @@ def probe_grid():
     g = np.linspace(0.01, 0.99, 40)
     xx, yy = np.meshgrid(g, g)
     return np.column_stack([xx.ravel(), yy.ravel()])
+
+
+def peak_rss_growth_mb(setup, statement):
+    """Peak RSS growth, in MiB, over `statement` run after `setup` in a fresh process."""
+    code = (
+        "import resource\n"
+        f"{setup}\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"{statement}\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print((after - before) / 1024)\n"
+    )
+    src = str(Path(copysampler.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return float(done.stdout.split()[-1])

@@ -1,15 +1,13 @@
 """Copy models: training, prediction, determinism, persistence."""
 
-import os
 import re
 import signal
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
+
+from conftest import peak_rss_growth_mb
 
 from copysampler import (
     CopyModel,
@@ -452,26 +450,6 @@ ANN2_SETUP = (
     "model = CopyModel('ann2', d=8, k=2,\n"
     "                  params={{'layers': _net_init(8, 2, (50, 50, 50), rng)}})\n"
 )
-
-
-def peak_rss_growth_mb(setup, statement):
-    """Peak RSS growth, in MiB, over `statement` run after `setup` in a fresh process."""
-    code = (
-        "import resource\n"
-        f"{setup}\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        f"{statement}\n"
-        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print((after - before) / 1024)\n"
-    )
-    src = str(Path(copies.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
-           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    return float(done.stdout.split()[-1])
 
 
 class TestPredictInChunks:

@@ -1,10 +1,13 @@
 """Core domain types: RNG contract, datasets, normalization, splits."""
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from conftest import peak_rss_growth_mb
 
 from copysampler import (
     DegenerateColumnError,
@@ -123,6 +126,17 @@ class TestPrefix:
         np.testing.assert_array_equal(out.X, ds.X[:3])
         np.testing.assert_array_equal(out.y, ds.y[:3])
 
+    def test_view_shares_memory_and_refuses_writes(self):
+        ds = _dataset(5)
+        out = ds.prefix(3)
+        assert np.shares_memory(out.X, ds.X) and np.shares_memory(out.y, ds.y)
+        with pytest.raises(ValueError):
+            out.X[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            out.y[0] = 1
+        ds.X[0, 0] = 0.25  # the dataset itself stays writable
+        assert out.X[0, 0] == 0.25
+
     def test_out_of_range(self):
         ds = _dataset(5)
         with pytest.raises(ValueError):
@@ -149,7 +163,7 @@ class TestPrefix:
 class TestSampleLedger:
     def test_query_count_starts_at_the_ledger(self, halfspace):
         halfspace.query_many(np.full((7, 2), 0.25))  # spent before the run
-        ledger = SampleLedger(halfspace)
+        ledger = SampleLedger(halfspace, 4)
         ledger.label(np.full((3, 2), 0.75))
         halfspace.query(np.array([0.1, 0.1]))  # spent and discarded by the run
         ledger.add(np.array([0.9, 0.9]), 1)
@@ -159,7 +173,7 @@ class TestSampleLedger:
 
     def test_progress_once_per_block_and_per_add(self, halfspace):
         reported = []
-        ledger = SampleLedger(halfspace, reported.append)
+        ledger = SampleLedger(halfspace, 9, reported.append)
         ledger.label(np.full((5, 2), 0.75))
         ledger.add(np.array([0.2, 0.3]), 0)
         ledger.add(np.array([0.6, 0.3]), 1)
@@ -170,7 +184,7 @@ class TestSampleLedger:
     def test_points_and_labels_in_arrival_order(self, halfspace):
         blocks = [RandomSource(3).uniform((4, 2)), np.array([[0.4, 0.1]]),
                   RandomSource(4).uniform((6, 2))]
-        ledger = SampleLedger(halfspace)
+        ledger = SampleLedger(halfspace, 11)
         ledger.label(blocks[0])
         ledger.add(blocks[1][0], 1)  # the caller's label is kept as given
         ledger.label(blocks[2])
@@ -180,8 +194,21 @@ class TestSampleLedger:
         np.testing.assert_array_equal(ledger.y, expected_y)
         assert ledger.y.dtype == np.int64
 
+    def test_overfill_raises(self, halfspace):
+        ledger = SampleLedger(halfspace, 3)
+        ledger.label(np.full((2, 2), 0.75))
+        with pytest.raises(ValueError, match="overfill"):
+            ledger.add(np.full((2, 2), 0.25), [0, 0])
+        point = np.array([0.25, 0.25])
+        ledger.add(point, halfspace.query(point))
+        with pytest.raises(ValueError, match="overfill"):
+            ledger.add(np.array([0.5, 0.5]), 1)
+        ds = ledger.dataset("unit", seed=0)
+        assert len(ds) == 3 and ds.y.tolist() == [1, 1, 0]
+        assert np.shares_memory(ds.X, ledger.X) and np.shares_memory(ds.y, ledger.y)
+
     def test_empty_ledger_gives_an_empty_dataset(self, halfspace):
-        ds = SampleLedger(halfspace).dataset("unit", seed=0)
+        ds = SampleLedger(halfspace, 3).dataset("unit", seed=0)
         assert ds.X.shape == (0, 2) and len(ds) == 0 and ds.query_count == 0
         assert ds.k == 2 and ds.metadata == {}
 
@@ -211,6 +238,19 @@ class TestDatasetSerialization:
         monkeypatch.setattr(core, "_CSV_BLOCK_ROWS", block)
         assert ds.to_csv(tmp_path / "blocks.csv").read_bytes() == whole
 
+    def test_writing_copies_no_whole_array(self, tmp_path):
+        # stacking [X, y] into one (n, d + 1) array before formatting grew
+        # peak RSS by some 14 MiB here, one more copy of the dataset;
+        # formatting 1024-row blocks straight from X and y needs well under
+        # a quarter of it
+        rows, d = 2 * 10**5, 8
+        grown = peak_rss_growth_mb(
+            "from copysampler import RandomSource, SyntheticDataset\n"
+            f"X = RandomSource(3).uniform(({rows}, {d}))\n"
+            f"ds = SyntheticDataset(X, X[:, 0] > 0.5, 2, 't', 0, {rows})\n",
+            f"ds.to_csv({str(tmp_path / 'ds.csv')!r})")
+        assert grown < 0.25 * rows * (d + 1) * 8 / 2**20
+
     def test_header_and_sidecar(self, tmp_path):
         ds = _dataset(3, d=2)
         path = ds.to_csv(tmp_path / "ds.csv")
@@ -229,7 +269,9 @@ class TestDatasetSerialization:
         monkeypatch.setattr(type(tmp_path), "replace", recording_replace)
         _dataset(4, d=2).to_csv(tmp_path / "ds.csv")
         _dataset(5, d=2).to_csv(tmp_path / "ds.csv")  # over an existing pair
-        assert renames == [("ds.csv.meta.json", "ds.meta.json"), ("ds.csv.tmp", "ds.csv")] * 2
+        pid = os.getpid()
+        assert renames == [(f"ds.meta.json.{pid}.tmp", "ds.meta.json"),
+                           (f"ds.csv.{pid}.tmp", "ds.csv")] * 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.csv", "ds.meta.json"]
         assert len(SyntheticDataset.from_csv(tmp_path / "ds.csv")) == 5
 

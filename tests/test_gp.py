@@ -513,7 +513,7 @@ class TestUniformInit:
         oracle, ref_oracle = make(), make()
         rng, ref_rng = RandomSource(51), RandomSource(51)
         reported = []
-        ledger = SampleLedger(oracle, reported.append)
+        ledger = SampleLedger(oracle, 25, reported.append)
         ledger.label(rng.uniform((25, oracle.d)))
         ref_pts, ref_labels = reference_uniform_init(25, ref_oracle, ref_rng)
         assert ledger.X.tobytes() == np.array(ref_pts).tobytes()

@@ -1,6 +1,7 @@
 """Experiment harness: config grammar, sweep accounting, resume, plots, CLI."""
 
 import json
+import os
 import re
 import shlex
 import sys
@@ -64,6 +65,12 @@ reference_size = 4000
 
 
 CIRCLES_ORACLE = "[oracle]\nkind = circles\ncenter = 0.5 0.5\nradii = 0.25\n"
+
+MINI_RUN = ("[experiment]\nseed = 2\nrepetitions = 1\n"
+            "[oracle]\nkind = halfspace\nw = 1 0\nc = 0.5\n"
+            "[samplers]\nmethods = random\n"
+            "[copies]\narchitectures = dt\n"
+            "[evaluation]\nn_grid = 60\nreference_size = 300\n")
 
 # render_resolved output as the run directories written so far have it; a
 # run directory resumes only while these bytes stay the same
@@ -653,6 +660,18 @@ class TestResume:
         assert without_wall_time(report_after) == without_wall_time(report_before)
         assert len(report_after.splitlines()) == len(report_before.splitlines())
 
+    def test_another_process_temporary_file_is_left_alone(self, tmp_path):
+        path = tmp_path / "mini.ini"
+        path.write_text(MINI_RUN)
+        out = tmp_path / "out"
+        stray = out / "reference" / "reference.csv.tmp"  # another run's, mid-write
+        stray.parent.mkdir(parents=True)
+        stray.write_text("x0,x1,label\n0.5,0.5,1\n")
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert stray.read_text() == "x0,x1,label\n0.5,0.5,1\n"
+        assert len(SyntheticDataset.from_csv(out / "reference" / "reference.csv")) == 300
+        assert not list(out.rglob(f"*.{os.getpid()}.tmp"))
+
     def test_mismatched_config_rejected(self, toy_run, tmp_path):
         cfg, out, _ = toy_run
         from dataclasses import replace
@@ -817,6 +836,54 @@ class TestCLI:
         assert "seeds_per_refit" in capsys.readouterr().err
         assert not (tmp_path / "o" / "config.resolved.ini").exists()
 
+    @pytest.mark.parametrize("flag, value, listed", [
+        ("--n", "5", "(10 20)"),
+        ("--n", "0", "(10 20)"),
+        ("--method", "bayesian", "(random boundary)"),
+        ("--arch", "lr", "(dt)"),
+    ])
+    def test_filter_matching_nothing_exits_before_writing(self, tmp_path, capsys,
+                                                          flag, value, listed):
+        path = tmp_path / "grid.ini"
+        path.write_text(CIRCLES_ORACLE + "[samplers]\nmethods = random boundary\n"
+                        "[copies]\narchitectures = dt\n"
+                        "[evaluation]\nn_grid = 10 20\nreference_size = 200\n")
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(path), "--out", str(out), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert value in err and listed in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, args, message", [
+        ("sample", ["--method", "random", "--n", "0"], "--n is 0, below the 1 samples"),
+        ("sample", ["--method", "jacobian", "--n", "20"], "seeds_per_refit"),
+        ("profile", ["--method", "random", "--checkpoints", "5 x"], "'5 x'"),
+        ("profile", ["--method", "random", "--checkpoints", "0 5"], "'0 5'"),
+        ("profile", ["--method", "random", "--checkpoints", "9 5"], "'9 5'"),
+        ("profile", ["--method", "jacobian", "--checkpoints", "10 20"],
+         "--checkpoints tops out at 20"),
+    ])
+    def test_bad_numbers_exit_2_with_one_line(self, tmp_path, toy_config, capsys,
+                                              command, args, message):
+        out = tmp_path / "out.csv"
+        code = cli_main([command, "--config", str(toy_config), *args, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("size", ["0", "1"])  # below the k = 2 a balanced set needs
+    def test_evaluate_reference_size_below_the_classes(self, tmp_path, toy_config,
+                                                       capsys, size):
+        model = train("dt", random_sampler(50, ConcentricCirclesOracle((0.5, 0.5), [0.25]),
+                                           RandomSource(1)))
+        path = model.save(tmp_path / "copy")
+        code = cli_main(["evaluate", "--config", str(toy_config), "--model", str(path),
+                         "--reference-size", size])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert f"--reference-size is {size}, below the 2 point(s)" in err
+
     @pytest.mark.parametrize("workers, code", [("1", 0), ("2", 2)])
     def test_run_workers_flag(self, tmp_path, capsys, workers, code):
         path = tmp_path / "mini.ini"
@@ -871,11 +938,7 @@ class TestCLI:
 
     def test_run_exit_zero(self, tmp_path):
         path = tmp_path / "mini.ini"
-        path.write_text("[experiment]\nseed = 2\nrepetitions = 1\n"
-                        "[oracle]\nkind = halfspace\nw = 1 0\nc = 0.5\n"
-                        "[samplers]\nmethods = random\n"
-                        "[copies]\narchitectures = dt\n"
-                        "[evaluation]\nn_grid = 60\nreference_size = 300\n")
+        path.write_text(MINI_RUN)
         code = cli_main(["run", "--config", str(path),
                          "--out", str(tmp_path / "out"), "--seed", "2"])
         assert code == 0

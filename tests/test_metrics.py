@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from conftest import peak_rss_growth_mb
+
 from copysampler import (
     CheckerboardOracle,
     ConcentricCirclesOracle,
@@ -162,6 +164,18 @@ class TestBuildReferenceSet:
         assert side["query_count"] == circles.query_count
         assert side["query_count"] > 300 if balanced else side["query_count"] == 300
         assert side["metadata"] == {"complete": True, "balanced": balanced}
+
+    @pytest.mark.parametrize("balanced", [True, False])
+    def test_memory_is_the_set_once(self, balanced):
+        # kept as blocks and concatenated at the end, the set grew peak RSS
+        # by some 139 MiB for these 68.7 MiB, either way
+        L, d = 10**6, 8
+        grown = peak_rss_growth_mb(
+            "from copysampler import HalfspaceOracle, RandomSource, build_reference_set\n"
+            f"oracle = HalfspaceOracle(w=(1.0,) * {d}, c={d / 2})\n",
+            f"ref = build_reference_set(oracle, {L}, {balanced}, RandomSource(2))\n"
+            f"assert len(ref) == {L}")
+        assert grown < 1.25 * L * (d + 1) * 8 / 2**20
 
     def test_uneven_quota_assignment(self):
         oracle = ConcentricCirclesOracle(center=(0.5, 0.5), radii=[0.3])
