@@ -22,9 +22,8 @@ _PUBLIC = {
         NormalizationTransform RandomSource SampleLedger StratificationError
         SyntheticDataset fit_normalization stratified_split""",
     "gp": """AcquisitionParams FastBayesParams GPPosterior PosteriorFitError
-        ScaleGuardError SEKernel acquisition_value fast_bayesian_sampler
-        kernel_eval maximize_acquisition posterior_fit
-        reference_bayesian_sampler round_to_class""",
+        SEKernel acquisition_value fast_bayesian_sampler kernel_eval
+        maximize_acquisition posterior_fit round_to_class""",
     "harness": """ExperimentConfig OracleSpec RunSummary TimingProfile
         load_config run_experiment timing_profile""",
     "metrics": """FidelityReport RunRecord balanced_empirical_fidelity_error

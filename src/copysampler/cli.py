@@ -78,8 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run one sampler to the largest checkpoint and print, for "
         "each checkpoint N, the seconds until the first N samples were "
         "labelled. A sampler that labels a block of points reports the whole "
-        "block at once, so random's rows all read its one block. For the "
-        "cost of a full run of budget N, pass --checkpoints N alone.")
+        "block at once, so a random row reads the time of the 4096-row block "
+        "that holds it. For the cost of a full run of budget N, pass "
+        "--checkpoints N alone.")
     p.add_argument("--config", required=True)
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--checkpoints", required=True,
@@ -211,6 +212,7 @@ def cmd_run(args) -> int:
         only_archs=[args.arch] if args.arch else None,
         only_ns=[args.n] if args.n is not None else None,
     )
+    print(f"reference: {'built' if summary.reference_built else 'read'}")
     print(
         f"datasets: {summary.datasets_computed} computed, "
         f"{summary.datasets_skipped} reused; cells: {summary.cells_computed} "

@@ -206,6 +206,13 @@ class SyntheticDataset:
         return cls(X, y, k, "unknown", 0, len(y))
 
 
+# Uniform points are drawn and labelled in blocks of at most this many rows,
+# so a large draw holds one block of temporaries, not a second copy of the
+# whole sample.  PCG64 fills doubles in sequence, so the block size does not
+# change the points.
+DRAW_BLOCK = 4096
+
+
 class SampleLedger:
     """The N points one run labels through `oracle`, in order, and their cost.
 

@@ -4,9 +4,9 @@ The decision function is modelled as a zero-mean GP with a squared
 exponential kernel, regressing directly on class indices.  Sampling then
 chases an acquisition score that is large where the posterior variance is
 high and where the posterior mean sits between integer labels, i.e. near a
-class transition.  The fast sampler amortizes posterior fits over batches
-and caps the conditioning set; the reference variant refits after every
-sample and exists only as a small-scale quality yardstick.
+class transition.  The sampler amortizes posterior fits over batches and
+caps the conditioning set; at `cap = N` and `slowness = N` it refits on
+every sample after each point, the fully re-optimized variant.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ from .core import (
 from .oracles import Oracle
 
 log = logging.getLogger(__name__)
-
-INIT_COUNT = 10
-REFERENCE_BUDGET_LIMIT = 500
 
 # Initial jitter is kept tiny so the posterior still interpolates its
 # support to ~1e-6; escalation covers genuinely degenerate fits.
@@ -135,10 +132,6 @@ class PosteriorFitError(CopySamplerError):
     """Covariance stayed non-positive-definite after jitter escalation."""
 
 
-class ScaleGuardError(CopySamplerError):
-    """The reference sampler was asked for more than its test-scale budget."""
-
-
 @dataclass(frozen=True)
 class SEKernel:
     """Squared exponential covariance: variance * exp(-|z - z'|^2 / (2 l^2))."""
@@ -219,7 +212,7 @@ class AcquisitionParams:
 class FastBayesParams:
     cap: int = 1000            # most samples used to condition one posterior
     slowness: float = 20.0     # inverse fraction of new points per refit
-    init_count: int = INIT_COUNT
+    init_count: int = 10
     local_iters: int = 10
 
     def __post_init__(self):
@@ -251,27 +244,12 @@ class GPPosterior:
         self.factor = _frozen(factor)
         self.jitter = jitter
         self._support_sq = _frozen((X * X).sum(axis=1))
-        if len(y):
-            tmp = solve_triangular(factor, y, lower=True)
-            self._alpha = _frozen(solve_triangular(factor.T, tmp, lower=False))
-        else:
-            self._alpha = _frozen(np.empty(0))
-
-    @classmethod
-    def prior(cls, kern: SEKernel) -> "GPPosterior":
-        """Unconditioned process: mean 0, variance `kern.variance` everywhere."""
-        return cls(np.empty((0, 1)), np.empty(0), kern,
-                   np.empty((0, 0)), JITTER_INITIAL_FACTOR * kern.variance)
-
-    def __len__(self) -> int:
-        return int(self.support_y.shape[0])
+        tmp = solve_triangular(factor, y, lower=True)
+        self._alpha = _frozen(solve_triangular(factor.T, tmp, lower=False))
 
     def mean_var(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at each row of Z."""
         Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-        if len(self) == 0:
-            m = Z.shape[0]
-            return np.zeros(m), np.full(m, self.kernel.variance)
         Ks = self.kernel.matrix(self.support_X, Z, self._support_sq)
         _check_finite(Ks)
         mu = Ks.T @ self._alpha
@@ -416,7 +394,9 @@ def fast_bayesian_sampler(
     started from an independent uniform restart and all searched in
     lockstep, one posterior evaluation per step.  Conditioning subsets are
     drawn uniformly without replacement whenever the sample pool exceeds
-    the cap.
+    the cap.  With `cap = N` and `slowness = N` no subset is drawn and
+    every batch is one restart, so the posterior is refit on all samples
+    after every point: the fully re-optimized variant, cubic in N.
     """
     params = params or FastBayesParams()
     kern = kern or SEKernel.for_problem(oracle.d, oracle.k)
@@ -465,43 +445,3 @@ def fast_bayesian_sampler(
         "kernel_variance": kern.variance,
     })
 
-
-def reference_bayesian_sampler(
-    N: int,
-    oracle: Oracle,
-    kern: SEKernel | None = None,
-    acq: AcquisitionParams | None = None,
-    rng: RandomSource | None = None,
-    local_iters: int = 10,
-) -> SyntheticDataset:
-    """Fully re-optimized variant: refit on all samples after every point.
-
-    Cubic in N, so it refuses budgets above REFERENCE_BUDGET_LIMIT; it
-    exists only as a fidelity yardstick for the fast sampler.
-    """
-    kern = kern or SEKernel.for_problem(oracle.d, oracle.k)
-    acq = acq or AcquisitionParams()
-    if rng is None:
-        raise ValueError("rng is required")
-    if N > REFERENCE_BUDGET_LIMIT:
-        raise ScaleGuardError(
-            f"reference sampler is capped at {REFERENCE_BUDGET_LIMIT} samples, got {N}"
-        )
-    if N < INIT_COUNT:
-        raise ValueError(f"budget N={N} below the uniform init count {INIT_COUNT}")
-    ledger = SampleLedger(oracle, N)
-    ledger.label(rng.uniform((INIT_COUNT, oracle.d)))
-    fits = 0
-    while len(ledger) < N:
-        try:
-            gp = posterior_fit(ledger.X, ledger.y.astype(np.float64), kern)
-            fits += 1
-        except PosteriorFitError:
-            gp = None
-        z0 = rng.uniform(oracle.d)
-        z = z0 if gp is None else maximize_acquisition(gp, z0, local_iters, rng, acq)
-        ledger.add(z, oracle.query(z))
-    return ledger.dataset("bayesian-ref", rng.seed, {
-        "posterior_fits": fits, "tau": acq.tau,
-        "length_scale": kern.length_scale, "kernel_variance": kern.variance,
-    })

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import configparser
 import contextlib
+import fcntl
 import json
 import logging
 import math
+import os
 import shlex
 import time
 from dataclasses import dataclass, field, replace as dc_replace
@@ -156,15 +158,11 @@ class ExperimentConfig:
             raise ConfigError(f"reference_size must be >= 1, got {self.reference_size}")
         if not self.tie_margin >= 0:
             raise ConfigError(f"tie_margin must be >= 0, got {self.tie_margin}")
-        for name in ("kernel_length_scale", "kernel_variance"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ConfigError(f"{name.removeprefix('kernel_')} must be > 0, got {value}")
-        if self.kernel_length_scale is not None:
-            try:  # 2 l^2 must not overflow or underflow either
-                SEKernel(self.kernel_length_scale, 1.0)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+        try:  # the kernel's own checks; an unset value stands as 1.0
+            SEKernel(1.0 if self.kernel_length_scale is None else self.kernel_length_scale,
+                     1.0 if self.kernel_variance is None else self.kernel_variance)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         for method in self.methods:
             if method not in METHODS:
                 raise ConfigError(f"unknown sampling method {method!r}")
@@ -433,8 +431,9 @@ class TimingProfile:
     Each checkpoint (N, seconds) is the time from the start of the run until
     its first N samples were labelled.  A sampler that labels a block of
     points reports the whole block at once, so every checkpoint inside one
-    block reads the time that block finished: the random sampler labels its
-    whole budget as one block, so each of its rows reads the full run.
+    block reads the time that block finished: the random sampler labels
+    blocks of 4096 rows (`core.DRAW_BLOCK`), so a random checkpoint reads the
+    time of the block that holds it.
     """
 
     method: str
@@ -512,6 +511,7 @@ def timing_profile(
 @dataclass
 class RunSummary:
     out_dir: Path
+    reference_built: bool = False  # False: read from the directory
     datasets_computed: int = 0
     datasets_skipped: int = 0
     cells_computed: int = 0
@@ -680,7 +680,10 @@ def run_experiment(
     smaller budgets are taken as prefixes.  The reference set and every
     dataset are labelled through one oracle, built when the first of them
     needs it and closed before training starts; each keeps its own query
-    count.  A dataset whose generation fails closes that oracle, so the next
+    count.  Runs started together on one directory build its reference
+    once: each reads or builds it under an exclusive `flock` on the
+    directory, and `RunSummary.reference_built` says which this run did.
+    A dataset whose generation fails closes that oracle, so the next
     one gets a fresh build.  The network cells that share
     (arch, N) train together with one `train_many` call, each with the bits
     it would get alone, and a cell whose training fails fails alone.  The
@@ -727,11 +730,18 @@ def run_experiment(
     ref_path = out / "reference" / "reference.csv"
     oracle = None  # built by the first task that needs it
     try:
-        if ref_path.exists():
-            reference = SyntheticDataset.from_csv(ref_path)
-        else:
-            oracle = cfg.oracle.build()
-            reference = _reference_for(cfg, ref_path, oracle)
+        # locked on the directory itself, so no lock file lands among the outputs
+        out_fd = os.open(out, os.O_RDONLY)
+        try:
+            fcntl.flock(out_fd, fcntl.LOCK_EX)
+            if ref_path.exists():
+                reference = SyntheticDataset.from_csv(ref_path)
+            else:
+                oracle = cfg.oracle.build()
+                reference = _reference_for(cfg, ref_path, oracle)
+                summary.reference_built = True
+        finally:
+            os.close(out_fd)  # and with it the lock
 
         def run_gen(task):
             nonlocal oracle

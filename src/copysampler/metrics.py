@@ -17,7 +17,8 @@ import numpy as np
 
 from .copies import TrainConfig, train
 from .core import (
-    CopySamplerError, RandomSource, SampleLedger, SyntheticDataset, atomic_write,
+    DRAW_BLOCK, CopySamplerError, RandomSource, SampleLedger, SyntheticDataset,
+    atomic_write,
 )
 from .oracles import Oracle
 
@@ -158,7 +159,7 @@ def build_reference_set(
     counts = np.zeros(k, dtype=np.int64)
     attempts = 0
     while attempts < max_attempts and len(ledger) < L:
-        chunk = min(4096, max_attempts - attempts)
+        chunk = min(DRAW_BLOCK, max_attempts - attempts)
         Xc = rng.uniform((chunk, d))
         yc = oracle.query_many(Xc)
         attempts += chunk

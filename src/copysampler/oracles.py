@@ -2,8 +2,8 @@
 
 The oracle is the only view of the model being copied: it maps a point to a
 class index and exposes nothing else (no confidences, no gradients).  This
-module provides closed-form toy classifiers whose true decision boundary is
-known to tests, a 1-nearest-neighbour table oracle for copying arbitrary
+module provides closed-form toy classifiers whose true decision boundary a
+plot can draw, a 1-nearest-neighbour table oracle for copying arbitrary
 exported models, and a client/server pair for a newline-delimited wire
 protocol so models in other processes (or languages) can be queried.
 """
@@ -96,10 +96,7 @@ class Oracle:
 
 
 class AnalyticOracle(Oracle):
-    """Closed-form classifier whose true boundary is available to tests."""
-
-    def boundary_distance(self, z: Point) -> float:
-        raise NotImplementedError
+    """Closed-form classifier; `boundary_curves` traces its true boundary for plots."""
 
     def boundary_curves(self, n: int = 512) -> list[np.ndarray]:
         """Polylines tracing the decision boundary (2-D variants only)."""
@@ -116,15 +113,11 @@ class HalfspaceOracle(AnalyticOracle):
         super().__init__(d=w.size, k=2)
         self.w = w
         self.c = float(c)
-        self._norm = float(np.linalg.norm(w))
-        if self._norm == 0.0:
+        if float(np.linalg.norm(w)) == 0.0:
             raise ValueError("weight vector must be nonzero")
 
     def _label_many(self, X):
         return (X @ self.w >= self.c).astype(np.int64)
-
-    def boundary_distance(self, z):
-        return abs(float(self.w @ np.asarray(z, dtype=np.float64)) - self.c) / self._norm
 
     def boundary_curves(self, n: int = 512):
         if self.d != 2:
@@ -199,13 +192,6 @@ class CheckerboardOracle(AnalyticOracle):
     def _label_many(self, X):
         return (self._cell_indices(X).sum(axis=1) % 2).astype(np.int64)
 
-    def boundary_distance(self, z):
-        if self.cells == 1:
-            return math.inf
-        z = np.asarray(z, dtype=np.float64)
-        lines = np.clip(np.round(z * self.cells), 1, self.cells - 1) / self.cells
-        return float(np.min(np.abs(z - lines)))
-
     def boundary_curves(self, n: int = 512):
         if self.d != 2:
             return super().boundary_curves(n)
@@ -254,44 +240,6 @@ class Spiral2DOracle(AnalyticOracle):
             self.center[0] + t * np.cos(ang),
             self.center[1] + t * np.sin(ang),
         ])
-
-    def boundary_distance(self, z):
-        # No closed form exists for distance to an Archimedean arm; project
-        # onto a dense parametrization and refine by golden section.
-        z = np.asarray(z, dtype=np.float64)
-        best = math.inf
-        grid = np.linspace(0.0, self._R_MAX, 2048)
-        for phase in (0.0, math.pi):
-            pts = self._arm_points(grid, phase)
-            d2 = ((pts - z) ** 2).sum(axis=1)
-            i = int(np.argmin(d2))
-            lo = grid[max(i - 1, 0)]
-            hi = grid[min(i + 1, grid.size - 1)]
-            best = min(best, self._refine(z, phase, lo, hi))
-        return best
-
-    def _refine(self, z, phase, lo, hi):
-        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c = b - inv_phi * (b - a)
-        d = a + inv_phi * (b - a)
-        fc = self._dist_at(z, phase, c)
-        fd = self._dist_at(z, phase, d)
-        for _ in range(80):
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - inv_phi * (b - a)
-                fc = self._dist_at(z, phase, c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + inv_phi * (b - a)
-                fd = self._dist_at(z, phase, d)
-        t = (a + b) / 2
-        return self._dist_at(z, phase, t)
-
-    def _dist_at(self, z, phase, t):
-        p = self._arm_points(np.array([t]), phase)[0]
-        return float(np.linalg.norm(p - z))
 
     def boundary_curves(self, n: int = 512):
         t = np.linspace(0.0, self._R_MAX, n)

@@ -25,7 +25,8 @@ import numpy as np
 
 from .copies import TrainConfig, TrainingError, train
 from .core import (
-    LabeledSample, RandomSource, SampleLedger, SyntheticDataset, round_half_up,
+    DRAW_BLOCK, LabeledSample, RandomSource, SampleLedger, SyntheticDataset,
+    round_half_up,
 )
 from .oracles import Oracle
 
@@ -117,11 +118,12 @@ def random_sampler(
     rng: RandomSource,
     progress=None,
 ) -> SyntheticDataset:
-    """N i.i.d. uniform points, drawn and labelled as one block."""
+    """N i.i.d. uniform points, drawn and labelled in blocks of `DRAW_BLOCK` rows."""
     if N < 1:
         raise ValueError("budget must be at least 1")
     ledger = SampleLedger(oracle, N, progress)
-    ledger.label(rng.uniform((N, oracle.d)))
+    for start in range(0, N, DRAW_BLOCK):
+        ledger.label(rng.uniform((min(DRAW_BLOCK, N - start), oracle.d)))
     return ledger.dataset("random", rng.seed)
 
 

@@ -15,7 +15,7 @@ from copysampler import (
     ConcentricCirclesOracle,
     FastBayesParams,
     GPPosterior,
-    ScaleGuardError,
+    HalfspaceOracle,
     SEKernel,
     TableOracle,
     acquisition_value,
@@ -24,7 +24,6 @@ from copysampler import (
     maximize_acquisition,
     posterior_fit,
     random_sampler,
-    reference_bayesian_sampler,
     round_to_class,
 )
 import copysampler.gp as gp_mod
@@ -282,7 +281,7 @@ class TestMaximizeAcquisition:
         assert np.linalg.norm(z - z0) > 0.02
 
     def test_flat_prior_stays_put(self):
-        gp = GPPosterior.prior(SEKernel(0.5, 1.0))
+        gp = FlatPosterior(1.0)
         z0 = np.array([0.3, 0.8])
         z = maximize_acquisition(gp, z0, 10, RandomSource(2))
         np.testing.assert_array_equal(z, z0)
@@ -302,6 +301,17 @@ class TestMaximizeAcquisition:
         gp = posterior_fit(np.array([[0.95, 0.95]]), np.array([1.0]), kern)
         z = maximize_acquisition(gp, np.array([0.99, 0.99]), 12, RandomSource(4))
         assert np.all(z >= 0.0) and np.all(z <= 1.0)
+
+
+class FlatPosterior:
+    """A posterior with mean 0 and one variance everywhere: a flat acquisition."""
+
+    def __init__(self, variance):
+        self.variance = variance
+
+    def mean_var(self, Z):
+        m = np.atleast_2d(Z).shape[0]
+        return np.zeros(m), np.full(m, self.variance)
 
 
 def reference_maximize_acquisition(gp, z0, iters, rng, params=None,
@@ -437,7 +447,7 @@ class TestLockstepSearch:
         assert np.all(Z[3] >= 0.0) and np.all(Z[4] <= 1.0)
 
     def test_flat_prior_keeps_every_restart(self):
-        gp = GPPosterior.prior(SEKernel(0.5, 1.0))
+        gp = FlatPosterior(1.0)
         rng = RandomSource(8)
         Z0 = rng.uniform((5, 3))
         Z = _pattern_search(gp, Z0, rng.normal((5, 10, 3)), None,
@@ -584,31 +594,72 @@ class TestFastBayesianSampler:
         assert len(ds) == 60
 
 
+def refit_every_point(N):
+    """The fast sampler's fully re-optimized setting: one restart per fit, no subset."""
+    return FastBayesParams(cap=N, slowness=N)
+
+
+def reference_refit_every_point_sampler(N, oracle, rng, local_iters=10):
+    """The loop that the `cap = N, slowness = N` setting replaced.
+
+    After ten uniform points it refits on every sample, searches from one
+    uniform restart and queries that one point, until N are labelled.
+    """
+    kern = SEKernel.for_problem(oracle.d, oracle.k)
+    ledger = SampleLedger(oracle, N)
+    ledger.label(rng.uniform((10, oracle.d)))
+    fits = 0
+    while len(ledger) < N:
+        try:
+            gp = posterior_fit(ledger.X, ledger.y.astype(np.float64), kern)
+            fits += 1
+        except PosteriorFitError:
+            gp = None
+        z0 = rng.uniform(oracle.d)
+        z = z0 if gp is None else maximize_acquisition(gp, z0, local_iters, rng)
+        ledger.add(z, oracle.query(z))
+    return ledger.dataset("bayesian-ref", rng.seed, {"posterior_fits": fits})
+
+
 class TestReferenceBayesianSampler:
-    def test_scale_guard(self, circles):
-        with pytest.raises(ScaleGuardError):
-            reference_bayesian_sampler(501, circles, rng=RandomSource(1))
+    """The fast sampler at `cap = N, slowness = N`, the fully re-optimized variant."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: ConcentricCirclesOracle(center=(0.5, 0.5), radii=[0.25]),
+        lambda: HalfspaceOracle(w=np.ones(8), c=4.0),
+        lambda: TableOracle(RandomSource(7).uniform((500, 3)), np.arange(500) % 3),
+    ], ids=["circles", "halfspace-8d", "table-3d"])
+    @pytest.mark.parametrize("N", [10, 11, 25, 50, 120])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_refit_every_point_loop(self, make, N, seed):
+        ds = fast_bayesian_sampler(N, make(), refit_every_point(N), rng=RandomSource(seed))
+        ref = reference_refit_every_point_sampler(N, make(), RandomSource(seed))
+        assert ds.X.tobytes() == ref.X.tobytes()
+        assert ds.y.tobytes() == ref.y.tobytes()
+        assert ds.query_count == ref.query_count == N
+        assert ds.metadata["posterior_fits"] == ref.metadata["posterior_fits"]
 
     def test_init_matches_fast_variant(self, circles):
         fast = fast_bayesian_sampler(10, circles, rng=RandomSource(33))
-        ref = reference_bayesian_sampler(10, circles, rng=RandomSource(33))
+        ref = reference_refit_every_point_sampler(10, circles, RandomSource(33))
         np.testing.assert_array_equal(fast.X, ref.X)
         np.testing.assert_array_equal(fast.y, ref.y)
 
     def test_determinism(self, circles):
-        a = reference_bayesian_sampler(25, circles, rng=RandomSource(4))
-        b = reference_bayesian_sampler(25, circles, rng=RandomSource(4))
+        a = fast_bayesian_sampler(25, circles, refit_every_point(25), rng=RandomSource(4))
+        b = fast_bayesian_sampler(25, circles, refit_every_point(25), rng=RandomSource(4))
         np.testing.assert_array_equal(a.X, b.X)
 
     def test_refits_every_sample(self, circles):
-        ds = reference_bayesian_sampler(30, circles, rng=RandomSource(5))
+        ds = fast_bayesian_sampler(30, circles, refit_every_point(30), rng=RandomSource(5))
         assert ds.metadata["posterior_fits"] == 20  # one per post-init sample
 
     def test_boundary_focus_not_worse_than_fast(self, circles):
         fast_fracs, ref_fracs = [], []
         for seed in range(5):
             fast = fast_bayesian_sampler(50, circles, rng=RandomSource(300 + seed))
-            ref = reference_bayesian_sampler(50, circles, rng=RandomSource(300 + seed))
+            ref = fast_bayesian_sampler(50, circles, refit_every_point(50),
+                                        rng=RandomSource(300 + seed))
             fast_fracs.append(np.mean([
                 circles.boundary_distance(z) <= 0.1 for z in fast.X
             ]))
@@ -781,7 +832,6 @@ class TestLapackPath:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
         X[0, 0] = 0.5  # the caller's arrays stay its own to write
-        assert GPPosterior.prior(kern).factor.flags.writeable is False
 
 
 def run_fresh(code: str, timeout: float = 60) -> str:

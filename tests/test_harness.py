@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shlex
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import copysampler
 from copysampler import (
     ConcentricCirclesOracle,
     SEKernel,
@@ -942,6 +944,35 @@ class TestCLI:
         code = cli_main(["run", "--config", str(path),
                          "--out", str(tmp_path / "out"), "--seed", "2"])
         assert code == 0
+
+
+class TestConcurrentRuns:
+    def test_two_runs_build_the_reference_once(self, tmp_path):
+        config = Path(__file__).resolve().parents[1] / "configs" / "toy-circles.ini"
+        src = str(Path(copysampler.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def start(out, method):
+            return subprocess.Popen(
+                [sys.executable, "-m", "copysampler.cli", "run", "--config", str(config),
+                 "--out", str(out), "--seed", "42", "--method", method],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+
+        serial = start(tmp_path / "serial", "random")
+        assert serial.communicate(timeout=120)[0].splitlines()[0] == "reference: built"
+        expected = {name: (tmp_path / "serial" / "reference" / name).read_bytes()
+                    for name in ("reference.csv", "reference.meta.json")}
+        for trial in range(3):
+            out = tmp_path / f"shared{trial}"
+            runs = [start(out, method) for method in ("random", "boundary")]
+            outputs = [run.communicate(timeout=120) for run in runs]
+            assert [run.returncode for run in runs] == [0, 0], outputs
+            built = [stdout.splitlines().count("reference: built") for stdout, _ in outputs]
+            assert sorted(built) == [0, 1], outputs
+            assert {path.name: path.read_bytes()
+                    for path in (out / "reference").iterdir()} == expected
+            assert not list(out.rglob("*.tmp"))
 
 
 class TestExternalOracleConfig:

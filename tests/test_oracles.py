@@ -31,13 +31,9 @@ class TestHalfspace:
         assert halfspace.query(np.array([0.7, 0.2])) == 1
         assert halfspace.query(np.array([0.3, 0.9])) == 0
 
-    def test_distance(self, halfspace):
-        assert halfspace.boundary_distance(np.array([0.7, 0.2])) == pytest.approx(0.2)
-
     def test_unnormalized_weights(self):
         oracle = HalfspaceOracle(w=(2.0, 0.0), c=1.0)  # same boundary x0 = 0.5
         assert oracle.query(np.array([0.7, 0.2])) == 1
-        assert oracle.boundary_distance(np.array([0.7, 0.2])) == pytest.approx(0.2)
 
 
 class TestCircles:
@@ -63,14 +59,6 @@ class TestCheckerboard:
         assert oracle.query(np.array([0.75, 0.25])) == 1
         assert oracle.query(np.array([0.75, 0.75])) == 0
 
-    def test_distance_to_grid(self):
-        oracle = CheckerboardOracle(cells_per_dim=2)
-        assert oracle.boundary_distance(np.array([0.25, 0.4])) == pytest.approx(0.1)
-
-    def test_single_cell_has_no_boundary(self):
-        oracle = CheckerboardOracle(cells_per_dim=1)
-        assert oracle.boundary_distance(np.array([0.3, 0.3])) == math.inf
-
     def test_edge_coordinate_stays_in_range(self):
         oracle = CheckerboardOracle(cells_per_dim=4)
         assert oracle.query(np.array([1.0, 1.0])) in (0, 1)
@@ -84,12 +72,6 @@ class TestSpiral:
         labels = oracle.query_many(X)
         assert set(np.unique(labels)) <= {0, 1}
         np.testing.assert_array_equal(labels, oracle.query_many(X))
-
-    def test_distance_vanishes_on_arm(self):
-        oracle = Spiral2DOracle(turns=1.0)
-        pts = oracle.boundary_curves(64)[0]
-        mid = pts[20]
-        assert oracle.boundary_distance(mid) < 1e-8
 
     def test_label_flips_across_boundary(self):
         oracle = Spiral2DOracle(turns=1.0)

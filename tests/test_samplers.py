@@ -50,6 +50,27 @@ class TestRandomSampler:
         with pytest.raises(ValueError):
             random_sampler(0, circles, RandomSource(1))
 
+    @pytest.mark.parametrize("N,d", [(10**4, 8), (5000, 2), (4097, 3)])
+    def test_blocks_draw_the_points_of_one_block(self, N, d):
+        oracle = HalfspaceOracle(w=(1.0,) * d, c=d / 2)
+        reported = []
+        ds = random_sampler(N, oracle, RandomSource(6), progress=reported.append)
+        X = RandomSource(6).uniform((N, d))
+        assert ds.X.tobytes() == X.tobytes()
+        np.testing.assert_array_equal(ds.y, oracle.query_many(X))
+        assert reported == [*range(4096, N, 4096), N]
+
+    def test_memory_is_the_sample_once(self):
+        # drawn as one uniform block and copied into the ledger, the sample
+        # grew peak RSS by some 139 MiB for these 68.7 MiB
+        N, d = 10**6, 8
+        grown = peak_rss_growth_mb(
+            "from copysampler import HalfspaceOracle, RandomSource, random_sampler\n"
+            f"oracle = HalfspaceOracle(w=(1.0,) * {d}, c={d / 2})\n",
+            f"ds = random_sampler({N}, oracle, RandomSource(1))\n"
+            f"assert len(ds) == {N}")
+        assert grown < 1.25 * N * (d + 1) * 8 / 2**20
+
 
 class TestBinarySearch:
     def test_1d_example_exact_bisection_count(self):
