@@ -8,7 +8,8 @@ the oracle's decision function.
 Every public name is imported from its submodule on first use, so a
 program that needs only part of the package loads only that part:
 `from copysampler import Spiral2DOracle, serve_stdio` loads `core` and
-`oracles`, and none of the training, sampling or reporting code.
+`oracles`, `from copysampler import load_config` adds `config`, and neither
+loads any of the training, sampling or reporting code.
 """
 
 import importlib
@@ -17,15 +18,16 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _PUBLIC = {
-    "copies": "ARCHITECTURES CopyModel TrainConfig TrainingError train train_many",
+    "config": """ARCHITECTURES AcquisitionParams BoundaryParams ExperimentConfig
+        FastBayesParams JacobianParams OracleSpec TrainConfig load_config""",
+    "copies": "CopyModel TrainingError train train_many",
     "core": """CopySamplerError DegenerateColumnError LabeledSample
         NormalizationTransform RandomSource SampleLedger StratificationError
         SyntheticDataset fit_normalization stratified_split""",
-    "gp": """AcquisitionParams FastBayesParams GPPosterior PosteriorFitError
-        SEKernel acquisition_value fast_bayesian_sampler kernel_eval
-        maximize_acquisition posterior_fit round_to_class""",
-    "harness": """ExperimentConfig OracleSpec RunSummary TimingProfile
-        load_config run_experiment timing_profile""",
+    "gp": """GPPosterior PosteriorFitError SEKernel acquisition_value
+        fast_bayesian_sampler kernel_eval maximize_acquisition posterior_fit
+        round_to_class""",
+    "harness": "RunSummary TimingProfile run_experiment timing_profile",
     "metrics": """FidelityReport RunRecord balanced_empirical_fidelity_error
         build_reference_set compare_methods empirical_fidelity_error
         quality_checks""",
@@ -33,8 +35,8 @@ _PUBLIC = {
         ExternalOracle HalfspaceOracle Oracle ProtocolError
         QueryTransportError Spiral2DOracle TableOracle UnsupportedOracleError
         external_handshake parse_handshake serve_oracle serve_stdio""",
-    "samplers": """BoundaryParams JacobianParams Thread binary_search_boundary
-        boundary_sampler jacobian_sampler random_sampler thread_step""",
+    "samplers": """Thread binary_search_boundary boundary_sampler
+        jacobian_sampler random_sampler thread_step""",
     "svgplot": "plot_2d",
 }
 _SOURCE = {name: module for module, names in _PUBLIC.items() for name in names.split()}

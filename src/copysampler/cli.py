@@ -15,18 +15,19 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import metrics
-from .copies import ARCHITECTURES, CopyModel, TrainConfig, train
-from .core import CopySamplerError, RandomSource, SyntheticDataset
-from .harness import (
+from .config import (
+    ARCHITECTURES,
     METHODS,
     ConfigError,
     ExperimentConfig,
+    TrainConfig,
+    check_seed,
     check_workers,
-    generate_dataset,
     load_config,
-    run_experiment,
-    timing_profile,
 )
+from .copies import CopyModel, train
+from .core import CopySamplerError, RandomSource, SyntheticDataset
+from .harness import generate_dataset, run_experiment, timing_profile
 from .svgplot import plot_2d
 
 EXIT_OK = 0
@@ -240,6 +241,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_seed(args.seed)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -19,9 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import ARCHITECTURES, TrainConfig
 from .core import CopySamplerError, RandomSource, SyntheticDataset
-
-ARCHITECTURES = ("lr", "dt", "ann", "ann2")
 
 _HIDDEN_LAYERS = {"lr": (), "ann": (5,), "ann2": (50, 50, 50)}
 
@@ -44,22 +43,6 @@ _PREDICT_CHUNK = 1 << 17
 
 class TrainingError(CopySamplerError):
     """Optimization diverged; carries the diagnostics in its message."""
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    step_size: float = 1e-2
-    epochs: int = 200
-    batch_size: int = 64
-    max_depth: int | None = None
-    min_leaf: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.step_size <= 0 or self.epochs <= 0 or self.batch_size <= 0:
-            raise ValueError("step_size, epochs and batch_size must be positive")
-        if self.min_leaf <= 0 or (self.max_depth is not None and self.max_depth <= 0):
-            raise ValueError("min_leaf and max_depth must be positive")
 
 
 @dataclass

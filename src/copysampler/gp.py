@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError  # the very class scipy.linalg raises
 
+from .config import AcquisitionParams, FastBayesParams, check_kernel
 from .core import (
     CopySamplerError, RandomSource, SampleLedger, SyntheticDataset, round_half_up,
 )
@@ -140,17 +141,7 @@ class SEKernel:
     variance: float
 
     def __post_init__(self):
-        try:
-            scale = 2.0 * float(self.length_scale) ** 2  # the kernel's divisor
-        except OverflowError:
-            scale = math.inf
-        if not (self.length_scale > 0 and 0 < scale < math.inf):
-            raise ValueError("length_scale must be > 0 with 2 * length_scale**2 finite "
-                             f"and > 0, got {self.length_scale}")
-        # An infinite variance gets through: every covariance it builds holds
-        # inf or NaN, which the posterior rejects where the covariance enters.
-        if not self.variance > 0:
-            raise ValueError(f"variance must be > 0, got {self.variance}")
+        check_kernel(self.length_scale, self.variance)
 
     @classmethod
     def for_problem(cls, d: int, k: int) -> "SEKernel":
@@ -195,33 +186,6 @@ def kernel_eval(kern: SEKernel, z: np.ndarray, z2: np.ndarray) -> float:
         raise ValueError("kernel arguments must share a dimension")
     sq = float(((z - z2) ** 2).sum())
     return kern.variance * math.exp(-sq / (2.0 * kern.length_scale**2))
-
-
-@dataclass(frozen=True)
-class AcquisitionParams:
-    """Trade-off knob between raw variance and boundary refinement."""
-
-    tau: float = 10.0
-
-    def __post_init__(self):
-        if not 0 <= self.tau < math.inf:
-            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
-
-
-@dataclass(frozen=True)
-class FastBayesParams:
-    cap: int = 1000            # most samples used to condition one posterior
-    slowness: float = 20.0     # inverse fraction of new points per refit
-    init_count: int = 10
-    local_iters: int = 10
-
-    def __post_init__(self):
-        if not self.cap >= self.init_count >= 1:
-            raise ValueError("need cap >= init_count >= 1")
-        if not 1 <= self.slowness < math.inf:
-            raise ValueError(f"slowness factor must be finite and >= 1, got {self.slowness}")
-        if not self.local_iters >= 0:
-            raise ValueError(f"local_iters must be >= 0, got {self.local_iters}")
 
 
 class GPPosterior:

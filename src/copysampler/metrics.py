@@ -15,7 +15,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .copies import TrainConfig, train
+from .config import TrainConfig
+from .copies import train
 from .core import (
     DRAW_BLOCK, CopySamplerError, RandomSource, SampleLedger, SyntheticDataset,
     atomic_write,

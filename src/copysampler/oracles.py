@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 import select
-import subprocess
 import sys
 import time
 from typing import IO, Sequence
@@ -545,12 +544,16 @@ class ExternalOracle(Oracle):
         super().__init__(d=d, k=k)
         self._reader = reader
         self._writer = writer
-        self._proc: subprocess.Popen | None = None
+        self._proc = None  # the subprocess.Popen of a spawned server
         self._failed: str | None = None  # why a block failed, once one has
 
     @classmethod
     def spawn(cls, command: Sequence[str]) -> "ExternalOracle":
         """Start `command` as a child process and attach over its pipes."""
+        # imported here, not at the top: a server or an in-process oracle
+        # never spawns, and the import costs 2-3 ms of a fresh process
+        import subprocess
+
         try:
             proc = subprocess.Popen(
                 list(command),
@@ -652,6 +655,8 @@ class ExternalOracle(Oracle):
         still holds is reaped within that of its exit, and output the child
         keeps writing is drained only until the deadline.
         """
+        import subprocess  # loaded already: only `spawn` sets a child
+
         deadline = time.monotonic() + CLOSE_GRACE_S
         fd = self._lines._fd
         while fd is not None and self._proc.poll() is None:

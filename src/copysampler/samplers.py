@@ -17,13 +17,13 @@ spends half on threads (ROADMAP.md, item 1).
 from __future__ import annotations
 
 import logging
-import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .copies import TrainConfig, TrainingError, train
+from .config import BoundaryParams, JacobianParams, TrainConfig
+from .copies import TrainingError, train
 from .core import (
     DRAW_BLOCK, LabeledSample, RandomSource, SampleLedger, SyntheticDataset,
     round_half_up,
@@ -38,68 +38,6 @@ _W_WEIGHT = np.sqrt(np.maximum(0.0, 1.0 - ALPHA_SWEEP * ALPHA_SWEEP))
 
 # A scan this long without a label change means the oracle looks constant.
 _CONSTANT_SCAN_FACTOR = 10
-
-
-@dataclass(frozen=True)
-class BoundaryParams:
-    """Knobs for the boundary sampler.
-
-    The bisection tolerance must stay small against the exploration step or
-    threads start from points the step immediately overshoots.  `runs`,
-    `max_threads` and `max_steps` default to budget-dependent values
-    round(2 + ln N), round(8 + 4 ln N) and floor(5 + 2.6 ln N).
-    """
-
-    epsilon: float = 0.01
-    step: float = 0.05
-    spawn_rate: float = 5.0
-    runs: int | None = None
-    max_threads: int | None = None
-    max_steps: int | None = None
-
-    def __post_init__(self):
-        if not 0 < self.epsilon < self.step:
-            raise ValueError("need 0 < epsilon < step")
-        if self.spawn_rate <= 0:
-            raise ValueError("spawn_rate must be positive")
-
-    def resolved(self, n: int) -> "BoundaryParams":
-        """Fill budget-dependent defaults for a total budget of n samples."""
-        ln = math.log(n)
-        return replace(
-            self,
-            runs=self.runs if self.runs is not None else round_half_up(2 + ln),
-            max_threads=self.max_threads
-            if self.max_threads is not None
-            else round_half_up(8 + 4 * ln),
-            max_steps=self.max_steps
-            if self.max_steps is not None
-            else int(math.floor(5 + 2.6 * ln)),
-        )
-
-
-@dataclass(frozen=True)
-class JacobianParams:
-    """Knobs for gradient-sign augmentation.
-
-    `refits` caps substitute retrainings at min(100, round(5 + N/4)) by
-    default; `rounds` is how many augmentation passes each substitute is
-    spent on before refitting.
-    """
-
-    refits: int | None = None
-    seeds_per_refit: int = 50
-    step: float = 0.05
-    rounds: int = 5
-
-    def __post_init__(self):
-        if self.seeds_per_refit < 1 or self.rounds < 1 or self.step <= 0:
-            raise ValueError("seeds_per_refit, rounds and step must be positive")
-
-    def resolved(self, n: int) -> "JacobianParams":
-        if self.refits is not None:
-            return self
-        return replace(self, refits=min(100, round_half_up(5 + n / 4)))
 
 
 @dataclass

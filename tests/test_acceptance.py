@@ -36,7 +36,8 @@ from copysampler import (
     train,
 )
 from copysampler.core import TARGET_MEAN, TARGET_STD, RandomSource
-from copysampler.harness import load_config, run_experiment, timing_profile
+from copysampler.config import load_config
+from copysampler.harness import run_experiment, timing_profile
 from copysampler.metrics import read_report_csv
 
 

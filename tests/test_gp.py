@@ -922,6 +922,30 @@ class TestLazyScipy:
                         "print(*sorted(n for n in sys.modules if n.startswith('copysampler')))")
         assert out.split() == ["copysampler", "copysampler.core", "copysampler.oracles"]
 
+    def test_config_load_and_oracle_build_load_only_config_core_and_oracles(self):
+        toy = Path(__file__).resolve().parents[1] / "configs" / "toy-circles.ini"
+        out = run_fresh("from copysampler import ExternalOracle, load_config\n"
+                        f"load_config({str(toy)!r}).oracle.build().query([0.5, 0.5])\n"
+                        "import sys\n"
+                        "print(*sorted(n for n in sys.modules if n.startswith('copysampler')))")
+        assert out.split() == ["copysampler", "copysampler.config", "copysampler.core",
+                               "copysampler.oracles"]
+
+    @pytest.mark.parametrize("code", [
+        "from copysampler import Spiral2DOracle, serve_stdio",
+        "from copysampler import load_config\n"
+        "load_config({toy!r}).oracle.build().query([0.5, 0.5])",
+    ], ids=["server", "circles-set-up"])
+    def test_set_up_leaves_subprocess_unloaded(self, code):
+        # only ExternalOracle.spawn needs it; numpy may load it on its own
+        toy = str(Path(__file__).resolve().parents[1] / "configs" / "toy-circles.ini")
+        out = run_fresh("import sys, numpy\n"
+                        "before = 'subprocess' in sys.modules\n"
+                        f"{code.format(toy=toy)}\n"
+                        "print(before, 'subprocess' in sys.modules)")
+        before, after = out.split()
+        assert after == before
+
     def test_sweep_without_the_bayesian_method_leaves_scipy_unloaded(self, tmp_path):
         config = tmp_path / "no-bayes.ini"
         config.write_text(

@@ -15,25 +15,21 @@ import pytest
 import copysampler
 from copysampler import (
     ConcentricCirclesOracle,
+    OracleSpec,
     SEKernel,
     SyntheticDataset,
     TableOracle,
     build_reference_set,
-    harness,
+    core,
     metrics,
     oracles,
     random_sampler,
     train,
 )
 from copysampler.cli import main as cli_main
+from copysampler.config import ConfigError, load_config, render_resolved
 from copysampler.core import RandomSource, fit_normalization, load_labeled_csv, meta_path
-from copysampler.harness import (
-    ConfigError,
-    load_config,
-    render_resolved,
-    run_experiment,
-    timing_profile,
-)
+from copysampler.harness import kernel_for, run_experiment, timing_profile
 from copysampler.metrics import read_report_csv
 from copysampler.svgplot import PlotUnsupportedError, plot_2d
 
@@ -455,6 +451,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=match):
             load_config(path)
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])
+    def test_seed_outside_u64_rejected(self, tmp_path, seed):
+        # the random stream would wrap it: -1 would run as 2**64 - 1, 2**64 as 0
+        path = tmp_path / "seed.ini"
+        path.write_text(f"[experiment]\nseed = {seed}\n" + CIRCLES_ORACLE)
+        with pytest.raises(ConfigError, match=rf"seed {seed} is outside \[0, 2\*\*64\)"):
+            load_config(path)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_at_the_u64_ends_loads(self, tmp_path, seed):
+        path = tmp_path / "seed.ini"
+        path.write_text(f"[experiment]\nseed = {seed}\n" + CIRCLES_ORACLE)
+        assert load_config(path).seed == seed
+        assert f"seed = {seed}\n" in render_resolved(load_config(path))
+
     def test_non_finite_list_value_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[oracle]\nkind = circles\ncenter = 0.5 nan\nradii = 0.25\n")
@@ -494,7 +505,7 @@ class TestConfigParsing:
     def test_explicit_kernel_values_are_kept(self, tmp_path):
         path = tmp_path / "k.ini"
         path.write_text(CIRCLES_ORACLE + "[samplers.bayesian]\nlength_scale = 0.125\n")
-        kern = load_config(path).kernel_for(ConcentricCirclesOracle((0.5, 0.5), [0.25]))
+        kern = kernel_for(load_config(path), ConcentricCirclesOracle((0.5, 0.5), [0.25]))
         assert kern.length_scale == 0.125
         assert kern.variance == SEKernel.for_problem(2, 2).variance
 
@@ -874,6 +885,27 @@ class TestCLI:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("seed", ["-5", str(2**64)])
+    @pytest.mark.parametrize("command, args", [
+        ("sample", ["--method", "random", "--n", "10"]),
+        ("copy", ["--data", "data.csv", "--arch", "lr"]),
+        ("evaluate", ["--model", "model.npz"]),
+        ("compare", ["--report", "report.csv"]),
+        ("profile", ["--method", "random", "--checkpoints", "10"]),
+        ("plot", ["--data", "data.csv"]),
+        ("run", []),
+    ])
+    def test_seed_outside_u64_exits_2_on_every_subcommand(self, tmp_path, toy_config,
+                                                          capsys, monkeypatch, command,
+                                                          args, seed):
+        monkeypatch.chdir(tmp_path)
+        needs_config = command in ("sample", "evaluate", "profile", "run")
+        config = ["--config", str(toy_config)] if needs_config else []
+        code = cli_main([command, *config, *args, "--out", "out", "--seed", seed])
+        err = capsys.readouterr().err
+        assert code == 2 and not (tmp_path / "out").exists()
+        assert err == f"config error: seed {seed} is outside [0, 2**64)\n"
+
     @pytest.mark.parametrize("size", ["0", "1"])  # below the k = 2 a balanced set needs
     def test_evaluate_reference_size_below_the_classes(self, tmp_path, toy_config,
                                                        capsys, size):
@@ -1060,15 +1092,20 @@ class TestTableReadOncePerRun:
 
     @pytest.fixture
     def reads(self, monkeypatch):
-        """Paths passed to the table loader the harness calls."""
+        """Reads of the table through `core.load_labeled_csv`, where OracleSpec looks it up.
+
+        Datasets and the reference set are read through the same loader;
+        only the table's reads are kept.
+        """
         seen = []
-        load = harness.load_labeled_csv
+        load = core.load_labeled_csv
 
         def counted(path):
-            seen.append(path)
+            if Path(path).name == "table.csv":
+                seen.append(path)
             return load(path)
 
-        monkeypatch.setattr(harness, "load_labeled_csv", counted)
+        monkeypatch.setattr(core, "load_labeled_csv", counted)
         return seen
 
     @staticmethod
@@ -1180,13 +1217,13 @@ class TestOneOraclePerRun:
     def builds(self, monkeypatch):
         """Every oracle `OracleSpec.build` returns, in order."""
         built = []
-        build = harness.OracleSpec.build
+        build = OracleSpec.build
 
         def counted(spec):
             built.append(build(spec))
             return built[-1]
 
-        monkeypatch.setattr(harness.OracleSpec, "build", counted)
+        monkeypatch.setattr(OracleSpec, "build", counted)
         return built
 
     def test_fresh_run_builds_one_and_resume_none(self, tmp_path, builds):

@@ -5,6 +5,7 @@ import os
 import re
 import resource
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -332,13 +333,14 @@ class TestChildProcess:
     def test_child_that_never_greets_times_out(self, monkeypatch):
         monkeypatch.setattr(oracles, "QUERY_TIMEOUT_S", 0.3)
         started = []
-        real_popen = oracles.subprocess.Popen
+        real_popen = subprocess.Popen
 
         def recording_popen(*args, **kwargs):
             started.append(real_popen(*args, **kwargs))
             return started[-1]
 
-        monkeypatch.setattr(oracles.subprocess, "Popen", recording_popen)
+        # the subprocess module `spawn` imports when it runs
+        monkeypatch.setattr(subprocess, "Popen", recording_popen)
         start = time.monotonic()
         with pytest.raises(QueryTransportError, match="no reply"):
             ExternalOracle.spawn([sys.executable, "-c", "import time; time.sleep(60)"])
