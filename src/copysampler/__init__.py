@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _PUBLIC = {
-    "config": """ARCHITECTURES AcquisitionParams BoundaryParams ExperimentConfig
-        FastBayesParams JacobianParams OracleSpec TrainConfig load_config""",
+    "config": """ARCHITECTURES BoundaryParams ExperimentConfig FastBayesParams
+        JacobianParams OracleSpec TrainConfig load_config""",
     "copies": "CopyModel TrainingError train train_many",
     "core": """CopySamplerError DegenerateColumnError LabeledSample
         NormalizationTransform RandomSource SampleLedger StratificationError

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: sample, copy, evaluate, compare, profile, plot, run.  Every
-subcommand accepts --seed.  Exit codes: 0 on success, 1 if any sweep cell
-failed, 2 on configuration or usage errors.
+subcommand accepts --seed; one that reads a config uses its [experiment]
+seed unless --seed is given, and `copy` uses 0.  Exit codes: 0 on success,
+1 if any sweep cell failed, 2 on configuration or usage errors.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ EXIT_CONFIG_ERROR = 2
 
 
 def _add_seed(parser):
-    parser.add_argument("--seed", type=int, default=0, help="random seed (u64)")
+    parser.add_argument("--seed", type=int,
+                        help="random seed (u64); defaults to the config's seed, else 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,8 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(config_path, seed: int) -> ExperimentConfig:
-    return replace(load_config(config_path), seed=seed)
+def _load(config_path, seed: int | None) -> ExperimentConfig:
+    """The config, with its seed replaced by `seed` if one is given."""
+    cfg = load_config(config_path)
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
 def cmd_sample(args) -> int:
@@ -117,7 +121,7 @@ def cmd_sample(args) -> int:
     cfg.check_budget(args.method, args.n, "--n is")
     with cfg.oracle.build() as oracle:
         ds = generate_dataset(cfg, args.method, args.n, oracle,
-                              RandomSource(args.seed))
+                              RandomSource(cfg.seed))
         ds.to_csv(args.out)
         print(f"wrote {len(ds)} samples to {args.out} ({ds.query_count} oracle queries)")
         if args.plot:
@@ -128,7 +132,7 @@ def cmd_sample(args) -> int:
 
 def cmd_copy(args) -> int:
     ds = SyntheticDataset.from_csv(args.data)
-    model = train(args.arch, ds, TrainConfig(seed=args.seed))
+    model = train(args.arch, ds, TrainConfig(seed=0 if args.seed is None else args.seed))
     path = model.save(args.out)
     err = model.train_meta.get("training_fidelity_error")
     print(f"trained {args.arch} on {len(ds)} samples "
@@ -146,14 +150,14 @@ def cmd_evaluate(args) -> int:
                               f"{need} point(s) a reference set needs")
         ref = metrics.build_reference_set(
             oracle, args.reference_size, cfg.reference_balanced,
-            RandomSource.derive(args.seed, "reference"),
+            RandomSource.derive(cfg.seed, "reference"),
         )
     r_f, r_fb = metrics.fidelity(model, ref.X, ref.y, ref.k)
     print(f"R_F={r_f:.6f} R_Fb={r_fb:.6f} on {len(ref)} reference points")
     if args.out:
         record = metrics.RunRecord(
             oracle=cfg.oracle.oracle_id, method="external", arch=model.architecture,
-            n=0, seed=args.seed, r_f=r_f, r_fb=r_fb, wall_time_s=0.0,
+            n=0, seed=cfg.seed, r_f=r_f, r_fb=r_fb, wall_time_s=0.0,
         )
         out = Path(args.out)
         existing = metrics.read_report_csv(out) if out.exists() else []
@@ -183,7 +187,7 @@ def cmd_profile(args) -> int:
     cfg.check_budget(args.method, checkpoints[-1], "--checkpoints tops out at")
     with cfg.oracle.build() as oracle:
         profile = timing_profile(cfg, args.method, checkpoints, oracle,
-                                 RandomSource(args.seed))
+                                 RandomSource(cfg.seed))
     text = profile.csv_text()
     if args.out:
         Path(args.out).write_text(text)
@@ -195,7 +199,7 @@ def cmd_profile(args) -> int:
 
 def cmd_plot(args) -> int:
     ds = SyntheticDataset.from_csv(args.data)
-    overlay = _load(args.config, args.seed).oracle.overlay() if args.config else nullcontext()
+    overlay = load_config(args.config).oracle.overlay() if args.config else nullcontext()
     with overlay as oracle:
         plot_2d(ds, oracle, args.out)
     print(f"wrote {args.out}")
@@ -241,7 +245,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        check_seed(args.seed)
+        if args.seed is not None:
+            check_seed(args.seed)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

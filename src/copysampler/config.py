@@ -38,18 +38,17 @@ METHODS = ("random", "boundary", "bayesian", "jacobian")
 
 ARCHITECTURES = ("lr", "dt", "ann", "ann2")
 
-# every seed is a u64: the random stream is keyed by its 64 bits
-_SEED_LIMIT = 1 << 64
-
 
 class ConfigError(CopySamplerError):
     """The experiment configuration is invalid or inconsistent."""
 
 
 def check_seed(seed: int) -> None:
-    """Reject a seed outside [0, 2**64), which the stream would wrap."""
-    if not 0 <= seed < _SEED_LIMIT:
-        raise ConfigError(f"seed {seed} is outside [0, 2**64)")
+    """Reject a seed outside [0, 2**64), which the random stream refuses."""
+    try:
+        core.check_seed(seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def check_workers(workers: int) -> None:
@@ -64,8 +63,8 @@ def check_workers(workers: int) -> None:
 def check_kernel(length_scale: float, variance: float) -> None:
     """Raise ValueError unless these make a squared exponential kernel.
 
-    `gp.SEKernel` checks itself with this, and a config checks its
-    `[samplers.bayesian]` length_scale and variance with it.
+    `gp.SEKernel` checks itself with this, and `FastBayesParams` checks
+    the length_scale and variance it is given.
     """
     try:
         scale = 2.0 * float(length_scale) ** 2  # the kernel's divisor
@@ -145,22 +144,15 @@ class JacobianParams:
 
 
 @dataclass(frozen=True)
-class AcquisitionParams:
-    """Trade-off knob between raw variance and boundary refinement."""
-
-    tau: float = 10.0
-
-    def __post_init__(self):
-        if not 0 <= self.tau < math.inf:
-            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
-
-
-@dataclass(frozen=True)
 class FastBayesParams:
     cap: int = 1000            # most samples used to condition one posterior
     slowness: float = 20.0     # inverse fraction of new points per refit
     init_count: int = 10
     local_iters: int = 10
+    tau: float = 10.0          # weight of boundary refinement against raw variance
+    # the kernel's; None takes the problem default (gp.SEKernel.for_problem)
+    length_scale: float | None = None
+    variance: float | None = None
 
     def __post_init__(self):
         if not self.cap >= self.init_count >= 1:
@@ -169,6 +161,11 @@ class FastBayesParams:
             raise ValueError(f"slowness factor must be finite and >= 1, got {self.slowness}")
         if not self.local_iters >= 0:
             raise ValueError(f"local_iters must be >= 0, got {self.local_iters}")
+        if not 0 <= self.tau < math.inf:
+            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
+        # an unset value stands as 1.0, which passes
+        check_kernel(1.0 if self.length_scale is None else self.length_scale,
+                     1.0 if self.variance is None else self.variance)
 
 
 @dataclass(frozen=True)
@@ -185,6 +182,7 @@ class TrainConfig:
             raise ValueError("step_size, epochs and batch_size must be positive")
         if self.min_leaf <= 0 or (self.max_depth is not None and self.max_depth <= 0):
             raise ValueError("min_leaf and max_depth must be positive")
+        core.check_seed(self.seed)
 
 
 # -- the oracle and the experiment --------------------------------------------------
@@ -268,10 +266,7 @@ class ExperimentConfig:
     tie_margin: float = 0.01
     boundary: BoundaryParams = field(default_factory=BoundaryParams)
     bayes: FastBayesParams = field(default_factory=FastBayesParams)
-    acquisition: AcquisitionParams = field(default_factory=AcquisitionParams)
     jacobian: JacobianParams = field(default_factory=JacobianParams)
-    kernel_length_scale: float | None = None
-    kernel_variance: float | None = None
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
@@ -286,11 +281,6 @@ class ExperimentConfig:
             raise ConfigError(f"reference_size must be >= 1, got {self.reference_size}")
         if not self.tie_margin >= 0:
             raise ConfigError(f"tie_margin must be >= 0, got {self.tie_margin}")
-        try:  # an unset value stands as 1.0
-            check_kernel(1.0 if self.kernel_length_scale is None else self.kernel_length_scale,
-                         1.0 if self.kernel_variance is None else self.kernel_variance)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         for method in self.methods:
             if method not in METHODS:
                 raise ConfigError(f"unknown sampling method {method!r}")
@@ -331,12 +321,10 @@ class _Type(NamedTuple):
 
 
 def _bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ConfigError(f"expected a boolean, got {text!r}") from None
 
 
 def _joined(values) -> str:
@@ -418,9 +406,9 @@ _SCHEMA = (
     _Key("samplers.bayesian", "slowness", _FLOAT, "bayes.slowness"),
     _Key("samplers.bayesian", "init_count", _INT, "bayes.init_count"),
     _Key("samplers.bayesian", "local_iters", _INT, "bayes.local_iters"),
-    _Key("samplers.bayesian", "tau", _FLOAT, "acquisition.tau"),
-    _Key("samplers.bayesian", "length_scale", _FLOAT, "kernel_length_scale"),
-    _Key("samplers.bayesian", "variance", _FLOAT, "kernel_variance"),
+    _Key("samplers.bayesian", "tau", _FLOAT, "bayes.tau"),
+    _Key("samplers.bayesian", "length_scale", _FLOAT, "bayes.length_scale"),
+    _Key("samplers.bayesian", "variance", _FLOAT, "bayes.variance"),
     _Key("samplers.jacobian", "refits", _INT, "jacobian.refits"),
     _Key("samplers.jacobian", "seeds_per_refit", _INT, "jacobian.seeds_per_refit"),
     _Key("samplers.jacobian", "step", _FLOAT, "jacobian.step"),

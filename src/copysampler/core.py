@@ -19,7 +19,18 @@ import numpy as np
 TARGET_MEAN = 0.5
 TARGET_STD = 1.0 / 5.152
 
-_MASK64 = (1 << 64) - 1
+
+def check_seed(seed: int) -> int:
+    """`seed` as an int; ValueError unless it lies in [0, 2**64).
+
+    The random stream is keyed by a seed's 64 bits, so a seed outside that
+    range would silently run another seed's stream.
+    """
+    seed = int(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
+    return seed
+
 
 # Rows formatted per write by `SyntheticDataset.to_csv`: the text of a block
 # (some 0.17 MB at d = 8) stays small however many rows a set holds.
@@ -63,13 +74,13 @@ class RandomSource:
     algorithm_id = "pcg64"
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
+        self.seed = check_seed(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     @classmethod
     def derive(cls, seed: int, *parts: object) -> "RandomSource":
         """Child stream keyed by (seed, *parts), stable across runs."""
-        material = ":".join([str(int(seed) & _MASK64)] + [str(p) for p in parts])
+        material = ":".join([str(check_seed(seed))] + [str(p) for p in parts])
         digest = hashlib.sha256(material.encode("utf-8")).digest()
         return cls(int.from_bytes(digest[:8], "big"))
 

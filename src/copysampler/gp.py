@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError  # the very class scipy.linalg raises
 
-from .config import AcquisitionParams, FastBayesParams, check_kernel
+from .config import FastBayesParams, check_kernel
 from .core import (
     CopySamplerError, RandomSource, SampleLedger, SyntheticDataset, round_half_up,
 )
@@ -144,9 +144,11 @@ class SEKernel:
         check_kernel(self.length_scale, self.variance)
 
     @classmethod
-    def for_problem(cls, d: int, k: int) -> "SEKernel":
-        """Default hyperparameters: l = 0.5 sqrt(d), variance = 0.25 k^2."""
-        return cls(length_scale=0.5 * math.sqrt(d), variance=0.25 * k * k)
+    def for_problem(cls, d: int, k: int, length_scale: float | None = None,
+                    variance: float | None = None) -> "SEKernel":
+        """Unset hyperparameters default to l = 0.5 sqrt(d), variance = 0.25 k^2."""
+        return cls(length_scale=0.5 * math.sqrt(d) if length_scale is None else length_scale,
+                   variance=0.25 * k * k if variance is None else variance)
 
     def matrix(self, A: np.ndarray, B: np.ndarray,
                A_sq: np.ndarray | None = None) -> np.ndarray:
@@ -276,7 +278,7 @@ def maximize_acquisition(
     z0: np.ndarray,
     iters: int,
     rng: RandomSource,
-    params: AcquisitionParams | None = None,
+    tau: float = FastBayesParams.tau,
     radius: float = NEIGHBOURHOOD_RADIUS,
 ) -> np.ndarray:
     """Derivative-free ascent of the acquisition in a neighbourhood of z0.
@@ -289,10 +291,10 @@ def maximize_acquisition(
     """
     z0 = np.asarray(z0, dtype=np.float64)
     U = rng.normal((iters, z0.shape[0]))
-    return _pattern_search(gp, z0[None, :], U[None], params, radius)[0]
+    return _pattern_search(gp, z0[None, :], U[None], tau, radius)[0]
 
 
-def _pattern_search(gp, Z0, U, params, radius):
+def _pattern_search(gp, Z0, U, tau, radius):
     """Run the pattern search of `maximize_acquisition` from each row of Z0.
 
     The R restarts step in lockstep, so each round makes one `mean_var`
@@ -300,14 +302,13 @@ def _pattern_search(gp, Z0, U, params, radius):
     direction of round t from U[r, t]; each keeps its own step, box and
     best value, so a restart's path is the one it would take alone.
     """
-    params = params or AcquisitionParams()
     Z0 = np.clip(Z0, 0.0, 1.0)
     R, d = Z0.shape
     lo = np.maximum(Z0 - radius, 0.0)[:, None, :]
     hi = np.minimum(Z0 + radius, 1.0)[:, None, :]
     Z = Z0.copy()
     mu, var = gp.mean_var(Z)
-    best = acquisition_value(mu, var, params.tau)
+    best = acquisition_value(mu, var, tau)
     h = np.full(R, 2.0 * radius / 3.0)
     axis = np.arange(d)
     axes = np.zeros((2 * d, d))
@@ -324,7 +325,7 @@ def _pattern_search(gp, Z0, U, params, radius):
             [h[:, None, None] * axes, step[:, None], -step[:, None]], axis=1)
         cands = np.clip(Z[:, None, :] + moves, lo, hi)
         mu, var = gp.mean_var(cands.reshape(-1, d))
-        vals = acquisition_value(mu, var, params.tau).reshape(R, -1)
+        vals = acquisition_value(mu, var, tau).reshape(R, -1)
         j = np.argmax(vals, axis=1)
         top = vals[rows, j]
         up = top > best
@@ -345,8 +346,6 @@ def fast_bayesian_sampler(
     N: int,
     oracle: Oracle,
     params: FastBayesParams | None = None,
-    kern: SEKernel | None = None,
-    acq: AcquisitionParams | None = None,
     rng: RandomSource | None = None,
     progress=None,
 ) -> SyntheticDataset:
@@ -360,11 +359,11 @@ def fast_bayesian_sampler(
     drawn uniformly without replacement whenever the sample pool exceeds
     the cap.  With `cap = N` and `slowness = N` no subset is drawn and
     every batch is one restart, so the posterior is refit on all samples
-    after every point: the fully re-optimized variant, cubic in N.
+    after every point: the fully re-optimized variant, cubic in N.  The
+    acquisition's `tau` and the kernel's values come from `params` too.
     """
     params = params or FastBayesParams()
-    kern = kern or SEKernel.for_problem(oracle.d, oracle.k)
-    acq = acq or AcquisitionParams()
+    kern = SEKernel.for_problem(oracle.d, oracle.k, params.length_scale, params.variance)
     if rng is None:
         raise ValueError("rng is required")
     if N < params.init_count:
@@ -397,14 +396,14 @@ def fast_bayesian_sampler(
             if gp is not None:
                 U[r] = rng.normal((params.local_iters, oracle.d))
         Z = Z0 if gp is None else _pattern_search(
-            gp, Z0, U, acq, NEIGHBOURHOOD_RADIUS)
+            gp, Z0, U, params.tau, NEIGHBOURHOOD_RADIUS)
         ledger.label(Z)
     return ledger.dataset("bayesian", rng.seed, {
         "posterior_fits": fits,
         "fallback_batches": fallback_batches,
         "cap": params.cap,
         "slowness": params.slowness,
-        "tau": acq.tau,
+        "tau": params.tau,
         "length_scale": kern.length_scale,
         "kernel_variance": kern.variance,
     })

@@ -24,7 +24,7 @@ from . import metrics
 from .config import ConfigError, ExperimentConfig, OracleSpec, render_resolved  # noqa: F401
 from .copies import train, train_many
 from .core import RandomSource, SyntheticDataset, atomic_write
-from .gp import SEKernel, fast_bayesian_sampler
+from .gp import fast_bayesian_sampler
 from .oracles import Oracle
 from .samplers import boundary_sampler, jacobian_sampler, random_sampler
 from .svgplot import plot_2d
@@ -53,29 +53,10 @@ class TimingProfile:
     checkpoints: list[tuple[int, float]]
     dataset: SyntheticDataset | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        counts = [c for c, _ in self.checkpoints]
-        elapsed = [e for _, e in self.checkpoints]
-        if counts != sorted(set(counts)):
-            raise ValueError("checkpoint sample counts must be strictly increasing")
-        if any(b < a for a, b in zip(elapsed, elapsed[1:])):
-            raise ValueError("elapsed times must be non-decreasing")
-
     def csv_text(self) -> str:
         """Timing CSV text: the header, then one row per checkpoint."""
         rows = [f"{self.method},{count},{elapsed:.6f}" for count, elapsed in self.checkpoints]
         return "\n".join([TIMING_HEADER, *rows]) + "\n"
-
-
-def kernel_for(cfg: ExperimentConfig, oracle: Oracle) -> SEKernel:
-    """The bayesian sampler's kernel: the configured values, else the problem default."""
-    default = SEKernel.for_problem(oracle.d, oracle.k)
-    return SEKernel(
-        length_scale=(default.length_scale if cfg.kernel_length_scale is None
-                      else cfg.kernel_length_scale),
-        variance=(default.variance if cfg.kernel_variance is None
-                  else cfg.kernel_variance),
-    )
 
 
 def generate_dataset(
@@ -92,10 +73,7 @@ def generate_dataset(
     if method == "boundary":
         return boundary_sampler(n, oracle, cfg.boundary, rng, progress=progress)
     if method == "bayesian":
-        return fast_bayesian_sampler(
-            n, oracle, cfg.bayes, kernel_for(cfg, oracle), cfg.acquisition,
-            rng, progress=progress,
-        )
+        return fast_bayesian_sampler(n, oracle, cfg.bayes, rng, progress=progress)
     if method == "jacobian":
         return jacobian_sampler(n, oracle, cfg.jacobian, rng, progress=progress)
     raise ConfigError(f"unknown sampling method {method!r}")

@@ -37,6 +37,11 @@ def make_dataset(X, y, k=None):
 
 
 class TestTrainBasics:
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_u64_rejected(self, seed):
+        with pytest.raises(ValueError, match=rf"seed {seed} is outside \[0, 2\*\*64\)"):
+            TrainConfig(seed=seed)
+
     def test_lr_on_separable_boundary_set(self, halfspace):
         # separable by construction, so enough full-batch epochs pin the
         # hyperplane down to the tightest straddling pair

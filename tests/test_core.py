@@ -81,6 +81,25 @@ class TestRandomSource:
     def test_algorithm_is_pinned(self):
         assert RandomSource(0).algorithm_id == "pcg64"
 
+    @pytest.mark.parametrize("make", [
+        lambda: RandomSource(-1),
+        lambda: RandomSource(2**64),
+        lambda: RandomSource.derive(-1, "x"),
+        lambda: RandomSource.derive(2**64, "x"),
+    ], ids=["negative", "too-large", "derive-negative", "derive-too-large"])
+    def test_seed_outside_u64_rejected(self, make):
+        # the stream is keyed by 64 bits: wrapping would run another seed's stream
+        with pytest.raises(ValueError, match=r"is outside \[0, 2\*\*64\)"):
+            make()
+
+    def test_seeds_at_the_u64_ends_keep_their_streams(self):
+        top = 2**64 - 1
+        assert RandomSource(top).seed == top and RandomSource(0).seed == 0
+        np.testing.assert_array_equal(
+            RandomSource(top).uniform(4),
+            np.random.Generator(np.random.PCG64(top)).random(4))
+        assert RandomSource.derive(top, "x").seed == RandomSource.derive(top, "x").seed
+
 
 class TestUniformSample:
     def test_range_containment_1d(self, rng):

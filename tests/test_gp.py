@@ -5,13 +5,13 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from copysampler import (
-    AcquisitionParams,
     ConcentricCirclesOracle,
     FastBayesParams,
     GPPosterior,
@@ -144,14 +144,17 @@ class TestKernel:
         lambda: SEKernel(1e160, 1.0),
         lambda: SEKernel(1e-170, 1.0),
         lambda: SEKernel(0.5, math.nan),
-        lambda: AcquisitionParams(tau=math.inf),
-        lambda: AcquisitionParams(tau=math.nan),
+        lambda: FastBayesParams(tau=math.inf),
+        lambda: FastBayesParams(tau=math.nan),
         lambda: FastBayesParams(slowness=math.inf),
         lambda: FastBayesParams(slowness=math.nan),
         lambda: FastBayesParams(local_iters=math.nan),
+        lambda: FastBayesParams(length_scale=math.inf),
+        lambda: FastBayesParams(variance=math.nan),
     ], ids=["length-inf", "length-nan", "length-neg-inf", "length-square-overflows",
             "length-square-underflows", "variance-nan", "tau-inf",
-            "tau-nan", "slowness-inf", "slowness-nan", "local-iters-nan"])
+            "tau-nan", "slowness-inf", "slowness-nan", "local-iters-nan",
+            "params-length-inf", "params-variance-nan"])
     def test_non_finite_parameter_rejected(self, make):
         with pytest.raises(ValueError, match="must be"):
             make()
@@ -268,7 +271,7 @@ class TestAcquisition:
         gp = posterior_fit(np.array([[0.5, 0.5]]), np.array([1.0]), kern)
         (mu,), (var,) = gp.mean_var(np.array([[0.1, 0.9]]))
         expected = var * (1 + 10.0 * (mu - math.floor(mu)) ** 2 * (1 - mu + math.floor(mu)) ** 2)
-        value = acquisition_value(mu, var, AcquisitionParams().tau)
+        value = acquisition_value(mu, var, FastBayesParams().tau)
         assert float(value) == pytest.approx(expected)
 
 
@@ -314,17 +317,16 @@ class FlatPosterior:
         return np.zeros(m), np.full(m, self.variance)
 
 
-def reference_maximize_acquisition(gp, z0, iters, rng, params=None,
+def reference_maximize_acquisition(gp, z0, iters, rng, tau=10.0,
                                    radius=gp_mod.NEIGHBOURHOOD_RADIUS):
     """The one-restart search loop the lockstep search replaced."""
-    params = params or AcquisitionParams()
     z0 = np.clip(np.asarray(z0, dtype=np.float64), 0.0, 1.0)
     lo = np.maximum(z0 - radius, 0.0)
     hi = np.minimum(z0 + radius, 1.0)
     z = z0.copy()
     d = z.shape[0]
     mu, var = gp.mean_var(z[None, :])
-    best = float(acquisition_value(mu, var, params.tau)[0])
+    best = float(acquisition_value(mu, var, tau)[0])
     h = 2.0 * radius / 3.0
     for _ in range(iters):
         moves = np.zeros((2 * d + 2, d))
@@ -338,7 +340,7 @@ def reference_maximize_acquisition(gp, z0, iters, rng, params=None,
             moves[-1] = -h * u / norm
         cands = np.clip(z[None, :] + moves, lo, hi)
         mu, var = gp.mean_var(cands)
-        vals = acquisition_value(mu, var, params.tau)
+        vals = acquisition_value(mu, var, tau)
         j = int(np.argmax(vals))
         if vals[j] > best:
             z = cands[j]
@@ -348,12 +350,14 @@ def reference_maximize_acquisition(gp, z0, iters, rng, params=None,
     return z
 
 
-def reference_fast_sampler(N, oracle, params, rng):
+def reference_fast_sampler(N, oracle, params, rng, kern=None, tau=10.0):
     """The serial batch loop: one search and one query per restart.
 
-    Returns the points, the labels and whether a batch was cut short.
+    It reads only the batching from `params` and takes the kernel (default
+    `SEKernel.for_problem`) and tau directly.  Returns the points, the
+    labels and whether a batch was cut short.
     """
-    kern = SEKernel.for_problem(oracle.d, oracle.k)
+    kern = kern or SEKernel.for_problem(oracle.d, oracle.k)
     pts = [rng.uniform(oracle.d) for _ in range(params.init_count)]
     labels = [oracle.query(z) for z in pts]
     cut = False
@@ -373,7 +377,7 @@ def reference_fast_sampler(N, oracle, params, rng):
                 break
             z0 = rng.uniform(oracle.d)
             z = z0 if gp is None else reference_maximize_acquisition(
-                gp, z0, params.local_iters, rng)
+                gp, z0, params.local_iters, rng, tau)
             pts.append(z)
             labels.append(oracle.query(z))
     return np.array(pts), np.array(labels), cut
@@ -440,7 +444,7 @@ class TestLockstepSearch:
         U[2, ::3] = 0.0            # none in every third round
         Z0[3, 0] = 0.0             # pinned to a cube face
         Z0[4, d - 1] = 1.0
-        Z = _pattern_search(gp, Z0, U, AcquisitionParams(), gp_mod.NEIGHBOURHOOD_RADIUS)
+        Z = _pattern_search(gp, Z0, U, 10.0, gp_mod.NEIGHBOURHOOD_RADIUS)
         for r in range(R):
             z_ref = reference_maximize_acquisition(gp, Z0[r], iters, ScriptedNormals(U[r]))
             assert Z[r].tobytes() == z_ref.tobytes()
@@ -450,26 +454,38 @@ class TestLockstepSearch:
         gp = FlatPosterior(1.0)
         rng = RandomSource(8)
         Z0 = rng.uniform((5, 3))
-        Z = _pattern_search(gp, Z0, rng.normal((5, 10, 3)), None,
+        Z = _pattern_search(gp, Z0, rng.normal((5, 10, 3)), 10.0,
                             gp_mod.NEIGHBOURHOOD_RADIUS)
         np.testing.assert_array_equal(Z, Z0)
 
 
 class TestLockstepSampler:
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_matches_serial_batch_loop(self, circles, monkeypatch, seed):
+    @pytest.mark.parametrize("seed, settings", [
+        (1, {}), (2, {}), (3, {}),
+        (4, {"tau": 0.5, "length_scale": 0.2, "variance": 2.0}),
+    ], ids=["1", "2", "3", "tau-length-scale-variance"])
+    def test_matches_serial_batch_loop(self, circles, monkeypatch, seed, settings):
         real_fit = gp_mod.posterior_fit
         monkeypatch.setattr(gp_mod, "posterior_fit",
                             lambda *a, **kw: RowwiseGP(real_fit(*a, **kw)))
-        params = FastBayesParams(cap=40, slowness=5.0)
+        batching = FastBayesParams(cap=40, slowness=5.0)
+        # the sampler gets every setting through one group; the reference
+        # reads only the batching from it and takes the kernel and tau directly
+        kern = (SEKernel(settings["length_scale"], settings["variance"]) if settings
+                else SEKernel.for_problem(2, 2))
+        tau = settings.get("tau", 10.0)
         a, b = RandomSource(seed), RandomSource(seed)
-        ds = fast_bayesian_sampler(83, circles, params=params, rng=a)
-        X_ref, y_ref, cut = reference_fast_sampler(83, circles, params, b)
+        ds = fast_bayesian_sampler(83, circles, params=replace(batching, **settings), rng=a)
+        X_ref, y_ref, cut = reference_fast_sampler(83, circles, batching, b, kern, tau)
         assert cut  # the last batch was cut short by the budget
         assert ds.X.tobytes() == X_ref.tobytes()
         np.testing.assert_array_equal(ds.y, y_ref)
         assert a.uniform(1) == b.uniform(1)
         assert ds.query_count == 83
+        # scaling the variance scales every acquisition value alike, so no
+        # point shows it: the kernel the sampler built must carry it
+        assert (ds.metadata["tau"], ds.metadata["length_scale"],
+                ds.metadata["kernel_variance"]) == (tau, kern.length_scale, kern.variance)
 
     def test_matches_serial_batch_loop_on_a_table(self, monkeypatch):
         real_fit = gp_mod.posterior_fit

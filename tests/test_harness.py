@@ -29,7 +29,7 @@ from copysampler import (
 from copysampler.cli import main as cli_main
 from copysampler.config import ConfigError, load_config, render_resolved
 from copysampler.core import RandomSource, fit_normalization, load_labeled_csv, meta_path
-from copysampler.harness import kernel_for, run_experiment, timing_profile
+from copysampler.harness import generate_dataset, run_experiment, timing_profile
 from copysampler.metrics import read_report_csv
 from copysampler.svgplot import PlotUnsupportedError, plot_2d
 
@@ -505,9 +505,13 @@ class TestConfigParsing:
     def test_explicit_kernel_values_are_kept(self, tmp_path):
         path = tmp_path / "k.ini"
         path.write_text(CIRCLES_ORACLE + "[samplers.bayesian]\nlength_scale = 0.125\n")
-        kern = kernel_for(load_config(path), ConcentricCirclesOracle((0.5, 0.5), [0.25]))
-        assert kern.length_scale == 0.125
-        assert kern.variance == SEKernel.for_problem(2, 2).variance
+        cfg = load_config(path)
+        assert (cfg.bayes.length_scale, cfg.bayes.variance) == (0.125, None)
+        # the sampler's kernel: the set value, and the problem default for the other
+        ds = generate_dataset(cfg, "bayesian", cfg.bayes.init_count,
+                              ConcentricCirclesOracle((0.5, 0.5), [0.25]), RandomSource(1))
+        assert ds.metadata["length_scale"] == 0.125
+        assert ds.metadata["kernel_variance"] == SEKernel.for_problem(2, 2).variance
 
     @pytest.mark.parametrize("workers, ok", [("1", True), ("2", False), ("0", False)])
     def test_workers_accepts_only_one(self, tmp_path, workers, ok):
@@ -969,6 +973,30 @@ class TestCLI:
         assert cli_main(["compare", "--report", str(out / "report.csv"),
                          "--out", str(tmp_path / "cmp.csv")]) == 0
         assert (tmp_path / "cmp.csv").read_bytes() == (out / "comparison.csv").read_bytes()
+
+    @pytest.mark.parametrize("seed_args, seed", [([], 42), (["--seed", "3"], 3)],
+                             ids=["config-seed", "flag"])
+    def test_run_seed_defaults_to_the_config(self, tmp_path, seed_args, seed):
+        # configs/toy-circles.ini sets seed = 42
+        config = Path(__file__).resolve().parents[1] / "configs" / "toy-circles.ini"
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(config), "--out", str(out), "--method",
+                         "random", "--arch", "lr", "--n", "100", *seed_args]) == 0
+        assert f"\nseed = {seed}\n" in (out / "config.resolved.ini").read_text()
+
+    def test_sample_and_evaluate_default_to_the_config_seed(self, tmp_path, toy_config):
+        # the toy config sets seed = 11
+        data = tmp_path / "ds.csv"
+        assert cli_main(["sample", "--config", str(toy_config), "--method", "random",
+                         "--n", "30", "--out", str(data)]) == 0
+        expected = random_sampler(30, ConcentricCirclesOracle((0.5, 0.5), [0.25]),
+                                  RandomSource(11))
+        assert SyntheticDataset.from_csv(data).X.tobytes() == expected.X.tobytes()
+        model = train("dt", expected).save(tmp_path / "copy")
+        report = tmp_path / "report.csv"
+        assert cli_main(["evaluate", "--config", str(toy_config), "--model", str(model),
+                         "--reference-size", "100", "--out", str(report)]) == 0
+        assert [r.seed for r in read_report_csv(report)] == [11]
 
     def test_run_exit_zero(self, tmp_path):
         path = tmp_path / "mini.ini"
