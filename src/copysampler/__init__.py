@@ -28,15 +28,15 @@ _PUBLIC = {
         fast_bayesian_sampler kernel_eval maximize_acquisition posterior_fit
         round_to_class""",
     "harness": "RunSummary TimingProfile run_experiment timing_profile",
-    "metrics": """FidelityReport RunRecord balanced_empirical_fidelity_error
+    "metrics": """RunRecord balanced_empirical_fidelity_error
         build_reference_set compare_methods empirical_fidelity_error
         quality_checks""",
     "oracles": """AnalyticOracle CheckerboardOracle ConcentricCirclesOracle
         ExternalOracle HalfspaceOracle Oracle ProtocolError
         QueryTransportError Spiral2DOracle TableOracle UnsupportedOracleError
         external_handshake parse_handshake serve_oracle serve_stdio""",
-    "samplers": """Thread binary_search_boundary boundary_sampler
-        jacobian_sampler random_sampler thread_step""",
+    "samplers": """binary_search_boundary boundary_sampler jacobian_sampler
+        random_sampler thread_step""",
     "svgplot": "plot_2d",
 }
 _SOURCE = {name: module for module, names in _PUBLIC.items() for name in names.split()}

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: sample, copy, evaluate, compare, profile, plot, run.  Every
-subcommand accepts --seed; one that reads a config uses its [experiment]
-seed unless --seed is given, and `copy` uses 0.  Exit codes: 0 on success,
-1 if any sweep cell failed, 2 on configuration or usage errors.
+Subcommands: sample, copy, evaluate, compare, profile, plot, run.  The
+five that draw random numbers (all but compare and plot) accept --seed; one
+that reads a config uses its [experiment] seed unless --seed is given, and
+`copy` uses 0.  Exit codes: 0 on success, 1 if any sweep cell failed, 2 on
+configuration or usage errors.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--tie-margin", type=float, default=0.01)
-    _add_seed(p)
 
     p = sub.add_parser(
         "profile", help="time one sampler run at prefix checkpoints",
@@ -95,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="overlay the true boundary of this oracle")
-    _add_seed(p)
 
     p = sub.add_parser("run", help="run (or resume) a full experiment sweep")
     p.add_argument("--config", required=True)
@@ -168,7 +167,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     records = metrics.read_report_csv(args.report)
-    matrix = metrics.compare_methods(metrics.summarize_runs(records), args.tie_margin)
+    matrix = metrics.compare_methods(records, args.tie_margin)
     metrics.write_comparison_csv(matrix, args.out)
     for (a, b), (wins, ties, losses) in sorted(matrix.items()):
         print(f"{a} vs {b}: {wins}/{ties}/{losses}")
@@ -245,7 +244,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:  # compare and plot take none
             check_seed(args.seed)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

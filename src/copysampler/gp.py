@@ -346,7 +346,8 @@ def fast_bayesian_sampler(
     N: int,
     oracle: Oracle,
     params: FastBayesParams | None = None,
-    rng: RandomSource | None = None,
+    *,
+    rng: RandomSource,
     progress=None,
 ) -> SyntheticDataset:
     """Batched uncertainty sampling with a capped posterior.
@@ -364,8 +365,6 @@ def fast_bayesian_sampler(
     """
     params = params or FastBayesParams()
     kern = SEKernel.for_problem(oracle.d, oracle.k, params.length_scale, params.variance)
-    if rng is None:
-        raise ValueError("rng is required")
     if N < params.init_count:
         raise ValueError(f"budget N={N} below the uniform init count {params.init_count}")
     ledger = SampleLedger(oracle, N, progress)

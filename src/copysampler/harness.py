@@ -71,11 +71,11 @@ def generate_dataset(
     if method == "random":
         return random_sampler(n, oracle, rng, progress=progress)
     if method == "boundary":
-        return boundary_sampler(n, oracle, cfg.boundary, rng, progress=progress)
+        return boundary_sampler(n, oracle, cfg.boundary, rng=rng, progress=progress)
     if method == "bayesian":
-        return fast_bayesian_sampler(n, oracle, cfg.bayes, rng, progress=progress)
+        return fast_bayesian_sampler(n, oracle, cfg.bayes, rng=rng, progress=progress)
     if method == "jacobian":
-        return jacobian_sampler(n, oracle, cfg.jacobian, rng, progress=progress)
+        return jacobian_sampler(n, oracle, cfg.jacobian, rng=rng, progress=progress)
     raise ConfigError(f"unknown sampling method {method!r}")
 
 
@@ -408,10 +408,9 @@ def run_experiment(
         (cfg.oracle.oracle_id, m, a, n)
         for m in cfg.methods for a in cfg.architectures for n in cfg.n_grid
     }
-    reports = metrics.summarize_runs(records)
-    have = {(r.oracle, r.method, r.copy_arch, r.n) for r in reports}
+    have = {(r.oracle, r.method, r.arch, r.n) for r in records}
     if len(cfg.methods) >= 2 and expected <= have:
-        matrix = metrics.compare_methods(reports, cfg.tie_margin)
+        matrix = metrics.compare_methods(records, cfg.tie_margin)
         metrics.write_comparison_csv(matrix, out / "comparison.csv")
         _write_text(out / "comparison.meta.json",
                     json.dumps({"tie_margin": cfg.tie_margin}, sort_keys=True) + "\n")

@@ -9,7 +9,7 @@ equally.  A value of 0 means a perfect copy.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -44,46 +44,6 @@ class RunRecord:
     r_f: float
     r_fb: float
     wall_time_s: float
-
-
-@dataclass(frozen=True)
-class FidelityReport:
-    """Aggregate over repetitions of one (oracle, method, arch, N) cell."""
-
-    oracle: str
-    method: str
-    copy_arch: str
-    n: int
-    r_f: float
-    r_fb: float
-    percentiles: Mapping[str, float] = field(default_factory=dict)
-    wall_time_s: float = 0.0
-
-
-# Full-scale quality-check results reported for the six public benchmark
-# tasks (balanced error of the original architecture refit on the reference
-# set, and over the original training set).  Kept for comparison when
-# running the full-scale presets; not asserted by tests, since they require
-# the external data pipelines.
-FULL_SCALE_QUALITY_CHECKS = {
-    "bank": (0.023, 0.021),
-    "ilpd": (0.080, 0.385),   # flagged as an unreliable evaluation upstream
-    "magic": (0.001, 0.001),
-    "miniboone": (0.009, 0.168),
-    "seeds": (0.020, 0.000),
-    "synthetic": (0.010, 0.000),
-}
-
-# Full-scale victory/tie/loss aggregates between sampling methods, for the
-# same reason.  Keyed as (row, column).
-FULL_SCALE_COMPARISON = {
-    ("random", "boundary"): (8, 13, 3),
-    ("random", "bayesian"): (10, 13, 1),
-    ("random", "jacobian"): (19, 5, 0),
-    ("boundary", "bayesian"): (10, 11, 3),
-    ("boundary", "jacobian"): (18, 5, 1),
-    ("bayesian", "jacobian"): (16, 5, 3),
-}
 
 
 def _scored_labels(preds, y_oracle) -> tuple[np.ndarray, np.ndarray]:
@@ -194,49 +154,22 @@ def quality_checks(
     return on_ref, on_original
 
 
-def summarize_runs(records: Iterable[RunRecord]) -> list[FidelityReport]:
-    """Collapse per-repetition rows into per-cell medians and percentiles."""
-    groups: dict[tuple[str, str, str, int], list[RunRecord]] = {}
-    for rec in records:
-        groups.setdefault((rec.oracle, rec.method, rec.arch, rec.n), []).append(rec)
-    reports = []
-    for (oracle, method, arch, n), rows in sorted(groups.items()):
-        fb = np.array([r.r_fb for r in rows])
-        f = np.array([r.r_f for r in rows])
-        times = np.array([r.wall_time_s for r in rows])
-        reports.append(
-            FidelityReport(
-                oracle=oracle,
-                method=method,
-                copy_arch=arch,
-                n=n,
-                r_f=float(np.median(f)),
-                r_fb=float(np.median(fb)),
-                percentiles={
-                    "p20": float(np.percentile(fb, 20)),
-                    "p50": float(np.percentile(fb, 50)),
-                    "p80": float(np.percentile(fb, 80)),
-                },
-                wall_time_s=float(np.median(times)),
-            )
-        )
-    return reports
-
-
 def compare_methods(
-    reports: Iterable[FidelityReport],
+    records: Iterable[RunRecord],
     tie_margin: float = 0.01,
 ) -> dict[tuple[str, str], tuple[int, int, int]]:
     """Victory/tie/loss counts of median balanced errors over shared cells.
 
-    The reports are grouped by their method.  A cell is one (oracle, arch,
-    N) combination; the method with the smaller median balanced error wins
-    it unless the difference is within `tie_margin`.  All methods must
-    cover an identical cell grid.
+    A cell is one (oracle, arch, N) combination.  Each method's report rows
+    of a cell, one per repetition, are reduced to their median R_Fb; the
+    method with the smaller median wins the cell unless the difference is
+    within `tie_margin`.  All methods must cover an identical cell grid.
     """
-    cells: dict[str, dict[tuple[str, str, int], float]] = {}
-    for r in reports:
-        cells.setdefault(r.method, {})[(r.oracle, r.copy_arch, r.n)] = r.r_fb
+    runs: dict[str, dict[tuple[str, str, int], list[float]]] = {}
+    for r in records:
+        runs.setdefault(r.method, {}).setdefault((r.oracle, r.arch, r.n), []).append(r.r_fb)
+    cells = {method: {cell: float(np.median(r_fb)) for cell, r_fb in by_cell.items()}
+             for method, by_cell in runs.items()}
     methods = sorted(cells)
     if len(methods) < 2:
         raise ComparisonError("need at least two methods to compare")

@@ -1,11 +1,15 @@
 """Synthetic-set generators: uniform, boundary-exploiting, and
 gradient-sign augmentation.
 
-Every sampler takes a budget N and an oracle and returns exactly N labelled
-points inside the unit hypercube.  The boundary sampler spends half of its
-budget on uniform exploration and the other half on threads: chains of
-points that hop across the decision boundary at a fixed step, seeded by
-bisection between differently-labelled uniform draws.
+Every sampler takes a budget N, an oracle and a `RandomSource` (keyword-only
+`rng=` for the boundary and jacobian samplers) and returns exactly N
+labelled points inside the unit hypercube.  The boundary sampler spends half
+of its budget on uniform exploration and the other half on threads: chains
+of points that hop across the decision boundary at a fixed step, seeded by
+bisection between differently-labelled uniform draws.  `thread_step` takes
+one hop from a point, its label and its last direction; the sampler's loop
+keeps those in locals, with a spawn countdown that queues every few accepted
+points as the start of another thread.
 
 The random and jacobian samplers generate points accumulatively, so a
 prefix of a run reproduces a smaller budget's run.  The boundary sampler
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,16 +41,6 @@ _W_WEIGHT = np.sqrt(np.maximum(0.0, 1.0 - ALPHA_SWEEP * ALPHA_SWEEP))
 
 # A scan this long without a label change means the oracle looks constant.
 _CONSTANT_SCAN_FACTOR = 10
-
-
-@dataclass
-class Thread:
-    """State of one boundary-hugging chain of samples."""
-
-    current: LabeledSample
-    direction: np.ndarray
-    steps_taken: int
-    spawn_countdown: int
 
 
 def random_sampler(
@@ -118,26 +111,23 @@ def _orthonormal_to(u: np.ndarray, rng: RandomSource) -> np.ndarray:
 
 
 def thread_step(
-    thread: Thread,
+    z: np.ndarray,
+    y: int,
+    u: np.ndarray,
     oracle: Oracle,
     step: float,
-    spawn_rate: float,
     rng: RandomSource,
-    pending: deque,
-) -> Thread | None:
-    """Advance a thread by one boundary-crossing step, or stop it.
+) -> tuple[np.ndarray, int, np.ndarray] | None:
+    """One boundary-crossing step from the point z of label y, or None to stop.
 
     Sweeps the blend factor alpha from +1 down to -1 between the previous
     direction u and a fresh orthonormal direction w (drawn once per step),
     accepting the first unit direction v = alpha*u + sqrt(1-alpha^2)*w whose
-    probe at distance `step` lands on the other side of the boundary.  One
-    oracle query is spent per alpha tried.  The thread stops when a probe
-    leaves the hypercube or when no alpha changes the label.  Accepted
-    points spawn a pending thread each time the countdown reaches zero.
+    probe at distance `step` lands on the other side of the boundary, and
+    returns (probe, label, v).  One oracle query is spent per alpha tried.
+    The thread stops when a probe leaves the hypercube or when no alpha
+    changes the label.
     """
-    z = thread.current.point
-    y = thread.current.label
-    u = thread.direction
     # Every direction and probe of the sweep at once, row by row the same
     # float operations as one alpha at a time; in 1-D only alpha = +-1.
     if z.shape[0] > 1:
@@ -152,17 +142,7 @@ def thread_step(
     for probe, v in zip(probes[:stop], V[:stop]):
         label = oracle.query(probe)
         if label != y:
-            countdown = thread.spawn_countdown - 1
-            advanced = Thread(
-                current=LabeledSample(probe, label),
-                direction=v,
-                steps_taken=thread.steps_taken + 1,
-                spawn_countdown=countdown,
-            )
-            if countdown <= 0:
-                pending.append(advanced.current)
-                advanced.spawn_countdown = _draw_spawn_gap(rng, spawn_rate)
-            return advanced
+            return probe, label, v
     return None
 
 
@@ -170,7 +150,8 @@ def boundary_sampler(
     N: int,
     oracle: Oracle,
     params: BoundaryParams | None = None,
-    rng: RandomSource | None = None,
+    *,
+    rng: RandomSource,
     progress=None,
 ) -> SyntheticDataset:
     """Half uniform exploration, half boundary exploitation.
@@ -185,8 +166,6 @@ def boundary_sampler(
     """
     if N < 2:
         raise ValueError("budget must be at least 2")
-    if rng is None:
-        raise ValueError("rng is required")
     params = (params or BoundaryParams()).resolved(N)
     d = oracle.d
     ledger = SampleLedger(oracle, N, progress)
@@ -229,25 +208,26 @@ def boundary_sampler(
             ledger.add(sample.point, sample.label)
         seed_sample = visited[-1] if visited else pair[1]
 
-        pending: deque[LabeledSample] = deque([seed_sample] * params.runs)
+        pending = deque([(seed_sample.point, seed_sample.label)] * params.runs)
         starts = 0
         while pending and starts < params.max_threads and len(ledger) < N:
-            origin = pending.popleft()
+            z, y = pending.popleft()
             starts += 1
-            thread = Thread(
-                current=origin,
-                direction=_random_unit(rng, d),
-                steps_taken=0,
-                spawn_countdown=_draw_spawn_gap(rng, params.spawn_rate),
-            )
-            while thread.steps_taken < params.max_steps and len(ledger) < N:
-                advanced = thread_step(
-                    thread, oracle, params.step, params.spawn_rate, rng, pending
-                )
-                if advanced is None:
+            u = _random_unit(rng, d)
+            countdown = _draw_spawn_gap(rng, params.spawn_rate)
+            for _ in range(params.max_steps):
+                if len(ledger) >= N:
                     break
-                thread = advanced
-                ledger.add(thread.current.point, thread.current.label)
+                stepped = thread_step(z, y, u, oracle, params.step, rng)
+                if stepped is None:
+                    break
+                z, y, u = stepped
+                ledger.add(z, y)
+                # every countdown-th accepted point seeds a pending thread
+                countdown -= 1
+                if countdown == 0:
+                    pending.append((z, y))
+                    countdown = _draw_spawn_gap(rng, params.spawn_rate)
 
     if len(ledger) < N:  # constant-oracle fallback fill
         ledger.label(rng.uniform((N - len(ledger), d)))
@@ -268,7 +248,8 @@ def jacobian_sampler(
     N: int,
     oracle: Oracle,
     params: JacobianParams | None = None,
-    rng: RandomSource | None = None,
+    *,
+    rng: RandomSource,
     progress=None,
     trace: list | None = None,
 ) -> SyntheticDataset:
@@ -283,8 +264,6 @@ def jacobian_sampler(
     diagonal streaks.  `trace`, when given, collects (source, pre-clip)
     pairs for inspection.
     """
-    if rng is None:
-        raise ValueError("rng is required")
     params = (params or JacobianParams()).resolved(N)
     if N < params.seeds_per_refit:
         raise ValueError(

@@ -825,7 +825,7 @@ class TestCLI:
         _, out, _ = toy_run
         dest = tmp_path / "cmp.csv"
         code = cli_main(["compare", "--report", str(out / "report.csv"),
-                         "--out", str(dest), "--seed", "0"])
+                         "--out", str(dest)])
         assert code == 0
         assert dest.read_text().splitlines()[0] == \
             "method_a,method_b,victories,ties,losses"
@@ -894,11 +894,10 @@ class TestCLI:
         ("sample", ["--method", "random", "--n", "10"]),
         ("copy", ["--data", "data.csv", "--arch", "lr"]),
         ("evaluate", ["--model", "model.npz"]),
-        ("compare", ["--report", "report.csv"]),
         ("profile", ["--method", "random", "--checkpoints", "10"]),
-        ("plot", ["--data", "data.csv"]),
         ("run", []),
-    ])
+    # fixed ids, so that a case keeps its id when other cases come or go
+    ], ids=["sample-args0", "copy-args1", "evaluate-args2", "profile-args4", "run-args6"])
     def test_seed_outside_u64_exits_2_on_every_subcommand(self, tmp_path, toy_config,
                                                           capsys, monkeypatch, command,
                                                           args, seed):
@@ -909,6 +908,18 @@ class TestCLI:
         err = capsys.readouterr().err
         assert code == 2 and not (tmp_path / "out").exists()
         assert err == f"config error: seed {seed} is outside [0, 2**64)\n"
+
+    @pytest.mark.parametrize("command, args", [
+        ("compare", ["--report", "report.csv"]),
+        ("plot", ["--data", "data.csv"]),
+    ])
+    def test_seed_is_a_usage_error_where_nothing_is_drawn(self, tmp_path, capsys,
+                                                          monkeypatch, command, args):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([command, *args, "--out", "out", "--seed", "1"])
+        assert exit_info.value.code == 2 and not (tmp_path / "out").exists()
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("size", ["0", "1"])  # below the k = 2 a balanced set needs
     def test_evaluate_reference_size_below_the_classes(self, tmp_path, toy_config,

@@ -10,7 +10,6 @@ from conftest import peak_rss_growth_mb
 from copysampler import (
     CheckerboardOracle,
     ConcentricCirclesOracle,
-    FidelityReport,
     RunRecord,
     TableOracle,
     balanced_empirical_fidelity_error,
@@ -25,7 +24,6 @@ from copysampler.metrics import (
     MissingClassError,
     fidelity,
     read_report_csv,
-    summarize_runs,
     write_comparison_csv,
     write_report_csv,
 )
@@ -262,19 +260,40 @@ class TestQualityChecks:
         assert r_w <= 0.02
         assert r_d <= 0.03
 
-    def test_reported_full_scale_tables_shape(self):
-        from copysampler.metrics import FULL_SCALE_COMPARISON, FULL_SCALE_QUALITY_CHECKS
 
-        assert set(FULL_SCALE_QUALITY_CHECKS) == {
-            "bank", "ilpd", "magic", "miniboone", "seeds", "synthetic"}
-        for pair in FULL_SCALE_QUALITY_CHECKS.values():
-            assert len(pair) == 2
-        assert FULL_SCALE_COMPARISON[("random", "jacobian")] == (19, 5, 0)
+def report(method, n, r_fb, oracle="toy", arch="dt", seed=0):
+    return RunRecord(oracle=oracle, method=method, arch=arch, n=n, seed=seed,
+                     r_f=r_fb, r_fb=r_fb, wall_time_s=0.0)
 
 
-def report(method, n, r_fb, oracle="toy", arch="dt"):
-    return FidelityReport(oracle=oracle, method=method, copy_arch=arch, n=n,
-                          r_f=r_fb, r_fb=r_fb)
+def summarized_compare(records, tie_margin):
+    """The comparison as it was made in two passes: each (oracle, method,
+    arch, N) cell summarized to its median R_Fb first, then one value per
+    method and cell compared."""
+    groups = {}
+    for rec in records:
+        groups.setdefault((rec.oracle, rec.method, rec.arch, rec.n), []).append(rec)
+    cells = {}
+    for (oracle, method, arch, n), rows in sorted(groups.items()):
+        cells.setdefault(method, {})[(oracle, arch, n)] = float(
+            np.median(np.array([r.r_fb for r in rows])))
+    methods = sorted(cells)
+    matrix = {}
+    for a in methods:
+        for b in methods:
+            if a == b:
+                continue
+            wins = ties = losses = 0
+            for cell in cells[methods[0]]:
+                delta = cells[a][cell] - cells[b][cell]
+                if abs(delta) <= tie_margin:
+                    ties += 1
+                elif delta < 0:
+                    wins += 1
+                else:
+                    losses += 1
+            matrix[(a, b)] = (wins, ties, losses)
+    return matrix
 
 
 class TestCompareMethods:
@@ -317,18 +336,34 @@ class TestCompareMethods:
         with pytest.raises(ComparisonError):
             compare_methods([report("a", 10, 0.1)])
 
+    def test_median_not_mean_decides(self):
+        # a's median 0.10 beats b's 0.20 by more than the margin, while
+        # a's mean, 0.30 with its one bad repetition, would lose
+        a = [report("a", 100, fb, seed=s) for s, fb in enumerate([0.05, 0.10, 0.75])]
+        b = [report("b", 100, fb, seed=s) for s, fb in enumerate([0.19, 0.20, 0.21])]
+        assert np.mean([r.r_fb for r in a]) > np.mean([r.r_fb for r in b])
+        matrix = compare_methods(a + b, 0.01)
+        assert matrix[("a", "b")] == (1, 0, 0)
+        assert matrix[("b", "a")] == (0, 0, 1)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_summarize_then_compare(self, seed):
+        # 3 methods x 2 archs x 2 budgets, 1-6 repetitions per cell, in
+        # shuffled order; values on a coarse grid so that ties happen too
+        draws = np.random.default_rng(seed)
+        records = [
+            report(method, n, float(draws.integers(0, 20)) / 40, arch=arch, seed=rep)
+            for method in ("random", "boundary", "jacobian")
+            for arch in ("lr", "dt")
+            for n in (100, 1000)
+            for rep in range(int(draws.integers(1, 7)))
+        ]
+        records = [records[i] for i in draws.permutation(len(records))]
+        margin = float(draws.choice([0.0, 0.01, 0.05]))
+        assert compare_methods(records, margin) == summarized_compare(records, margin)
+
 
 class TestSummaries:
-    def test_percentiles_and_median(self):
-        records = [
-            RunRecord("toy", "random", "dt", 100, s, 0.1 * s, 0.1 * s, 1.0)
-            for s in range(1, 6)
-        ]
-        (rep,) = summarize_runs(records)
-        assert rep.r_fb == pytest.approx(0.3)
-        assert rep.percentiles["p20"] == pytest.approx(np.percentile([0.1, 0.2, 0.3, 0.4, 0.5], 20))
-        assert rep.percentiles["p80"] == pytest.approx(np.percentile([0.1, 0.2, 0.3, 0.4, 0.5], 80))
-
     def test_report_csv_round_trip(self, tmp_path):
         records = [
             RunRecord("toy", "random", "dt", 100, 7, 0.125, 0.25, 1.5),

@@ -2,6 +2,7 @@
 
 import math
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from copysampler import (
     LabeledSample,
     SyntheticDataset,
     TableOracle,
-    Thread,
     TrainConfig,
     TrainingError,
     binary_search_boundary,
@@ -142,13 +142,10 @@ class TestBoundaryParams:
 
 
 class TestThreadStep:
-    def _fresh_thread(self, point, label, direction, countdown=10**9):
-        return Thread(
-            current=LabeledSample(np.asarray(point, dtype=float), label),
-            direction=np.asarray(direction, dtype=float),
-            steps_taken=0,
-            spawn_countdown=countdown,
-        )
+    def _step(self, oracle, point, label, direction, seed, step=0.05):
+        return thread_step(np.asarray(point, dtype=float), label,
+                           np.asarray(direction, dtype=float), oracle, step,
+                           RandomSource(seed))
 
     def test_flip_needs_normal_component(self, halfspace):
         # u parallel to the boundary: whenever a step is accepted, its
@@ -156,74 +153,49 @@ class TestThreadStep:
         # can change; whether one is accepted depends on the drawn
         # orthogonal direction, so scan several seeds
         start = np.array([0.498, 0.5])
+        label = halfspace.query(start)
         accepted = 0
         for seed in range(10):
-            thread = self._fresh_thread(start, halfspace.query(start), [0.0, 1.0])
-            out = thread_step(thread, halfspace, 0.05, 5.0, RandomSource(seed), deque())
+            out = self._step(halfspace, start, label, [0.0, 1.0], seed)
             if out is None:
                 continue
             accepted += 1
-            v = out.current.point - start
-            assert abs(v[0]) > 1e-12
-            assert out.current.label != thread.current.label
+            probe, probe_label, _ = out
+            assert abs((probe - start)[0]) > 1e-12
+            assert probe_label != label
         assert accepted >= 3
 
     def test_step_length_is_exact(self, halfspace):
         start = np.array([0.48, 0.5])
-        thread = self._fresh_thread(start, halfspace.query(start), [1.0, 0.0])
-        out = thread_step(thread, halfspace, 0.05, 5.0, RandomSource(5), deque())
+        out = self._step(halfspace, start, halfspace.query(start), [1.0, 0.0], 5)
         assert out is not None
-        assert float(np.linalg.norm(out.current.point - start)) == pytest.approx(
-            0.05, abs=1e-12
-        )
+        probe, _, v = out
+        assert float(np.linalg.norm(probe - start)) == pytest.approx(0.05, abs=1e-12)
+        np.testing.assert_array_equal(probe, start + 0.05 * v)
 
     def test_direction_stays_unit(self, halfspace):
-        thread = self._fresh_thread([0.45, 0.5], 0, [1.0, 0.0])
-        out = thread_step(thread, halfspace, 0.05, 5.0, RandomSource(6), deque())
-        assert abs(float(np.linalg.norm(out.direction)) - 1.0) < 1e-12
+        _, _, v = self._step(halfspace, [0.45, 0.5], 0, [1.0, 0.0], 6)
+        assert abs(float(np.linalg.norm(v)) - 1.0) < 1e-12
 
     def test_out_of_range_probe_stops_thread(self, halfspace):
-        thread = self._fresh_thread([0.999, 0.5], 1, [1.0, 0.0])
-        out = thread_step(thread, halfspace, 0.05, 5.0, RandomSource(7), deque())
-        assert out is None
+        assert self._step(halfspace, [0.999, 0.5], 1, [1.0, 0.0], 7) is None
 
     def test_no_flip_stops_thread(self):
         constant = HalfspaceOracle(w=(1.0, 0.0), c=2.0)  # label 0 everywhere
-        thread = self._fresh_thread([0.5, 0.5], 0, [1.0, 0.0])
-        out = thread_step(thread, constant, 0.05, 5.0, RandomSource(8), deque())
-        assert out is None
+        assert self._step(constant, [0.5, 0.5], 0, [1.0, 0.0], 8) is None
 
-    def test_spawn_gap_mean(self, halfspace):
-        # walk a thread along the plane for 1e4 accepted steps and measure
-        # the gaps between pending-queue pushes
+    def test_spawn_gap_mean(self):
+        # Poisson(5) gaps with zeros rounded up to 1: mean 5 + e^-5
         rng = RandomSource(9)
-        pending: deque = deque()
-        spawn_steps = []
-        step_count = 0
-        thread = self._fresh_thread([0.5, 0.5], 1, [0.0, 1.0], countdown=0)
-        thread = Thread(thread.current, thread.direction, 0, 5)
-        while step_count < 10_000:
-            out = thread_step(thread, halfspace, 0.01, 5.0, rng, pending)
-            if out is None:  # wandered to an edge; restart mid-plane
-                point = np.array([0.5, 0.5])
-                thread = Thread(
-                    LabeledSample(point, halfspace.query(point)),
-                    np.array([0.0, 1.0]), 0, thread.spawn_countdown,
-                )
-                continue
-            step_count += 1
-            if len(pending) > len(spawn_steps):
-                spawn_steps.append(step_count)
-            thread = out
-        gaps = np.diff(np.array(spawn_steps))
+        gaps = np.array([samplers_mod._draw_spawn_gap(rng, 5.0) for _ in range(10_000)])
+        assert gaps.min() >= 1
         assert abs(gaps.mean() - 5.0) < 0.2
 
     def test_1d_thread_moves(self):
         oracle = HalfspaceOracle(w=(1.0,), c=0.5)
-        thread = self._fresh_thread([0.48], 0, [1.0])
-        out = thread_step(thread, oracle, 0.05, 5.0, RandomSource(10), deque())
+        out = self._step(oracle, [0.48], 0, [1.0], 10)
         assert out is not None
-        assert out.current.label == 1
+        assert out[1] == 1
 
 
 class TestBoundarySampler:
@@ -355,8 +327,20 @@ def reference_random_sampler(N, oracle, rng):
                             rng.seed, oracle.query_count - q0)
 
 
+@dataclass
+class Thread:
+    """State of one boundary-hugging chain of samples, as the per-point
+    loop kept it between steps."""
+
+    current: LabeledSample
+    direction: np.ndarray
+    steps_taken: int
+    spawn_countdown: int
+
+
 def reference_thread_step(thread, oracle, step, spawn_rate, rng, pending):
-    """`thread_step` one alpha at a time, each probe built and checked alone."""
+    """`thread_step` one alpha at a time, each probe built and checked alone,
+    with the spawn countdown of the sampler's loop kept on the thread."""
     z = thread.current.point
     y = thread.current.label
     d = z.shape[0]
@@ -576,15 +560,43 @@ class TestBlocksMatchPerPointLoops:
         # fallback fill labels the last 20 points
         params = BoundaryParams(max_steps=3)
         rng, ref_rng = RandomSource(42), RandomSource(42)
-        ds = boundary_sampler(100, PIN_ORACLES[kind](), params, rng)
+        ds = boundary_sampler(100, PIN_ORACLES[kind](), params, rng=rng)
         ref = reference_boundary_sampler(100, PIN_ORACLES[kind](), params, ref_rng)
         assert_same_run(ds, ref, rng, ref_rng)
         assert ds.metadata["fallback_uniform"] is (kind == "constant")
 
+    @pytest.mark.parametrize("make, N, params", [
+        (PIN_ORACLES["circles"], 600, None),
+        (lambda: HalfspaceOracle(w=(1.0, 1.0, 1.0), c=1.5), 400,
+         BoundaryParams(spawn_rate=1.0)),
+        (_ring_table, 300, BoundaryParams(spawn_rate=2.0, max_steps=4)),
+    ], ids=["circles-default", "halfspace-3d-rate-1", "table-rate-2"])
+    def test_boundary_spawns(self, monkeypatch, make, N, params):
+        calls = {"gap": 0, "unit": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(samplers_mod, "_draw_spawn_gap",
+                            counted("gap", samplers_mod._draw_spawn_gap))
+        monkeypatch.setattr(samplers_mod, "_random_unit",
+                            counted("unit", samplers_mod._random_unit))
+        rng, ref_rng = RandomSource(45), RandomSource(45)
+        ds = boundary_sampler(N, make(), params, rng=rng)
+        # every thread draws one gap as it starts; the others follow spawns
+        assert calls["gap"] > calls["unit"] > 0
+        ref = reference_boundary_sampler(N, make(), params, ref_rng)
+        assert_same_run(ds, ref, rng, ref_rng)
+
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_thread_step(self, d):
         # starts anywhere in the cube, a third of them within a step of a
-        # face, so sweeps end on a flip, on a probe outside, or on neither
+        # face, so sweeps end on a flip, on a probe outside, or on neither;
+        # the reference thread never spawns, since spawning is the
+        # sampler loop's (pinned by the boundary tests here)
         draws = np.random.default_rng(d)
         oracle = HalfspaceOracle(w=np.ones(d), c=d / 2)
         ref_oracle = HalfspaceOracle(w=np.ones(d), c=d / 2)
@@ -594,23 +606,18 @@ class TestBlocksMatchPerPointLoops:
             if trial % 3 == 0:
                 z[draws.integers(d)] = draws.choice([0.01, 0.99])
             u = draws.normal(size=d)
-            thread = Thread(current=LabeledSample(z, int(z.sum() >= d / 2)),
-                            direction=u / np.linalg.norm(u), steps_taken=trial,
-                            spawn_countdown=int(draws.integers(1, 3)))
+            u /= np.linalg.norm(u)
+            y = int(z.sum() >= d / 2)
             rng, ref_rng = RandomSource(trial), RandomSource(trial)
-            pending, ref_pending = deque(), deque()
-            out = thread_step(thread, oracle, 0.2, 5.0, rng, pending)
-            ref = reference_thread_step(thread, ref_oracle, 0.2, 5.0, ref_rng,
-                                        ref_pending)
+            out = thread_step(z, y, u, oracle, 0.2, rng)
+            ref = reference_thread_step(Thread(LabeledSample(z, y), u, 0, 10**9),
+                                        ref_oracle, 0.2, 5.0, ref_rng, deque())
             assert (out is None) == (ref is None)
             if out is not None:
-                assert out.current.point.tobytes() == ref.current.point.tobytes()
-                assert out.current.label == ref.current.label
-                assert out.direction.tobytes() == ref.direction.tobytes()
-                assert (out.steps_taken, out.spawn_countdown) == (
-                    ref.steps_taken, ref.spawn_countdown)
-            assert [p.point.tobytes() for p in pending] == [
-                p.point.tobytes() for p in ref_pending]
+                probe, label, v = out
+                assert probe.tobytes() == ref.current.point.tobytes()
+                assert label == ref.current.label
+                assert v.tobytes() == ref.direction.tobytes()
             assert oracle.query_count == ref_oracle.query_count
             assert rng.uniform(2).tobytes() == ref_rng.uniform(2).tobytes()
             ended.add("flip" if out is not None else "stop")
@@ -626,7 +633,7 @@ class TestBlocksMatchPerPointLoops:
     def test_jacobian(self, kind, N, params):
         rng, ref_rng = RandomSource(43), RandomSource(43)
         trace, ref_trace = [], []
-        ds = jacobian_sampler(N, PIN_ORACLES[kind](), params, rng, trace=trace)
+        ds = jacobian_sampler(N, PIN_ORACLES[kind](), params, rng=rng, trace=trace)
         ref = reference_jacobian_sampler(N, PIN_ORACLES[kind](), params, ref_rng,
                                          ref_trace)
         assert_same_run(ds, ref, rng, ref_rng)
@@ -640,7 +647,7 @@ class TestBlocksMatchPerPointLoops:
         monkeypatch.setattr(samplers_mod, "train", lambda *a, **kw: PatchySubstitute())
         rng, ref_rng = RandomSource(44), RandomSource(44)
         trace, ref_trace = [], []
-        ds = jacobian_sampler(137, PIN_ORACLES["circles"](), None, rng, trace=trace)
+        ds = jacobian_sampler(137, PIN_ORACLES["circles"](), None, rng=rng, trace=trace)
         ref = reference_jacobian_sampler(137, PIN_ORACLES["circles"](), None,
                                          ref_rng, ref_trace)
         assert_same_run(ds, ref, rng, ref_rng)
