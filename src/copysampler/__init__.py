@@ -25,8 +25,7 @@ _PUBLIC = {
         NormalizationTransform RandomSource SampleLedger StratificationError
         SyntheticDataset fit_normalization stratified_split""",
     "gp": """GPPosterior PosteriorFitError SEKernel acquisition_value
-        fast_bayesian_sampler kernel_eval maximize_acquisition posterior_fit
-        round_to_class""",
+        fast_bayesian_sampler maximize_acquisition posterior_fit""",
     "harness": "RunSummary TimingProfile run_experiment timing_profile",
     "metrics": """RunRecord balanced_empirical_fidelity_error
         build_reference_set compare_methods empirical_fidelity_error
@@ -34,7 +33,7 @@ _PUBLIC = {
     "oracles": """AnalyticOracle CheckerboardOracle ConcentricCirclesOracle
         ExternalOracle HalfspaceOracle Oracle ProtocolError
         QueryTransportError Spiral2DOracle TableOracle UnsupportedOracleError
-        external_handshake parse_handshake serve_oracle serve_stdio""",
+        parse_handshake serve_oracle serve_stdio""",
     "samplers": """binary_search_boundary boundary_sampler jacobian_sampler
         random_sampler thread_step""",
     "svgplot": "plot_2d",

@@ -4,7 +4,8 @@ Subcommands: sample, copy, evaluate, compare, profile, plot, run.  The
 five that draw random numbers (all but compare and plot) accept --seed; one
 that reads a config uses its [experiment] seed unless --seed is given, and
 `copy` uses 0.  Exit codes: 0 on success, 1 if any sweep cell failed, 2 on
-configuration or usage errors.
+configuration or usage errors, among them an input file that is missing or
+malformed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .config import (
     load_config,
 )
 from .copies import CopyModel, train
-from .core import CopySamplerError, RandomSource, SyntheticDataset
+from .core import CopySamplerError, RandomSource, SyntheticDataset, atomic_write
 from .harness import generate_dataset, run_experiment, timing_profile
 from .svgplot import plot_2d
 
@@ -115,6 +116,16 @@ def _load(config_path, seed: int | None) -> ExperimentConfig:
     return cfg if seed is None else replace(cfg, seed=seed)
 
 
+def _read_input(read, path):
+    """`read(path)`, with a missing, unreadable or malformed file a usage error."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def cmd_sample(args) -> int:
     cfg = _load(args.config, args.seed)
     cfg.check_budget(args.method, args.n, "--n is")
@@ -130,7 +141,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_copy(args) -> int:
-    ds = SyntheticDataset.from_csv(args.data)
+    ds = _read_input(SyntheticDataset.from_csv, args.data)
     model = train(args.arch, ds, TrainConfig(seed=0 if args.seed is None else args.seed))
     path = model.save(args.out)
     err = model.train_meta.get("training_fidelity_error")
@@ -159,14 +170,14 @@ def cmd_evaluate(args) -> int:
             n=0, seed=cfg.seed, r_f=r_f, r_fb=r_fb, wall_time_s=0.0,
         )
         out = Path(args.out)
-        existing = metrics.read_report_csv(out) if out.exists() else []
+        existing = _read_input(metrics.read_report_csv, out) if out.exists() else []
         metrics.write_report_csv(existing + [record], out)
         print(f"appended to {out}")
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    records = metrics.read_report_csv(args.report)
+    records = _read_input(metrics.read_report_csv, args.report)
     matrix = metrics.compare_methods(records, args.tie_margin)
     metrics.write_comparison_csv(matrix, args.out)
     for (a, b), (wins, ties, losses) in sorted(matrix.items()):
@@ -189,7 +200,8 @@ def cmd_profile(args) -> int:
                                  RandomSource(cfg.seed))
     text = profile.csv_text()
     if args.out:
-        Path(args.out).write_text(text)
+        with atomic_write(args.out) as f:
+            f.write(text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -197,7 +209,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    ds = SyntheticDataset.from_csv(args.data)
+    ds = _read_input(SyntheticDataset.from_csv, args.data)
     overlay = load_config(args.config).oracle.overlay() if args.config else nullcontext()
     with overlay as oracle:
         plot_2d(ds, oracle, args.out)

@@ -56,9 +56,6 @@ class CopyModel:
     train_meta: dict = field(default_factory=dict)
     constant_label: int | None = None
 
-    def predict(self, z: np.ndarray) -> int:
-        return int(self.predict_many(np.asarray(z, dtype=np.float64)[None, :])[0])
-
     def predict_many(self, X: np.ndarray) -> np.ndarray:
         """Hard labels of the rows of X, in passes of `_PREDICT_CHUNK` rows."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -73,12 +70,6 @@ class CopyModel:
                 labels[i:i + _PREDICT_CHUNK] = np.argmax(
                     _net_probs(self.params["layers"], block), axis=1)
         return labels
-
-    def class_probabilities(self, X: np.ndarray) -> np.ndarray:
-        """Internal softmax scores; not part of the hard-label surface."""
-        if self.architecture == "dt" or self.constant_label is not None:
-            raise ValueError("class probabilities exist only for fitted networks")
-        return _net_probs(self.params["layers"], np.atleast_2d(X))
 
     def input_gradients(self, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """d p_c / d z rows for each (z, c) pair; networks only."""
@@ -284,14 +275,6 @@ def _net_probs(layers, X):
 
 def _one_hot(y, k):
     return (y[..., None] == np.arange(k)).astype(np.float64)
-
-
-def network_loss_and_grad(layers, X, y):
-    """Mean cross-entropy and its gradients w.r.t. every weight and bias."""
-    grads = [(np.empty_like(W), np.empty_like(b)) for W, b in layers]
-    (loss,) = _backprop(layers, X, _one_hot(y, layers[-1][0].shape[-1]), grads,
-                        with_loss=True)
-    return loss, grads
 
 
 def _backprop(layers, X, Y, grads, with_loss):

@@ -332,7 +332,11 @@ def _is_header(line: str) -> bool:
 
 
 def load_labeled_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Load a `x0,...,x{d-1},label` CSV into (X, y) arrays."""
+    """Load a `x0,...,x{d-1},label` CSV into (X, y) arrays.
+
+    A label that is not a whole number in [0, 2**63) raises ValueError,
+    naming the file and the data row (0-based) that holds it.
+    """
     path = Path(path)
     with path.open() as f:
         first = f.readline()
@@ -341,7 +345,13 @@ def load_labeled_csv(path) -> tuple[np.ndarray, np.ndarray]:
             d = max(first.count(","), 1)
             return np.empty((0, d)), np.empty(0, dtype=np.int64)
     raw = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-    return raw[:, :-1].astype(np.float64), raw[:, -1].astype(np.int64)
+    labels = raw[:, -1]
+    # NaN fails every comparison, so the negation catches it too
+    bad = np.flatnonzero(~((labels >= 0) & (labels < 2.0**63) & (labels == np.floor(labels))))
+    if bad.size:
+        raise ValueError(f"{path}: row {bad[0]} has the label {float(labels[bad[0]])!r}; "
+                         "a label must be a whole number in [0, 2**63)")
+    return raw[:, :-1].astype(np.float64), labels.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -355,14 +365,9 @@ class NormalizationTransform:
 
     shift: np.ndarray
     scale: np.ndarray
-    target_mean: float = TARGET_MEAN
-    target_std: float = TARGET_STD
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=np.float64) * self.scale + self.shift
-
-    def inverse(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=np.float64) - self.shift) / self.scale
 
 
 def fit_normalization(raw: np.ndarray) -> NormalizationTransform:

@@ -181,15 +181,6 @@ class SEKernel:
         return sq
 
 
-def kernel_eval(kern: SEKernel, z: np.ndarray, z2: np.ndarray) -> float:
-    z = np.asarray(z, dtype=np.float64)
-    z2 = np.asarray(z2, dtype=np.float64)
-    if z.shape != z2.shape:
-        raise ValueError("kernel arguments must share a dimension")
-    sq = float(((z - z2) ** 2).sum())
-    return kern.variance * math.exp(-sq / (2.0 * kern.length_scale**2))
-
-
 class GPPosterior:
     """Zero-mean GP conditioned on labelled support; immutable after fit.
 
@@ -279,22 +270,22 @@ def maximize_acquisition(
     iters: int,
     rng: RandomSource,
     tau: float = FastBayesParams.tau,
-    radius: float = NEIGHBOURHOOD_RADIUS,
 ) -> np.ndarray:
     """Derivative-free ascent of the acquisition in a neighbourhood of z0.
 
     Pattern search: per round, probe +-h along each axis plus one random
     direction, move to the best improving candidate, halve h otherwise.
-    Candidates are clipped to the box of half-width `radius` around z0
-    intersected with the hypercube, so the result stays near its restart
-    point and never scores below it.  Draws `iters` normal directions.
+    Candidates are clipped to the box of half-width `NEIGHBOURHOOD_RADIUS`
+    around z0 intersected with the hypercube, so the result stays near its
+    restart point and never scores below it.  Draws `iters` normal
+    directions.
     """
     z0 = np.asarray(z0, dtype=np.float64)
     U = rng.normal((iters, z0.shape[0]))
-    return _pattern_search(gp, z0[None, :], U[None], tau, radius)[0]
+    return _pattern_search(gp, z0[None, :], U[None], tau)[0]
 
 
-def _pattern_search(gp, Z0, U, tau, radius):
+def _pattern_search(gp, Z0, U, tau):
     """Run the pattern search of `maximize_acquisition` from each row of Z0.
 
     The R restarts step in lockstep, so each round makes one `mean_var`
@@ -304,12 +295,12 @@ def _pattern_search(gp, Z0, U, tau, radius):
     """
     Z0 = np.clip(Z0, 0.0, 1.0)
     R, d = Z0.shape
-    lo = np.maximum(Z0 - radius, 0.0)[:, None, :]
-    hi = np.minimum(Z0 + radius, 1.0)[:, None, :]
+    lo = np.maximum(Z0 - NEIGHBOURHOOD_RADIUS, 0.0)[:, None, :]
+    hi = np.minimum(Z0 + NEIGHBOURHOOD_RADIUS, 1.0)[:, None, :]
     Z = Z0.copy()
     mu, var = gp.mean_var(Z)
     best = acquisition_value(mu, var, tau)
-    h = np.full(R, 2.0 * radius / 3.0)
+    h = np.full(R, 2.0 * NEIGHBOURHOOD_RADIUS / 3.0)
     axis = np.arange(d)
     axes = np.zeros((2 * d, d))
     axes[2 * axis, axis] = 1.0
@@ -333,13 +324,6 @@ def _pattern_search(gp, Z0, U, tau, radius):
         best[up] = top[up]
         h[~up] *= 0.5
     return Z
-
-
-def round_to_class(mu: float, k: int) -> int:
-    """Map a posterior mean to the nearest valid class index (ties up)."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    return int(min(max(round_half_up(mu), 0), k - 1))
 
 
 def fast_bayesian_sampler(
@@ -394,8 +378,7 @@ def fast_bayesian_sampler(
             Z0[r] = rng.uniform(oracle.d)
             if gp is not None:
                 U[r] = rng.normal((params.local_iters, oracle.d))
-        Z = Z0 if gp is None else _pattern_search(
-            gp, Z0, U, params.tau, NEIGHBOURHOOD_RADIUS)
+        Z = Z0 if gp is None else _pattern_search(gp, Z0, U, params.tau)
         ledger.label(Z)
     return ledger.dataset("bayesian", rng.seed, {
         "posterior_fits": fits,

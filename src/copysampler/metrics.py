@@ -91,16 +91,14 @@ def build_reference_set(
     L: int,
     balanced: bool,
     rng: RandomSource,
-    max_attempts: int | None = None,
 ) -> SyntheticDataset:
     """Uniform oracle-labelled points; balanced via per-class rejection.
 
     The set is a `SyntheticDataset` with generator id "reference", the
     queries it spent, and metadata `balanced` and `complete`.  Balanced
     quotas are ceil(L/k) for the first L mod k classes and floor(L/k) for
-    the rest.  If some quota cannot be filled within `max_attempts` drawn
-    points (default 100 L) the partial set is returned with
-    `complete=False`.
+    the rest.  If some quota cannot be filled within 100 L drawn points the
+    partial set is returned with `complete=False`.
     """
     if L < 1:
         raise ValueError("L must be positive")
@@ -111,8 +109,7 @@ def build_reference_set(
         base, extra = divmod(L, k)
         quotas = np.full(k, base, dtype=np.int64)
         quotas[:extra] += 1
-        if max_attempts is None:
-            max_attempts = 100 * L
+        max_attempts = 100 * L
     else:  # every draw is kept, so L draws fill the set
         quotas = np.full(k, L, dtype=np.int64)
         max_attempts = L
@@ -227,9 +224,13 @@ def write_report_csv(records: Sequence[RunRecord], path) -> Path:
 
 
 def read_report_csv(path) -> list[RunRecord]:
+    """The rows of a report CSV; ValueError if its header lacks a column."""
     records = []
     with Path(path).open(newline="") as f:
         reader = csv.DictReader(f)
+        missing = [c for c in REPORT_HEADER if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: the report header lacks {', '.join(missing)}")
         for row in reader:
             records.append(
                 RunRecord(

@@ -158,10 +158,6 @@ class ConcentricCirclesOracle(AnalyticOracle):
         r = np.sqrt((D * D).sum(axis=1))
         return np.searchsorted(self.radii, r, side="right").astype(np.int64)
 
-    def boundary_distance(self, z):
-        r = float(np.linalg.norm(np.asarray(z, dtype=np.float64) - self.center))
-        return float(np.min(np.abs(r - self.radii)))
-
     def boundary_curves(self, n: int = 512):
         if self.d != 2:
             return super().boundary_curves(n)
@@ -250,13 +246,14 @@ class TableOracle(Oracle):
 
     A point gets the label of the row with the smallest squared Euclidean
     distance `((X_ref - z) ** 2).sum(axis=1)`; ties go to the lowest row
-    index, which makes the rule deterministic for any input.  Rows holding
-    NaN or +-inf, or values whose squares overflow, are rejected.  Queries
-    are ranked in chunks of at most 2**16 query-row pairs (one query when M
-    is larger), so memory stays O(M*d) however many points are labelled at
-    once.  A one-row query within `_NEAR_RADIUS` of the last one ranked over
-    the whole table is ranked over the rows that can be nearest there, with
-    the same labels.
+    index, which makes the rule deterministic for any input.  The classes
+    are 0 .. k-1, with k the largest label + 1, and each must label some
+    row.  Rows holding NaN or +-inf, or values whose squares overflow, are
+    rejected.  Queries are ranked in chunks of at most 2**16 query-row
+    pairs (one query when M is larger), so memory stays O(M*d) however many
+    points are labelled at once.  A one-row query within `_NEAR_RADIUS` of
+    the last one ranked over the whole table is ranked over the rows that
+    can be nearest there, with the same labels.
     """
 
     # 512 kB of float64 per chunk: with the (d + 1, M) table (720 kB at
@@ -265,18 +262,29 @@ class TableOracle(Oracle):
     # against 13-15 us with chunks of 2**17 pairs and 15-16 us with 2**18.
     _CHUNK_PAIRS = 1 << 16
 
-    def __init__(self, X_ref: np.ndarray, y_ref: np.ndarray, k: int | None = None):
+    def __init__(self, X_ref: np.ndarray, y_ref: np.ndarray):
         X_ref = np.atleast_2d(np.asarray(X_ref, dtype=np.float64))
         y_ref = np.asarray(y_ref, dtype=np.int64).reshape(-1)
         if X_ref.shape[0] == 0 or X_ref.shape[0] != y_ref.shape[0]:
             raise ValueError("reference table must be non-empty and consistent")
+        if y_ref.min() < 0:
+            raise ValueError(f"reference table row {np.argmax(y_ref < 0)} has the "
+                             f"negative label {y_ref.min()}")
+        # the distinct labels, sorted: np.bincount would let a stray huge
+        # label size an array, and np.unique imports numpy.ma (5 ms)
+        labels = np.sort(y_ref)
+        classes = labels[np.concatenate(([True], labels[1:] != labels[:-1]))]
+        if classes[-1] != classes.size - 1:
+            missing = int(np.argmax(classes != np.arange(classes.size)))
+            raise ValueError(f"no reference table row has the label {missing}, "
+                             f"though the labels run up to {classes[-1]}")
         with np.errstate(over="ignore"):
             sq_norms = (X_ref ** 2).sum(axis=1)
         bad = np.flatnonzero(~np.isfinite(sq_norms))
         if bad.size:
             raise ValueError(f"reference table row {bad[0]} holds NaN or inf, "
                              "or values whose squares overflow")
-        super().__init__(d=X_ref.shape[1], k=int(y_ref.max()) + 1 if k is None else k)
+        super().__init__(d=X_ref.shape[1], k=classes.size)
         self.X_ref = X_ref
         self.y_ref = y_ref
         # C-contiguous (d + 1, M): -2 X_ref^T over the squared row norms.  A
@@ -413,16 +421,6 @@ def parse_handshake(line: str) -> tuple[int, int]:
     return d, k
 
 
-def external_handshake(reader: IO[str]) -> tuple[int, int]:
-    """Read and validate the greeting from an open transport."""
-    if not isinstance(reader, _LineReader):
-        reader = _LineReader(reader)
-    line = reader.readline()
-    if not line:
-        raise ProtocolError("transport closed before handshake")
-    return parse_handshake(line)
-
-
 # Seconds a child oracle gets to exit after BYE before it is killed.
 CLOSE_GRACE_S = 10.0
 
@@ -540,8 +538,10 @@ class ExternalOracle(Oracle):
 
     def __init__(self, reader: IO[str], writer: IO[str]):
         self._lines = _LineReader(reader)
-        d, k = external_handshake(self._lines)
-        super().__init__(d=d, k=k)
+        greeting = self._lines.readline()
+        if not greeting:
+            raise ProtocolError("transport closed before handshake")
+        super().__init__(*parse_handshake(greeting))
         self._reader = reader
         self._writer = writer
         self._proc = None  # the subprocess.Popen of a spawned server

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .core import CopySamplerError, SyntheticDataset
+from .core import CopySamplerError, SyntheticDataset, atomic_write
 from .oracles import AnalyticOracle, Oracle
 
 PALETTE = [
@@ -88,7 +88,6 @@ def plot_2d(ds: SyntheticDataset, oracle: Oracle | None, path) -> Path:
         f"{ds.generator_id} n={len(ds)} seed={ds.seed}</text>"
     )
     lines.append("</svg>")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    with atomic_write(path) as f:
+        f.write("\n".join(lines) + "\n")
+    return Path(path)

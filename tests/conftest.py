@@ -49,6 +49,12 @@ def probe_grid():
     return np.column_stack([xx.ravel(), yy.ravel()])
 
 
+def circle_distances(oracle, X):
+    """Distance of each row of X to the nearest ring of a ConcentricCirclesOracle."""
+    r = np.linalg.norm(np.atleast_2d(X) - oracle.center, axis=1)
+    return np.abs(r[:, None] - oracle.radii).min(axis=1)
+
+
 def peak_rss_growth_mb(setup, statement):
     """Peak RSS growth, in MiB, over `statement` run after `setup` in a fresh process."""
     code = (

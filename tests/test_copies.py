@@ -20,12 +20,13 @@ from copysampler import (
 )
 from copysampler import copies
 from copysampler.copies import (
+    _backprop,
     _net_forward,
     _net_init,
     _net_probs,
+    _one_hot,
     _softmax,
     _tree_fit,
-    network_loss_and_grad,
 )
 from copysampler.core import RandomSource, SyntheticDataset
 
@@ -64,7 +65,7 @@ class TestTrainBasics:
             model = train(arch, make_dataset(X, y, k=3), TrainConfig(seed=0))
             assert model.constant_label == 1
             assert model.train_meta["training_fidelity_error"] == 0.0
-            assert model.predict(np.array([0.9, 0.9])) == 1
+            assert model.predict_many(np.array([[0.9, 0.9]])).tolist() == [1]
 
     def test_unknown_architecture(self):
         ds = make_dataset(np.zeros((2, 1)), np.array([0, 1]))
@@ -83,6 +84,14 @@ class TestTrainBasics:
         with pytest.raises(TrainingError):
             train("ann", make_dataset(X, y, k=2),
                   TrainConfig(seed=1, epochs=5, batch_size=4))
+
+
+def network_loss_and_grad(layers, X, y):
+    """Mean cross-entropy and its gradients w.r.t. every weight and bias."""
+    grads = [(np.empty_like(W), np.empty_like(b)) for W, b in layers]
+    (loss,) = _backprop(layers, X, _one_hot(y, layers[-1][0].shape[-1]), grads,
+                        with_loss=True)
+    return loss, grads
 
 
 def reference_net_fit(X, y, k, hidden, cfg):
@@ -419,8 +428,7 @@ class TestPredict:
         y = np.array([0, 0, 0, 1, 1, 1])
         model = train("dt", make_dataset(X, y), TrainConfig(seed=0, max_depth=1))
         assert model.train_meta["depth"] == 1
-        assert model.predict(np.array([0.49])) == 0
-        assert model.predict(np.array([0.51])) == 1
+        assert model.predict_many(np.array([[0.49], [0.51]])).tolist() == [0, 1]
 
     def test_one_ulp_split_terminates(self):
         # the midpoint of two values one ulp apart rounds onto the upper one;
@@ -444,7 +452,7 @@ class TestPredict:
     def test_predict_one_point(self):
         X = np.array([[0.0], [1.0]])
         model = train("dt", make_dataset(X, np.array([0, 1])))
-        assert model.predict(np.array([0.9])) == 1
+        assert model.predict_many(np.array([[0.9]])).tolist() == [1]
 
 
 ANN2_SETUP = (
@@ -529,7 +537,7 @@ class TestNetworkInternals:
     def test_softmax_rows_sum_to_one(self, circles):
         ds = random_sampler(300, circles, RandomSource(8))
         model = train("ann", ds, TrainConfig(seed=3, epochs=30))
-        probs = model.class_probabilities(RandomSource(9).uniform((200, 2)))
+        probs = _net_probs(model.params["layers"], RandomSource(9).uniform((200, 2)))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     @pytest.mark.parametrize("k", [2, 3, 10])
@@ -587,8 +595,8 @@ class TestNetworkInternals:
                 up[j] += h
                 down = X[i].copy()
                 down[j] -= h
-                p_up = model.class_probabilities(up[None, :])[0, labels[i]]
-                p_dn = model.class_probabilities(down[None, :])[0, labels[i]]
+                p_up = _net_probs(model.params["layers"], up[None, :])[0, labels[i]]
+                p_dn = _net_probs(model.params["layers"], down[None, :])[0, labels[i]]
                 fd = (p_up - p_dn) / (2 * h)
                 assert abs(fd - grads[i, j]) <= 1e-5 + 1e-4 * abs(fd)
 

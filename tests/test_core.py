@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +327,25 @@ class TestLoadLabeledCsv:
         assert X.shape == (0, 2)
         assert y.shape == (0,)
 
+    @pytest.mark.parametrize("label", ["1.5", "-1", "1e300", "nan", "inf", "-inf",
+                                       "9223372036854775808"])
+    def test_bad_label_names_file_and_row(self, tmp_path, label):
+        path = tmp_path / "rows.csv"
+        path.write_text(f"x0,x1,label\n0.1,0.2,0\n0.3,0.4,1\n0.5,0.6,{label}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: row 2 has the label "):
+            load_labeled_csv(path)
+
+    def test_labels_keep_the_bits_of_a_plain_load(self, tmp_path):
+        # the largest label below 2**63 that a double holds, and -0.0
+        path = tmp_path / "rows.csv"
+        path.write_text("0.1,0.2,0\n0.3,0.4,-0\n0.5,0.6,9223372036854774784\n"
+                        "0.7,0.8,3.0\n")
+        X, y = load_labeled_csv(path)
+        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+        assert X.tobytes() == raw[:, :-1].tobytes()
+        assert y.tobytes() == raw[:, -1].astype(np.int64).tobytes()
+        assert y.tolist() == [0, 0, 2**63 - 1024, 3]
+
 
 class TestNormalization:
     def test_three_point_column(self):
@@ -359,11 +379,14 @@ class TestNormalization:
             fit_normalization(raw)
 
     def test_round_trip_identity(self):
+        # the transform is the affine map of its fields, so it can be undone
         rng = RandomSource(4)
         for _ in range(5):
             raw = rng.normal((50, 3)) * rng.uniform(3) * 10
             t = fit_normalization(raw)
-            np.testing.assert_allclose(t.inverse(t.transform(raw)), raw, atol=1e-12)
+            out = t.transform(raw)
+            assert out.tobytes() == (raw * t.scale + t.shift).tobytes()
+            np.testing.assert_allclose((out - t.shift) / t.scale, raw, atol=1e-12)
 
 
 class TestStratifiedSplit:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import circle_distances
 from copysampler import (
     ConcentricCirclesOracle,
     FastBayesParams,
@@ -20,11 +21,9 @@ from copysampler import (
     TableOracle,
     acquisition_value,
     fast_bayesian_sampler,
-    kernel_eval,
     maximize_acquisition,
     posterior_fit,
     random_sampler,
-    round_to_class,
 )
 import copysampler.gp as gp_mod
 from copysampler.core import RandomSource, SampleLedger
@@ -95,23 +94,28 @@ KERNEL_CASES = {
 }
 
 
+def kernel_value(kern, z, z2):
+    """k(z, z2) through the kernel matrix, the one path the GP takes."""
+    return kern.matrix(z[None], z2[None])[0, 0]
+
+
 class TestKernel:
     def test_zero_distance(self):
         kern = SEKernel(0.4, 2.5)
         z = np.array([0.3, 0.3])
-        assert kernel_eval(kern, z, z) == pytest.approx(2.5)
+        assert kernel_value(kern, z, z) == pytest.approx(2.5)
 
     def test_one_length_scale(self):
         kern = SEKernel(0.25, 1.7)
         z = np.array([0.1, 0.1])
         z2 = z + np.array([0.25, 0.0])
-        assert kernel_eval(kern, z, z2) == pytest.approx(1.7 * math.exp(-0.5))
+        assert kernel_value(kern, z, z2) == pytest.approx(1.7 * math.exp(-0.5))
 
     def test_long_range_decay(self):
         kern = SEKernel(0.05, 1.0)
         z = np.zeros(2)
         z2 = np.array([0.5, 0.0])  # ten length scales away
-        assert kernel_eval(kern, z, z2) <= math.exp(-50.0) * (1 + 1e-12)
+        assert kernel_value(kern, z, z2) <= math.exp(-50.0) * (1 + 1e-12)
 
     def test_defaults_from_problem(self):
         kern = SEKernel.for_problem(d=4, k=3)
@@ -444,7 +448,7 @@ class TestLockstepSearch:
         U[2, ::3] = 0.0            # none in every third round
         Z0[3, 0] = 0.0             # pinned to a cube face
         Z0[4, d - 1] = 1.0
-        Z = _pattern_search(gp, Z0, U, 10.0, gp_mod.NEIGHBOURHOOD_RADIUS)
+        Z = _pattern_search(gp, Z0, U, 10.0)
         for r in range(R):
             z_ref = reference_maximize_acquisition(gp, Z0[r], iters, ScriptedNormals(U[r]))
             assert Z[r].tobytes() == z_ref.tobytes()
@@ -454,8 +458,7 @@ class TestLockstepSearch:
         gp = FlatPosterior(1.0)
         rng = RandomSource(8)
         Z0 = rng.uniform((5, 3))
-        Z = _pattern_search(gp, Z0, rng.normal((5, 10, 3)), 10.0,
-                            gp_mod.NEIGHBOURHOOD_RADIUS)
+        Z = _pattern_search(gp, Z0, rng.normal((5, 10, 3)), 10.0)
         np.testing.assert_array_equal(Z, Z0)
 
 
@@ -547,18 +550,6 @@ class TestUniformInit:
         assert oracle.query_count == ref_oracle.query_count == 25
         assert reported == [25]  # one progress call for the block
         assert rng.uniform(4).tobytes() == ref_rng.uniform(4).tobytes()
-
-
-class TestRoundToClass:
-    @pytest.mark.parametrize("mu,k,expect", [
-        (0.4, 2, 0), (1.7, 2, 1), (0.5, 3, 1), (-0.6, 4, 0), (2.5, 4, 3),
-    ])
-    def test_values(self, mu, k, expect):
-        assert round_to_class(mu, k) == expect
-
-    def test_k_must_be_at_least_two(self):
-        with pytest.raises(ValueError):
-            round_to_class(0.5, 1)
 
 
 class TestFastBayesianSampler:
@@ -676,12 +667,8 @@ class TestReferenceBayesianSampler:
             fast = fast_bayesian_sampler(50, circles, rng=RandomSource(300 + seed))
             ref = fast_bayesian_sampler(50, circles, refit_every_point(50),
                                         rng=RandomSource(300 + seed))
-            fast_fracs.append(np.mean([
-                circles.boundary_distance(z) <= 0.1 for z in fast.X
-            ]))
-            ref_fracs.append(np.mean([
-                circles.boundary_distance(z) <= 0.1 for z in ref.X
-            ]))
+            fast_fracs.append(np.mean(circle_distances(circles, fast.X) <= 0.1))
+            ref_fracs.append(np.mean(circle_distances(circles, ref.X) <= 0.1))
         assert np.median(ref_fracs) >= np.median(fast_fracs)
 
 

@@ -1,5 +1,6 @@
 """Experiment harness: config grammar, sweep accounting, resume, plots, CLI."""
 
+import errno
 import json
 import os
 import re
@@ -292,6 +293,34 @@ def write_table(directory):
     path = directory / "table.csv"
     path.write_text("x0,x1,label\n0.1,0.2,0\n0.9,0.8,1\n")
     return path
+
+
+class HalfWrittenFile:
+    """A file whose first write stores half its text, then fails as a full disk does."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def write(self, text):
+        self._f.write(text[:len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def fill_disk_on(monkeypatch, suffix):
+    """Make every file opened for writing whose name holds `suffix` a HalfWrittenFile."""
+    real_open = Path.open
+
+    def open_(path, mode="r", *args, **kwargs):
+        f = real_open(path, mode, *args, **kwargs)
+        return HalfWrittenFile(f) if "w" in mode and suffix in path.name else f
+
+    monkeypatch.setattr(Path, "open", open_)
 
 
 def without_wall_time(report: bytes) -> list[list[bytes]]:
@@ -689,6 +718,19 @@ class TestResume:
         assert len(SyntheticDataset.from_csv(out / "reference" / "reference.csv")) == 300
         assert not list(out.rglob(f"*.{os.getpid()}.tmp"))
 
+    def test_plot_cut_off_part_way_is_drawn_on_resume(self, tmp_path, monkeypatch):
+        path = tmp_path / "plots.ini"
+        path.write_text(MINI_RUN.replace("repetitions = 1\n", "repetitions = 1\nplots = true\n"))
+        cfg, out = load_config(path), tmp_path / "out"
+        with monkeypatch.context() as m:
+            fill_disk_on(m, ".svg")
+            summary = run_experiment(cfg, out)
+        assert [label for label, _ in summary.failures] == ["plot random"]
+        assert list((out / "plots").iterdir()) == []
+        summary = run_experiment(cfg, out)
+        assert summary.failures == [] and summary.cells_computed == 0
+        assert (out / "plots" / "random.svg").read_text().endswith("</svg>\n")
+
     def test_mismatched_config_rejected(self, toy_run, tmp_path):
         cfg, out, _ = toy_run
         from dataclasses import replace
@@ -821,6 +863,14 @@ class TestCLI:
         assert lines[0] == "method,sample_count,elapsed_s"
         assert len(lines) == 3
 
+    def test_profile_out_cut_off_part_way_leaves_no_file(self, tmp_path, toy_config,
+                                                         monkeypatch):
+        fill_disk_on(monkeypatch, "timing.csv")
+        with pytest.raises(OSError):
+            cli_main(["profile", "--config", str(toy_config), "--method", "random",
+                      "--checkpoints", "100", "--out", str(tmp_path / "timing.csv")])
+        assert list(tmp_path.iterdir()) == []
+
     def test_compare_from_report(self, tmp_path, toy_run):
         _, out, _ = toy_run
         dest = tmp_path / "cmp.csv"
@@ -920,6 +970,43 @@ class TestCLI:
             cli_main([command, *args, "--out", "out", "--seed", "1"])
         assert exit_info.value.code == 2 and not (tmp_path / "out").exists()
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, args, message", [
+        ("compare", ["--report", "missing.csv"], "missing.csv: No such file or directory"),
+        ("compare", ["--report", "columns.csv"],
+         "columns.csv: the report header lacks arch, N, seed, R_F, R_Fb, wall_time_s"),
+        ("plot", ["--data", "missing.csv"], "missing.csv: No such file or directory"),
+        ("copy", ["--data", "missing.csv", "--arch", "lr"],
+         "missing.csv: No such file or directory"),
+    ], ids=["compare-missing", "compare-columns", "plot-missing", "copy-missing"])
+    def test_unreadable_input_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                     command, args, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "columns.csv").write_text("oracle,method\ncircles,random\n")
+        code = cli_main([command, *args, "--out", "out"])
+        err = capsys.readouterr().err
+        assert code == 2 and not (tmp_path / "out").exists()
+        assert err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("labels, message", [
+        ([0, 1, 1.5], "row 2 has the label 1.5;"),
+        ([0, 1, -1], "row 2 has the label -1.0;"),
+        ([0, 1, 1e300], "row 2 has the label 1e+300;"),
+        ([0, 2, 2], "no reference table row has the label 1,"),
+    ], ids=["fraction", "negative", "huge", "gap"])
+    def test_bad_table_label_ends_run_before_writing(self, tmp_path, capsys, labels,
+                                                     message):
+        rows = "".join(f"{0.1 * i!r},{0.3 * i!r},{label!r}\n"
+                       for i, label in enumerate(labels))
+        (tmp_path / "table.csv").write_text(rows)
+        (tmp_path / "t.ini").write_text(TABLE_RUN)
+        out = tmp_path / "o"
+        code = cli_main(["run", "--config", str(tmp_path / "t.ini"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith(f"config error: table.path {tmp_path / 'table.csv'}: ")
+        assert message in err
+        assert sorted(p.name for p in out.iterdir()) == ["config.resolved.ini"]
 
     @pytest.mark.parametrize("size", ["0", "1"])  # below the k = 2 a balanced set needs
     def test_evaluate_reference_size_below_the_classes(self, tmp_path, toy_config,

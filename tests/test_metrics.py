@@ -131,9 +131,9 @@ class TestBuildReferenceSet:
 
     def test_infeasible_quota_sets_warning(self):
         oracle = ConcentricCirclesOracle(center=(0.5, 0.5), radii=[0.01])
-        L = 400
-        ref = build_reference_set(oracle, L, True, RandomSource(7),
-                                  max_attempts=10 * L)
+        L = 40  # the 100 L = 4000 draws give the inner disk about 1.3 points
+        ref = build_reference_set(oracle, L, True, RandomSource(7))
+        assert ref.query_count == 100 * L
         assert not ref.metadata["complete"]
         assert len(ref) < L
         counts = np.bincount(ref.y, minlength=ref.k)
@@ -215,27 +215,27 @@ def loop_balanced_reference(oracle, L, rng, max_attempts):
 class TestBalancedAcceptMatchesLoop:
     """The vectorised accept step keeps the rows the per-row loop kept."""
 
-    @pytest.mark.parametrize("oracle, L, max_attempts", [
-        (ConcentricCirclesOracle((0.5, 0.5), [0.25]), 3, None),
-        (ConcentricCirclesOracle((0.5, 0.5), [0.25]), 20_000, None),
-        (ConcentricCirclesOracle((0.5, 0.5), [0.25]), 100_000, None),
-        (ConcentricCirclesOracle((0.5, 0.5), [0.2, 0.4]), 20_001, None),
-        (CheckerboardOracle(cells_per_dim=3, d=3), 20_000, None),
-        (CheckerboardOracle(cells_per_dim=3, d=3), 100_000, None),
-        (ConcentricCirclesOracle((0.5, 0.5), [0.01]), 3000, 10_000),
+    @pytest.mark.parametrize("oracle, L, fillable", [
+        (ConcentricCirclesOracle((0.5, 0.5), [0.25]), 3, True),
+        (ConcentricCirclesOracle((0.5, 0.5), [0.25]), 20_000, True),
+        (ConcentricCirclesOracle((0.5, 0.5), [0.25]), 100_000, True),
+        (ConcentricCirclesOracle((0.5, 0.5), [0.2, 0.4]), 20_001, True),
+        (CheckerboardOracle(cells_per_dim=3, d=3), 20_000, True),
+        (CheckerboardOracle(cells_per_dim=3, d=3), 100_000, True),
+        # 100 L = 10,000 draws, two full blocks and a partial one
+        (ConcentricCirclesOracle((0.5, 0.5), [0.01]), 100, False),
     ], ids=["circles-3", "circles-2e4", "circles-1e5", "rings-2e4+1",
             "checkerboard3d-2e4", "checkerboard3d-1e5", "unfillable"])
-    def test_same_rows_counts_and_completeness(self, oracle, L, max_attempts):
+    def test_same_rows_counts_and_completeness(self, oracle, L, fillable):
         seed = 40 + L
-        ref = build_reference_set(oracle, L, True, RandomSource(seed),
-                                  max_attempts=max_attempts)
+        ref = build_reference_set(oracle, L, True, RandomSource(seed))
         X, y, attempts, complete = loop_balanced_reference(
-            oracle, L, RandomSource(seed), 100 * L if max_attempts is None else max_attempts)
+            oracle, L, RandomSource(seed), 100 * L)
         assert ref.X.tobytes() == X.tobytes() and ref.X.shape == X.shape
         assert ref.y.tobytes() == y.tobytes()
         assert ref.query_count == attempts
         assert ref.metadata["complete"] is complete
-        assert complete is (max_attempts is None)
+        assert complete is fillable
 
 
 class TestEstimatorConsistency:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import circle_distances
 from copysampler import (
     CheckerboardOracle,
     ConcentricCirclesOracle,
@@ -41,8 +42,8 @@ class TestCircles:
         assert circles.query(np.array([0.5, 0.5])) == 0
 
     def test_distances(self, circles):
-        assert circles.boundary_distance(np.array([0.5, 0.5])) == pytest.approx(0.25)
-        assert circles.boundary_distance(np.array([0.9, 0.5])) == pytest.approx(0.15)
+        dists = circle_distances(circles, np.array([[0.5, 0.5], [0.9, 0.5]]))
+        np.testing.assert_allclose(dists, [0.25, 0.15])
 
     def test_multi_ring(self):
         oracle = ConcentricCirclesOracle(center=(0.5, 0.5), radii=[0.1, 0.3])
@@ -90,6 +91,21 @@ class TestTableOracle:
         assert oracle.query(np.array([0.9, 0.9])) == 1
         assert oracle.query(np.array([0.1, 0.2])) == 0
 
+    def test_k_is_the_largest_label_plus_one(self):
+        oracle = TableOracle(np.array([[0.0], [1.0], [2.0]]), np.array([2, 0, 1]))
+        assert oracle.k == 3
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValueError, match="row 1 has the negative label -1"):
+            TableOracle(np.array([[0.0], [1.0]]), np.array([0, -1]))
+
+    @pytest.mark.parametrize("labels, missing", [
+        ([0, 2, 2], 1), ([1, 1, 2], 0), ([0, 2**62, 1], 2),
+    ], ids=["no-1", "no-0", "huge-label"])
+    def test_class_without_a_row_rejected(self, labels, missing):
+        with pytest.raises(ValueError, match=rf"no reference table row has the label {missing},"):
+            TableOracle(np.array([[0.0], [1.0], [2.0]]), np.array(labels))
+
     def test_tie_breaks_to_lowest_index(self):
         oracle = TableOracle(np.array([[0.0], [1.0]]), np.array([1, 0]))
         assert oracle.query(np.array([0.5])) == 1  # equidistant, row 0 wins
@@ -114,7 +130,7 @@ def brute_force_labels(X_ref, y_ref, Z):
 
 
 def assert_matches_brute_force(X_ref, y_ref, Z):
-    oracle = TableOracle(X_ref, y_ref, k=int(y_ref.max()) + 1)
+    oracle = TableOracle(X_ref, y_ref)
     expected = brute_force_labels(X_ref, y_ref, Z)
     np.testing.assert_array_equal(oracle.query_many(Z), expected)
     np.testing.assert_array_equal([oracle.query(z) for z in Z], expected)
@@ -168,10 +184,10 @@ class TestTableOracleExactness:
     def test_single_row(self):
         rng = np.random.default_rng(3)
         X_ref = rng.uniform(size=(1, 3))
-        y_ref = np.array([2])
+        y_ref = np.array([0])  # a lone row's label is the only class, 0
         Z = np.vstack([rng.uniform(size=(20, 3)), X_ref])
         assert_matches_brute_force(X_ref, y_ref, Z)
-        assert TableOracle(X_ref, y_ref).query_many(Z).tolist() == [2] * 21
+        assert TableOracle(X_ref, y_ref).query_many(Z).tolist() == [0] * 21
 
     def test_one_query_per_chunk(self):
         M = TableOracle._CHUNK_PAIRS // 2 + 1

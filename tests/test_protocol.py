@@ -20,7 +20,6 @@ from copysampler import (
     ProtocolError,
     QueryTransportError,
     Spiral2DOracle,
-    external_handshake,
     parse_handshake,
     serve_oracle,
 )
@@ -64,11 +63,12 @@ class TestHandshake:
             parse_handshake("HELLO two 3\n")
 
     def test_reads_from_transport(self):
-        assert external_handshake(io.StringIO("HELLO 4 2\n")) == (4, 2)
+        oracle = ExternalOracle(io.StringIO("HELLO 4 2\n"), io.StringIO())
+        assert (oracle.d, oracle.k) == (4, 2)
 
     def test_eof_before_handshake(self):
-        with pytest.raises(ProtocolError):
-            external_handshake(io.StringIO(""))
+        with pytest.raises(ProtocolError, match="transport closed before handshake"):
+            ExternalOracle(io.StringIO(""), io.StringIO())
 
 
 class TestInProcessServer:

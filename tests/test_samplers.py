@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import peak_rss_growth_mb
+from conftest import circle_distances, peak_rss_growth_mb
 
 from copysampler import (
     BoundaryParams,
@@ -228,7 +228,7 @@ class TestBoundarySampler:
     def test_boundary_concentration_smoke(self, circles):
         ds = boundary_sampler(600, circles, rng=RandomSource(15))
         split = ds.metadata["phase_split"]
-        dists = np.array([circles.boundary_distance(z) for z in ds.X[split:]])
+        dists = circle_distances(circles, ds.X[split:])
         assert np.mean(dists <= 0.1) >= 0.25
 
     def test_min_budget(self, circles):
