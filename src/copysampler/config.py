@@ -210,7 +210,10 @@ class OracleSpec:
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
         # looked up on `core` at each call, so a loader wrapped there (a
         # tracer counting CSV reads) sees the table read too
-        X, y = core.load_labeled_csv(self.options["path"])
+        try:
+            X, y = core.load_labeled_csv(self.options["path"])
+        except ValueError as exc:  # its message names the file already
+            raise ConfigError(f"table.path {exc}") from None
         # Normalizing would spread a NaN or inf over its whole column;
         # keep such a table raw so the error names the row that holds it.
         if self.options.get("normalize", True) and np.isfinite(X).all():

@@ -12,6 +12,7 @@ given the config seed, and the public surface exposes hard labels only.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace as dc_replace
 from functools import reduce
 from pathlib import Path
@@ -205,10 +206,9 @@ def train_many(arch: str, datasets: Sequence[SyntheticDataset],
 
 def _constant_model(arch, ds, cfg) -> CopyModel | None:
     """The constant copy of a dataset with one label present, else None."""
-    present = np.unique(ds.y)
-    if present.size != 1:
+    if not (ds.y == ds.y[0]).all():
         return None
-    model = CopyModel(arch, ds.d, ds.k, constant_label=int(present[0]))
+    model = CopyModel(arch, ds.d, ds.k, constant_label=int(ds.y[0]))
     model.train_meta = {"seed": cfg.seed, "training_fidelity_error": 0.0,
                         "constant": True}
     return model
@@ -254,52 +254,94 @@ def _net_forward(layers, X):
     return [X, *_layer_outputs(layers, X)]
 
 
-def _softmax(logits):
-    """Softmax over the last axis.
+def _softmax(logits, out=None):
+    """Softmax over the last axis, into `out`, which may be `logits` itself.
 
     numpy reduces short rows slowly (some 50 ns a row), so the row max is
-    taken column by column; a max is exact, so the bits do not change.
+    taken column by column, and so is the row sum below 8 classes.  A max
+    is exact and numpy adds fewer than 8 terms left to right, so the bits
+    do not change; from 8 terms on it adds them pairwise, so `sum` stays.
     """
-    top = reduce(np.maximum, [logits[..., j] for j in range(logits.shape[-1])])
-    e = logits - top[..., None]
+    k = logits.shape[-1]
+    top = reduce(np.maximum, [logits[..., j] for j in range(k)])
+    e = np.subtract(logits, top[..., None], out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    if k < 8:
+        e /= reduce(np.add, [e[..., j] for j in range(k)])[..., None]
+    else:
+        e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
 def _net_probs(layers, X):
     for logits in _layer_outputs(layers, X):
         pass
-    return _softmax(logits)
+    return _softmax(logits, out=logits)
 
 
 def _one_hot(y, k):
     return (y[..., None] == np.arange(k)).astype(np.float64)
 
 
-def _backprop(layers, X, Y, grads, with_loss):
+def _step_buffers(layers, rows):
+    """The buffers `_backprop` writes a step of up to `rows` rows into.
+
+    `layers` are R stacked networks.  Rows lead, so a short batch is a
+    leading slice and a bias gradient adds one contiguous block per row:
+    per layer a (rows, R, width) output, per hidden layer a delta of that
+    shape, and a cells-first (R, rows, width) copy of the first layer's
+    delta.
+    """
+    R = layers[0][0].shape[0]
+    outs = [np.empty((rows, R, W.shape[-1])) for W, _ in layers]
+    deltas = [np.empty((rows, R, W.shape[-1])) for W, _ in layers[:-1]]
+    return outs, deltas, np.empty((R, rows, layers[0][0].shape[-1]))
+
+
+def _backprop(layers, X, Y, grads, buffers, with_loss):
     """Write the mean cross-entropy gradients into the (gW, gb) arrays of `grads`.
 
-    `Y` holds the one-hot labels.  Shapes are those of `_net_forward`, for
-    one network or R stacked ones.  Returns the loss of each network when
+    R stacked networks: X (R, b, d) and the one-hot labels Y (R, b, k) are
+    cells first, and `buffers` come from `_step_buffers`.  Every layer's
+    output, the softmax and every delta go into the buffers, so a step
+    allocates nothing large.  Returns the loss of each network when
     `with_loss` is set, else None.
     """
     n = X.shape[-2]
-    acts = _net_forward(layers, X)
-    delta = _softmax(acts[-1])
+    outs, deltas, first_delta = buffers
+    a = X
+    for i, ((W, b), out) in enumerate(zip(layers, outs)):
+        out = out[:n]
+        np.matmul(a, W, out=out.swapaxes(0, 1))
+        out += b
+        if i < len(layers) - 1:
+            np.maximum(out, 0.0, out=out)
+        a = out.swapaxes(0, 1)
+    delta = _softmax(out, out=out)
     loss = None
     if with_loss:
-        picked = delta[Y == 1.0].reshape(-1, n)
+        picked = delta.swapaxes(0, 1)[Y == 1.0].reshape(-1, n)
         loss = [float(-np.mean(np.log(p + 1e-12))) for p in picked]
     # x - 0.0 is x, so this changes only the labelled entries, each by -1.0
-    delta -= Y
+    delta -= Y.swapaxes(0, 1)
     delta /= n
-    for i in reversed(range(len(layers))):
+    for i in reversed(range(1, len(layers))):
         gW, gb = grads[i]
-        np.matmul(acts[i].swapaxes(-1, -2), delta, out=gW)
-        delta.sum(axis=-2, out=gb)
-        if i > 0:
-            delta = (delta @ layers[i][0].swapaxes(-1, -2)) * (acts[i] > 0.0)
+        a = outs[i - 1][:n]
+        np.matmul(a.transpose(1, 2, 0), delta.swapaxes(0, 1), out=gW)
+        np.add.reduce(delta, axis=0, out=gb)
+        below = deltas[i - 1][:n]
+        np.matmul(delta.swapaxes(0, 1), layers[i][0].swapaxes(-1, -2),
+                  out=below.swapaxes(0, 1))
+        below *= a > 0.0
+        delta = below
+    gW, gb = grads[0]
+    # cells first: a rows-first delta here makes numpy pick another
+    # product for one-feature inputs, with other bits
+    first_delta = first_delta[:, :n]
+    np.copyto(first_delta, delta.swapaxes(0, 1))
+    np.matmul(X.swapaxes(-1, -2), first_delta, out=gW)
+    np.add.reduce(delta, axis=0, out=gb)
     return loss
 
 
@@ -358,12 +400,14 @@ def _net_fit(X, y, k, hidden, cfg: TrainConfig, seeds):
                       for init in inits])
 
     def workspace(theta):
-        """Weight and gradient views of `theta`, its gradient and two scratch buffers."""
+        """Weight and gradient views of `theta`, its gradient, two scratch
+        buffers and the step buffers of `_backprop`."""
         g = np.empty_like(theta)
-        return (_layer_views(theta, inits[0]), g, _layer_views(g, inits[0]),
-                np.empty_like(theta), np.empty_like(theta))
+        layers = _layer_views(theta, inits[0])
+        return (layers, g, _layer_views(g, inits[0]), np.empty_like(theta),
+                np.empty_like(theta), _step_buffers(layers, min(n, cfg.batch_size)))
 
-    layers, g, grads, tmp, step = workspace(theta)
+    layers, g, grads, tmp, step, buffers = workspace(theta)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     # rows of every network, one after another, for one np.take per epoch
@@ -383,7 +427,7 @@ def _net_fit(X, y, k, hidden, cfg: TrainConfig, seeds):
                 batch = slice(start, start + cfg.batch_size)
                 final = epoch == cfg.epochs - 1 and start == last_start
                 loss = _backprop(layers, X_epoch[:, batch], Y_epoch[:, batch], grads,
-                                 with_loss=final)
+                                 buffers, with_loss=final)
                 if final:
                     losses = dict(zip(alive, loss))
                 t += 1
@@ -395,7 +439,8 @@ def _net_fit(X, y, k, hidden, cfg: TrainConfig, seeds):
                 np.multiply(g, 1 - _ADAM_B2, out=tmp)
                 tmp *= g
                 v += tmp
-                if not np.isfinite(v).all():
+                # v is >= 0 or NaN, so its max is finite only if all of it is
+                if not math.isfinite(v.max()):
                     ok = np.isfinite(v).all(axis=1)
                     for i in np.flatnonzero(~ok).tolist():
                         errors[alive[i]] = TrainingError(
@@ -407,7 +452,7 @@ def _net_fit(X, y, k, hidden, cfg: TrainConfig, seeds):
                         return [errors[r] for r in range(R)]
                     theta, m, v = theta[ok], m[ok], v[ok]
                     X_epoch, Y_epoch = X_epoch[ok], Y_epoch[ok]
-                    layers, g, grads, tmp, step = workspace(theta)
+                    layers, g, grads, tmp, step, buffers = workspace(theta)
                 # theta -= (step_size * m_hat) / (sqrt(v_hat) + eps)
                 np.divide(v, 1 - _ADAM_B2**t, out=tmp)
                 np.sqrt(tmp, out=tmp)

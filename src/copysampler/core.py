@@ -62,6 +62,15 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def distinct_sorted(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, ascending: np.unique's result
+    without its import of numpy.ma (some 5 ms a process)."""
+    v = np.sort(values)
+    keep = np.ones(v.size, dtype=bool)
+    keep[1:] = v[1:] != v[:-1]
+    return v[keep]
+
+
 class RandomSource:
     """Seeded PCG64 stream.
 
@@ -334,8 +343,8 @@ def _is_header(line: str) -> bool:
 def load_labeled_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Load a `x0,...,x{d-1},label` CSV into (X, y) arrays.
 
-    A label that is not a whole number in [0, 2**63) raises ValueError,
-    naming the file and the data row (0-based) that holds it.
+    Every ValueError names the file: one for a label that is not a whole
+    number in [0, 2**63) names the data row (0-based) that holds it too.
     """
     path = Path(path)
     with path.open() as f:
@@ -344,7 +353,10 @@ def load_labeled_csv(path) -> tuple[np.ndarray, np.ndarray]:
         if not f.readline() and skip:
             d = max(first.count(","), 1)
             return np.empty((0, d)), np.empty(0, dtype=np.int64)
-    raw = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    try:
+        raw = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     labels = raw[:, -1]
     # NaN fails every comparison, so the negation catches it too
     bad = np.flatnonzero(~((labels >= 0) & (labels < 2.0**63) & (labels == np.floor(labels))))
@@ -411,7 +423,7 @@ def stratified_split(
     y = np.asarray(y, dtype=np.int64).reshape(-1)
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []
-    for cls in np.unique(y):
+    for cls in distinct_sorted(y):
         members = np.flatnonzero(y == cls)
         n_c = members.size
         if n_c < 2:

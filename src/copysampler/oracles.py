@@ -19,7 +19,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .core import CopySamplerError, Point
+from .core import CopySamplerError, Point, distinct_sorted
 
 
 class UnsupportedOracleError(CopySamplerError):
@@ -270,10 +270,8 @@ class TableOracle(Oracle):
         if y_ref.min() < 0:
             raise ValueError(f"reference table row {np.argmax(y_ref < 0)} has the "
                              f"negative label {y_ref.min()}")
-        # the distinct labels, sorted: np.bincount would let a stray huge
-        # label size an array, and np.unique imports numpy.ma (5 ms)
-        labels = np.sort(y_ref)
-        classes = labels[np.concatenate(([True], labels[1:] != labels[:-1]))]
+        # not np.bincount, which would let a stray huge label size an array
+        classes = distinct_sorted(y_ref)
         if classes[-1] != classes.size - 1:
             missing = int(np.argmax(classes != np.arange(classes.size)))
             raise ValueError(f"no reference table row has the label {missing}, "

@@ -3,6 +3,7 @@
 import re
 import signal
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from copysampler.copies import (
     _net_probs,
     _one_hot,
     _softmax,
+    _step_buffers,
     _tree_fit,
 )
 from copysampler.core import RandomSource, SyntheticDataset
@@ -87,15 +89,52 @@ class TestTrainBasics:
 
 
 def network_loss_and_grad(layers, X, y):
-    """Mean cross-entropy and its gradients w.r.t. every weight and bias."""
-    grads = [(np.empty_like(W), np.empty_like(b)) for W, b in layers]
-    (loss,) = _backprop(layers, X, _one_hot(y, layers[-1][0].shape[-1]), grads,
-                        with_loss=True)
+    """Mean cross-entropy and its gradients w.r.t. every weight and bias,
+    through `_backprop` on a stack of one network."""
+    stacked = [(W[None], b[None]) for W, b in layers]
+    grads = [(np.empty_like(W), np.empty_like(b)) for W, b in stacked]
+    (loss,) = _backprop(stacked, X[None], _one_hot(y, layers[-1][0].shape[-1])[None],
+                        grads, _step_buffers(stacked, X.shape[0]), with_loss=True)
+    return loss, [(gW[0], gb[0]) for gW, gb in grads]
+
+
+def pinned_softmax(logits):
+    """The softmax that training was pinned with: a row max taken column by
+    column, then numpy's row sum."""
+    top = reduce(np.maximum, [logits[..., j] for j in range(logits.shape[-1])])
+    e = logits - top[..., None]
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def pinned_backprop(layers, X, Y):
+    """Loss and (gW, gb) gradients of one network, as training was pinned:
+    each layer, softmax and delta a new array, the bias gradients numpy sums
+    over the rows."""
+    n = X.shape[0]
+    acts = [X]
+    for i, (W, b) in enumerate(layers):
+        a = acts[-1] @ W
+        a += b
+        if i < len(layers) - 1:
+            np.maximum(a, 0.0, out=a)
+        acts.append(a)
+    delta = pinned_softmax(acts[-1])
+    loss = float(-np.mean(np.log(delta[Y == 1.0] + 1e-12)))
+    delta -= Y
+    delta /= n
+    grads = [None] * len(layers)
+    for i in reversed(range(len(layers))):
+        grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
+        if i > 0:
+            delta = (delta @ layers[i][0].T) * (acts[i] > 0.0)
     return loss, grads
 
 
 def reference_net_fit(X, y, k, hidden, cfg):
-    """Per-array Adam, as training worked before the flat parameter buffer."""
+    """Per-array Adam on `pinned_backprop`, as training worked before the
+    flat parameter buffer."""
     b1, b2, eps = 0.9, 0.999, 1e-8
     rng = RandomSource(cfg.seed)
     layers = _net_init(X.shape[1], k, hidden, rng)
@@ -104,12 +143,13 @@ def reference_net_fit(X, y, k, hidden, cfg):
     v = [np.zeros_like(a) for a in flat]
     t = 0
     n = X.shape[0]
+    Y = _one_hot(y, k)
     loss = None
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            loss, grads = network_loss_and_grad(layers, X[batch], y[batch])
+            loss, grads = pinned_backprop(layers, X[batch], Y[batch])
             t += 1
             for i, g in enumerate(g for pair in grads for g in pair):
                 m[i] = b1 * m[i] + (1 - b1) * g
@@ -132,12 +172,7 @@ def pinned_datasets():
 class TestTrainingIsPinned:
     HIDDEN = {"lr": (), "ann": (5,), "ann2": (50, 50, 50)}
 
-    @pytest.mark.parametrize("shape", ["k2d2", "k3d8"])
-    @pytest.mark.parametrize("arch", ["lr", "ann", "ann2"])
-    def test_weights_match_per_array_adam(self, arch, shape):
-        ds = pinned_datasets()[shape]
-        cfg = TrainConfig(seed=3, epochs=12)
-        model = train(arch, ds, cfg)
+    def assert_pinned(self, model, arch, ds, cfg):
         layers, loss = reference_net_fit(ds.X, ds.y, ds.k, self.HIDDEN[arch], cfg)
         assert len(model.params["layers"]) == len(layers)
         for (W, b), (W_ref, b_ref) in zip(model.params["layers"], layers):
@@ -145,6 +180,50 @@ class TestTrainingIsPinned:
             assert W.tobytes() == W_ref.tobytes()
             assert b.tobytes() == b_ref.tobytes()
         assert model.train_meta["final_loss"] == loss
+
+    @pytest.mark.parametrize("shape", ["k2d2", "k3d8"])
+    @pytest.mark.parametrize("arch", ["lr", "ann", "ann2"])
+    def test_weights_match_per_array_adam(self, arch, shape):
+        ds = pinned_datasets()[shape]
+        cfg = TrainConfig(seed=3, epochs=12)
+        self.assert_pinned(train(arch, ds, cfg), arch, ds, cfg)
+
+    @staticmethod
+    def group(n, d, k, cells):
+        """`cells` datasets of n rows, d features and k classes, two of
+        them present at least."""
+        out = []
+        for r in range(cells):
+            rng = RandomSource(1000 * d + 100 * k + 10 * r + n)
+            X = rng.uniform((n, d))
+            y = np.argmax(X @ rng.normal((d, k)) + 0.3 * rng.normal((n, k)), axis=1)
+            y[:2] = [0, 1]
+            out.append(make_dataset(X, y, k=k))
+        return out
+
+    # 65 and 129 rows end on a one-row batch of 64, 2 fall short of one
+    @pytest.mark.parametrize("n", [2, 65, 129, 300])
+    @pytest.mark.parametrize("cells", [1, 3])
+    @pytest.mark.parametrize("k", [2, 3, 8, 9])
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    @pytest.mark.parametrize("arch", ["lr", "ann", "ann2"])
+    def test_lockstep_groups_match_per_array_adam(self, arch, d, k, cells, n):
+        datasets = self.group(n, d, k, cells)
+        cfgs = [TrainConfig(seed=60 + r, epochs=3) for r in range(cells)]
+        for model, ds, cfg in zip(train_many(arch, datasets, cfgs), datasets, cfgs):
+            self.assert_pinned(model, arch, ds, cfg)
+
+    @pytest.mark.parametrize("arch", ["lr", "ann", "ann2"])
+    def test_group_with_a_diverging_cell_matches_per_array_adam(self, arch):
+        datasets = self.group(129, 1, 3, 3)
+        X = datasets[1].X.copy()
+        X[70, 0] = np.nan
+        datasets[1] = make_dataset(X, datasets[1].y, k=3)
+        cfgs = [TrainConfig(seed=70 + r, epochs=3) for r in range(3)]
+        models = train_many(arch, datasets, cfgs)
+        assert isinstance(models[1], TrainingError)
+        for i in (0, 2):
+            self.assert_pinned(models[i], arch, datasets[i], cfgs[i])
 
     @pytest.mark.parametrize("arch", ["lr", "ann", "ann2"])
     def test_nan_input_raises_training_error(self, arch):
@@ -158,12 +237,16 @@ class TestTrainingIsPinned:
 def shaped_datasets(shape, count):
     """`count` datasets drawn like pinned_datasets()[shape], each its own rows.
 
-    k2d2 has 300 rows and k3d8 150, so both end on a partial batch of 64.
+    k2d2 has 300 rows and k3d8 150, so both end on a partial batch of 64;
+    k2d1 has 129 rows of one feature, so it ends on a one-row batch.
     """
     out = []
     for r in range(count):
         rng = RandomSource(100 + r)
-        if shape == "k2d2":
+        if shape == "k2d1":
+            X = rng.uniform((129, 1))
+            out.append(make_dataset(X, (np.abs(X[:, 0] - 0.5) < 0.2).astype(int), k=2))
+        elif shape == "k2d2":
             X = rng.uniform((300, 2))
             out.append(make_dataset(X, (((X - 0.5) ** 2).sum(axis=1) < 0.06).astype(int), k=2))
         else:
@@ -187,7 +270,7 @@ def assert_same_model(got, want):
 
 class TestLockstepTraining:
     @pytest.mark.parametrize("cells", [1, 3, 7])
-    @pytest.mark.parametrize("shape", ["k2d2", "k3d8"])
+    @pytest.mark.parametrize("shape", ["k2d1", "k2d2", "k3d8"])
     @pytest.mark.parametrize("arch", ["lr", "ann", "ann2"])
     def test_matches_training_alone(self, arch, shape, cells):
         datasets = shaped_datasets(shape, cells)
@@ -540,7 +623,7 @@ class TestNetworkInternals:
         probs = _net_probs(model.params["layers"], RandomSource(9).uniform((200, 2)))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
-    @pytest.mark.parametrize("k", [2, 3, 10])
+    @pytest.mark.parametrize("k", range(2, 13))
     def test_softmax_has_the_bits_of_a_row_max(self, k):
         logits = RandomSource(k).normal((3, 200, k)) * np.array([0.1, 1.0, 10.0])[:, None, None]
         e = logits - logits.max(axis=-1, keepdims=True)
@@ -548,6 +631,10 @@ class TestNetworkInternals:
         e /= e.sum(axis=-1, keepdims=True)
         assert _softmax(logits).tobytes() == e.tobytes()
         assert _softmax(logits[1]).tobytes() == e[1].tobytes()
+        # in place on a rows-first copy, as a training step takes it
+        rows_first = logits.swapaxes(0, 1).copy()
+        assert _softmax(rows_first, out=rows_first) is rows_first
+        assert rows_first.swapaxes(0, 1).tobytes() == e.tobytes()
 
     @pytest.mark.parametrize("hidden", [(), (5,), (50, 50, 50)])
     def test_probs_have_the_bits_of_the_full_forward_pass(self, hidden):

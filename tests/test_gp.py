@@ -879,6 +879,32 @@ class TestJitterEscalation:
         assert "jitter must be finite and > 0" in out
 
 
+class TestNoNumpyMa:
+    """Training and splitting leave numpy.ma, which np.unique imports
+    (some 5 ms), unloaded.  Fresh interpreters: this one may hold it."""
+
+    def test_training_and_splitting_leave_numpy_ma_unloaded(self):
+        out = run_fresh("""
+            import sys
+            import numpy as np
+            from copysampler import TrainConfig, stratified_split, train
+            from copysampler.core import RandomSource, SyntheticDataset
+            before = "numpy.ma" in sys.modules
+            rng = RandomSource(5)
+            X = rng.uniform((80, 2))
+            y = (X[:, 0] > 0.5).astype(int)
+            ds = SyntheticDataset(X, y, k=2, generator_id="t", seed=0, query_count=80)
+            for arch in ("lr", "dt"):
+                train(arch, ds, TrainConfig(seed=1, epochs=2))
+            train("lr", SyntheticDataset(X, np.ones(80, dtype=int), k=2, generator_id="t",
+                                         seed=0, query_count=80))
+            (_, y_train), _ = stratified_split(X, y, 0.5, rng)
+            assert sorted(set(y_train.tolist())) == [0, 1]
+            print(before, "numpy.ma" in sys.modules)
+        """)
+        assert out.split() == ["False", "False"]
+
+
 class TestLazyScipy:
     """Only scipy's LAPACK extension loads, at the first posterior fit.
 

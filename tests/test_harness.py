@@ -395,6 +395,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"table\.path .*table\.csv.*row 2 "):
             cfg.oracle.build()
 
+    @pytest.mark.parametrize("row, message", [
+        ("0.5,0.5,1.5", "row 2 has the label 1.5;"),  # the loader's error
+        ("0.5,nan,1", "row 2 holds NaN"),  # the oracle's
+    ], ids=["fraction", "nan"])
+    def test_bad_table_names_its_path_once(self, tmp_path, row, message):
+        table = tmp_path / "table.csv"
+        table.write_text(f"0.1,0.2,0\n0.9,0.8,1\n{row}\n")
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[oracle]\nkind = table\npath = {table}\nnormalize = false\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path).oracle.build()
+        assert str(err.value).startswith(f"table.path {table}: ")
+        assert str(err.value).count(str(table)) == 1
+        assert message in str(err.value)
+
     def test_readme_ini_examples_load(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.M | re.S)
