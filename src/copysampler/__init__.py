@@ -26,7 +26,7 @@ _PUBLIC = {
         SyntheticDataset fit_normalization stratified_split""",
     "gp": """GPPosterior PosteriorFitError SEKernel acquisition_value
         fast_bayesian_sampler maximize_acquisition posterior_fit""",
-    "harness": "RunSummary TimingProfile run_experiment timing_profile",
+    "harness": "RunSummary run_experiment run_sampler",
     "metrics": """RunRecord balanced_empirical_fidelity_error
         build_reference_set compare_methods empirical_fidelity_error
         quality_checks""",

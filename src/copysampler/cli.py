@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Subcommands: sample, copy, evaluate, compare, profile, plot, run.  The
-five that draw random numbers (all but compare and plot) accept --seed; one
-that reads a config uses its [experiment] seed unless --seed is given, and
-`copy` uses 0.  Exit codes: 0 on success, 1 if any sweep cell failed, 2 on
-configuration or usage errors, among them an input file that is missing or
-malformed.
+Subcommands: sample, copy, evaluate, compare, profile, plot, run.  `sample`,
+`profile` and each dataset of `run` are one `harness.run_sampler` call, and
+`evaluate` and `run` take their reference set from `harness.build_reference`.
+The five that draw random numbers (all but compare and plot) accept --seed;
+one that reads a config uses its [experiment] seed unless --seed is given,
+and `copy` uses 0.  Exit codes: 0 on success, 1 if any sweep cell failed or
+a run directory's reference set cannot be read, 2 on configuration or usage
+errors, among them an input file that is missing or malformed and a copy
+model whose feature count is not the oracle's.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .config import (
 )
 from .copies import CopyModel, train
 from .core import CopySamplerError, RandomSource, SyntheticDataset, atomic_write
-from .harness import generate_dataset, run_experiment, timing_profile
+from .harness import build_reference, run_experiment, run_sampler, timing_csv
 from .svgplot import plot_2d
 
 EXIT_OK = 0
@@ -130,8 +133,7 @@ def cmd_sample(args) -> int:
     cfg = _load(args.config, args.seed)
     cfg.check_budget(args.method, args.n, "--n is")
     with cfg.oracle.build() as oracle:
-        ds = generate_dataset(cfg, args.method, args.n, oracle,
-                              RandomSource(cfg.seed))
+        ds, _ = run_sampler(cfg, args.method, [args.n], oracle, RandomSource(cfg.seed))
         ds.to_csv(args.out)
         print(f"wrote {len(ds)} samples to {args.out} ({ds.query_count} oracle queries)")
         if args.plot:
@@ -152,16 +154,12 @@ def cmd_copy(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load(args.config, args.seed)
-    model = CopyModel.load(args.model)
+    model = _read_input(CopyModel.load, args.model)
     with cfg.oracle.build() as oracle:
-        need = oracle.k if cfg.reference_balanced else 1
-        if args.reference_size < need:
-            raise ConfigError(f"--reference-size is {args.reference_size}, below the "
-                              f"{need} point(s) a reference set needs")
-        ref = metrics.build_reference_set(
-            oracle, args.reference_size, cfg.reference_balanced,
-            RandomSource.derive(cfg.seed, "reference"),
-        )
+        if model.d != oracle.d:
+            raise ConfigError(f"{args.model}: the copy takes {model.d} feature(s), "
+                              f"the oracle {oracle.d}")
+        ref = build_reference(cfg, oracle, args.reference_size, "--reference-size is")
     r_f, r_fb = metrics.fidelity(model, ref.X, ref.y, ref.k)
     print(f"R_F={r_f:.6f} R_Fb={r_fb:.6f} on {len(ref)} reference points")
     if args.out:
@@ -196,9 +194,8 @@ def cmd_profile(args) -> int:
                           f"got {args.checkpoints!r}")
     cfg.check_budget(args.method, checkpoints[-1], "--checkpoints tops out at")
     with cfg.oracle.build() as oracle:
-        profile = timing_profile(cfg, args.method, checkpoints, oracle,
-                                 RandomSource(cfg.seed))
-    text = profile.csv_text()
+        _, marks = run_sampler(cfg, args.method, checkpoints, oracle, RandomSource(cfg.seed))
+    text = timing_csv(args.method, marks)
     if args.out:
         with atomic_write(args.out) as f:
             f.write(text)

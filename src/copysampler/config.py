@@ -14,6 +14,7 @@ import configparser
 import contextlib
 import math
 import shlex
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import attrgetter
@@ -60,6 +61,12 @@ def check_workers(workers: int) -> None:
         )
 
 
+# The smallest kernel variance: `gp.posterior_fit` starts its jitter at
+# gp.JITTER_INITIAL_FACTOR times the variance, which must not round to 0 (a
+# test holds the two constants to that).
+VARIANCE_FLOOR = sys.float_info.min
+
+
 def check_kernel(length_scale: float, variance: float) -> None:
     """Raise ValueError unless these make a squared exponential kernel.
 
@@ -75,8 +82,9 @@ def check_kernel(length_scale: float, variance: float) -> None:
                          f"and > 0, got {length_scale}")
     # An infinite variance gets through: every covariance it builds holds
     # inf or NaN, which the posterior rejects where the covariance enters.
-    if not variance > 0:
-        raise ValueError(f"variance must be > 0, got {variance}")
+    if not variance >= VARIANCE_FLOOR:
+        raise ValueError(f"variance must be > 0 and at least {VARIANCE_FLOOR!r}, "
+                         f"got {variance}")
 
 
 # -- parameter groups -------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field, replace as dc_replace
 from functools import reduce
 from pathlib import Path
@@ -110,32 +111,45 @@ class CopyModel:
 
     @classmethod
     def load(cls, path) -> "CopyModel":
-        with np.load(Path(path)) as bundle:
-            head = json.loads(bytes(bundle["head"].tobytes()).decode("utf-8"))
-            if head.get("format") != _SAVE_FORMAT:
-                raise ValueError(f"unsupported model container: {head.get('format')!r}")
-            model = cls(
-                architecture=head["architecture"],
-                d=int(head["d"]),
-                k=int(head["k"]),
-                train_meta=head.get("train_meta", {}),
-                constant_label=head["constant_label"],
-            )
-            if model.constant_label is not None:
-                return model
-            if model.architecture == "dt":
-                model.params = {
-                    name: bundle[f"tree_{name}"]
-                    for name in ("feature", "threshold", "left", "right", "leaf_label")
-                }
-            else:
-                layers = []
-                i = 0
-                while f"W{i}" in bundle:
-                    layers.append((bundle[f"W{i}"], bundle[f"b{i}"]))
-                    i += 1
-                model.params = {"layers": layers}
-        return model
+        """The model `save` wrote to `path`.
+
+        A file that holds no copy model (another format, an `.npz` without
+        the header, an unknown container version) raises ValueError naming it.
+        """
+        try:
+            bundle = np.load(Path(path))
+            if not isinstance(bundle, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz container")
+            with bundle:
+                head = json.loads(bytes(bundle["head"].tobytes()).decode("utf-8"))
+                if not isinstance(head, dict):
+                    raise ValueError("its header is not a JSON object")
+                if head.get("format") != _SAVE_FORMAT:
+                    raise ValueError(f"unsupported container {head.get('format')!r}")
+                model = cls(
+                    architecture=head["architecture"],
+                    d=int(head["d"]),
+                    k=int(head["k"]),
+                    train_meta=head.get("train_meta", {}),
+                    constant_label=head["constant_label"],
+                )
+                if model.constant_label is not None:
+                    return model
+                if model.architecture == "dt":
+                    model.params = {
+                        name: bundle[f"tree_{name}"]
+                        for name in ("feature", "threshold", "left", "right", "leaf_label")
+                    }
+                else:
+                    layers = []
+                    i = 0
+                    while f"W{i}" in bundle:
+                        layers.append((bundle[f"W{i}"], bundle[f"b{i}"]))
+                        i += 1
+                    model.params = {"layers": layers}
+            return model
+        except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{path}: not a copy model ({exc})") from None
 
 
 def train(arch: str, ds: SyntheticDataset, cfg: TrainConfig | None = None) -> CopyModel:

@@ -214,14 +214,18 @@ class SyntheticDataset:
 
     @classmethod
     def from_csv(cls, path) -> "SyntheticDataset":
+        """The dataset `to_csv` wrote; every ValueError names the file at fault."""
         path = Path(path)
         X, y = load_labeled_csv(path)
         meta = meta_path(path)
         if meta.exists():
-            side = json.loads(meta.read_text())
-            return cls(X, y, int(side["k"]), side["generator_id"],
-                       int(side["seed"]), int(side["query_count"]),
-                       side.get("metadata", {}))
+            try:
+                side = json.loads(meta.read_text())
+                return cls(X, y, int(side["k"]), side["generator_id"],
+                           int(side["seed"]), int(side["query_count"]),
+                           side.get("metadata", {}))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{meta}: not the sidecar of {path.name} ({exc!r})") from None
         k = int(y.max()) + 1 if len(y) else 1
         return cls(X, y, k, "unknown", 0, len(y))
 

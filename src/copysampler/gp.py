@@ -31,7 +31,8 @@ from .oracles import Oracle
 log = logging.getLogger(__name__)
 
 # Initial jitter is kept tiny so the posterior still interpolates its
-# support to ~1e-6; escalation covers genuinely degenerate fits.
+# support to ~1e-6; escalation covers genuinely degenerate fits.  Times
+# config.VARIANCE_FLOOR, the initial factor must stay above 0.
 JITTER_INITIAL_FACTOR = 1e-12
 JITTER_MAX_FACTOR = 1e-4
 
@@ -217,13 +218,14 @@ class GPPosterior:
         return mu, var
 
 
-def posterior_fit(X: np.ndarray, y: np.ndarray, kern: SEKernel,
-                  jitter: float | None = None) -> GPPosterior:
+def posterior_fit(X: np.ndarray, y: np.ndarray, kern: SEKernel) -> GPPosterior:
     """Condition a zero-mean GP on (X, y) with class indices as targets.
 
-    The diagonal jitter starts at 1e-12 * variance, or at `jitter`, and
-    doubles on each factorization failure, giving up at 1e-4 * variance.
-    It must start finite and > 0, or doubling would never reach the cap.
+    The diagonal jitter starts at 1e-12 * variance and doubles on each
+    factorization failure, giving up at 1e-4 * variance.  It must start
+    finite and > 0, or doubling would never reach the cap; `check_kernel`'s
+    floor on the variance, config.VARIANCE_FLOOR, keeps a finite kernel's
+    starting jitter above 0.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -231,7 +233,7 @@ def posterior_fit(X: np.ndarray, y: np.ndarray, kern: SEKernel,
         raise ValueError("need at least one support sample")
     if X.shape[0] != y.shape[0]:
         raise ValueError("support point/target mismatch")
-    jit = JITTER_INITIAL_FACTOR * kern.variance if jitter is None else float(jitter)
+    jit = JITTER_INITIAL_FACTOR * kern.variance
     cap = JITTER_MAX_FACTOR * kern.variance
     K = kern.matrix(X, X)
     _check_finite(K)

@@ -1,10 +1,13 @@
-"""Experiment runner: sweeps, timing, and persistence.
+"""Experiment runner: sampler runs, sweeps, timing, and persistence.
 
-A run directory is self-describing and resumable: it contains the resolved
-configuration, one CSV per generated dataset, one CSV row per evaluated
-cell, and deterministic aggregate files assembled from those cells.  Cells
-already on disk are never recomputed, and one failing cell never aborts the
-sweep.  The configuration itself is `config`'s.
+Every sampler run, a sweep's datasets and `copysampler sample` and
+`profile` alike, is one `run_sampler` call, which also times it; every
+reference set, a sweep's and `copysampler evaluate`'s, comes from
+`build_reference`.  A run directory is self-describing and resumable: it
+contains the resolved configuration, one CSV per generated dataset, one CSV
+row per evaluated cell, and deterministic aggregate files assembled from
+those cells.  Cells already on disk are never recomputed, and one failing
+cell never aborts the sweep.  The configuration itself is `config`'s.
 """
 
 from __future__ import annotations
@@ -16,14 +19,14 @@ import os
 import time
 from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import metrics
 # OracleSpec is imported for perfbench/traced.py, which wraps
 # harness.OracleSpec.build along with the samplers and metrics used here.
 from .config import ConfigError, ExperimentConfig, OracleSpec, render_resolved  # noqa: F401
 from .copies import train, train_many
-from .core import RandomSource, SyntheticDataset, atomic_write
+from .core import CopySamplerError, RandomSource, SyntheticDataset, atomic_write
 from .gp import fast_bayesian_sampler
 from .oracles import Oracle
 from .samplers import boundary_sampler, jacobian_sampler, random_sampler
@@ -32,80 +35,72 @@ from .svgplot import plot_2d
 log = logging.getLogger(__name__)
 
 
-# -- timing ---------------------------------------------------------------------
+# -- one sampler run -------------------------------------------------------------
 
 TIMING_HEADER = "method,sample_count,elapsed_s"
 
 
-@dataclass
-class TimingProfile:
-    """Prefix checkpoints of one generation run.
-
-    Each checkpoint (N, seconds) is the time from the start of the run until
-    its first N samples were labelled.  A sampler that labels a block of
-    points reports the whole block at once, so every checkpoint inside one
-    block reads the time that block finished: the random sampler labels
-    blocks of 4096 rows (`core.DRAW_BLOCK`), so a random checkpoint reads the
-    time of the block that holds it.
-    """
-
-    method: str
-    checkpoints: list[tuple[int, float]]
-    dataset: SyntheticDataset | None = field(default=None, repr=False, compare=False)
-
-    def csv_text(self) -> str:
-        """Timing CSV text: the header, then one row per checkpoint."""
-        rows = [f"{self.method},{count},{elapsed:.6f}" for count, elapsed in self.checkpoints]
-        return "\n".join([TIMING_HEADER, *rows]) + "\n"
-
-
-def generate_dataset(
-    cfg: ExperimentConfig,
-    method: str,
-    n: int,
-    oracle: Oracle,
-    rng: RandomSource,
-    progress: Callable[[int], None] | None = None,
-) -> SyntheticDataset:
-    """Run the configured sampler `method` for `n` samples."""
-    if method == "random":
-        return random_sampler(n, oracle, rng, progress=progress)
-    if method == "boundary":
-        return boundary_sampler(n, oracle, cfg.boundary, rng=rng, progress=progress)
-    if method == "bayesian":
-        return fast_bayesian_sampler(n, oracle, cfg.bayes, rng=rng, progress=progress)
-    if method == "jacobian":
-        return jacobian_sampler(n, oracle, cfg.jacobian, rng=rng, progress=progress)
-    raise ConfigError(f"unknown sampling method {method!r}")
-
-
-def timing_profile(
+def run_sampler(
     cfg: ExperimentConfig,
     method: str,
     checkpoints: Sequence[int],
     oracle: Oracle,
     rng: RandomSource,
-) -> TimingProfile:
-    """Time one run of budget `checkpoints[-1]`, read at each checkpoint.
+) -> tuple[SyntheticDataset, list[tuple[int, float]]]:
+    """Run the configured sampler `method` to the budget `checkpoints[-1]`.
 
-    A checkpoint's seconds are those until the first N samples were labelled
-    (see `TimingProfile`), not the cost of a separate run of budget N; the
-    full-run cost of budget N is the profile with the one checkpoint N.  The
-    profile also carries the dataset generated for the last checkpoint.
+    Returns the dataset and one mark (N, seconds) per checkpoint: the time
+    until the run's first N samples were labelled.  A sampler that labels a
+    block of points reports the block at once, so every checkpoint inside it
+    reads the time the block finished (the random sampler's blocks are
+    `core.DRAW_BLOCK` rows).  The cost of a whole run of budget N is the run
+    with the one checkpoint N.
     """
-    checkpoints = list(checkpoints)
-    if checkpoints != sorted(set(checkpoints)) or not checkpoints:
-        raise ValueError("checkpoints must be non-empty and strictly ascending")
-    marks: list[tuple[int, float]] = []
     remaining = list(checkpoints)
+    if remaining != sorted(set(remaining)) or not remaining:
+        raise ValueError("checkpoints must be non-empty and strictly ascending")
+    n = remaining[-1]
+    marks: list[tuple[int, float]] = []
     start = time.perf_counter()
 
     def progress(count: int):
         while remaining and count >= remaining[0]:
             marks.append((remaining.pop(0), time.perf_counter() - start))
 
-    ds = generate_dataset(cfg, method, checkpoints[-1], oracle, rng, progress=progress)
-    return TimingProfile(method=method, checkpoints=marks, dataset=ds)
+    if method == "random":
+        ds = random_sampler(n, oracle, rng, progress=progress)
+    elif method == "boundary":
+        ds = boundary_sampler(n, oracle, cfg.boundary, rng=rng, progress=progress)
+    elif method == "bayesian":
+        ds = fast_bayesian_sampler(n, oracle, cfg.bayes, rng=rng, progress=progress)
+    elif method == "jacobian":
+        ds = jacobian_sampler(n, oracle, cfg.jacobian, rng=rng, progress=progress)
+    else:
+        raise ConfigError(f"unknown sampling method {method!r}")
+    return ds, marks
+
+
+def timing_csv(method: str, marks: Sequence[tuple[int, float]]) -> str:
+    """Timing CSV text: the header, then one row per (N, seconds) mark."""
+    rows = [f"{method},{count},{elapsed:.6f}" for count, elapsed in marks]
+    return "\n".join([TIMING_HEADER, *rows]) + "\n"
+
+
+def build_reference(cfg: ExperimentConfig, oracle: Oracle, size: int,
+                    what: str = "reference_size is") -> SyntheticDataset:
+    """The config's reference set of `size` points, labelled through `oracle`.
+
+    Its stream derives from the config's seed alone, so `copysampler
+    evaluate --reference-size` at the config's `reference_size` draws the
+    points of the run's `reference/reference.csv`.  A size below one point
+    per class of a balanced set, or below 1, is a ConfigError naming `what`.
+    """
+    need = oracle.k if cfg.reference_balanced else 1
+    if size < need:
+        raise ConfigError(f"{what} {size}, below the {need} point(s) a reference "
+                          "set needs")
+    rng = RandomSource.derive(cfg.seed, "reference")
+    return metrics.build_reference_set(oracle, size, cfg.reference_balanced, rng)
 
 
 # -- the sweep runner -------------------------------------------------------------
@@ -144,9 +139,9 @@ def _cell_path(out: Path, method: str, arch: str, n: int, rep: int) -> Path:
 def _generate_one(cfg, out, method, rep, oracle):
     ds_path, timing_path = _dataset_paths(out, method, rep)
     rng = RandomSource.derive(cfg.seed, "dataset", method, rep)
-    profile = timing_profile(cfg, method, cfg.n_grid, oracle, rng)
-    _write_text(timing_path, profile.csv_text())
-    profile.dataset.to_csv(ds_path)
+    ds, marks = run_sampler(cfg, method, cfg.n_grid, oracle, rng)
+    _write_text(timing_path, timing_csv(method, marks))
+    ds.to_csv(ds_path)
 
 
 # Phase 2 holds the training prefixes of at most this many floats of X at
@@ -259,16 +254,6 @@ def _write_cell(cfg, out, reference, method, arch, n, rep, seed, fit):
     return 1
 
 
-def _reference_for(cfg: ExperimentConfig, ref_path: Path, oracle: Oracle) -> SyntheticDataset:
-    """Build the run's reference set through `oracle` and write it."""
-    rng = RandomSource.derive(cfg.seed, "reference")
-    ref = metrics.build_reference_set(
-        oracle, cfg.reference_size, cfg.reference_balanced, rng
-    )
-    ref.to_csv(ref_path)
-    return ref
-
-
 def run_experiment(
     cfg: ExperimentConfig,
     out,
@@ -337,10 +322,14 @@ def run_experiment(
         try:
             fcntl.flock(out_fd, fcntl.LOCK_EX)
             if ref_path.exists():
-                reference = SyntheticDataset.from_csv(ref_path)
+                try:
+                    reference = SyntheticDataset.from_csv(ref_path)
+                except (OSError, ValueError) as exc:
+                    raise CopySamplerError(f"cannot read the run's reference set: {exc}") from None
             else:
                 oracle = cfg.oracle.build()
-                reference = _reference_for(cfg, ref_path, oracle)
+                reference = build_reference(cfg, oracle, cfg.reference_size)
+                reference.to_csv(ref_path)
                 summary.reference_built = True
         finally:
             os.close(out_fd)  # and with it the lock
@@ -442,10 +431,9 @@ def _emit_plots(cfg, out: Path, methods, summary: RunSummary):
             plot_path = out / "plots" / f"{method}.svg"
             if not ds_path.exists() or plot_path.exists():
                 continue
-            dataset = SyntheticDataset.from_csv(ds_path)
-            if dataset.d != 2:
-                continue
             try:
-                plot_2d(dataset, overlay, plot_path)
+                dataset = SyntheticDataset.from_csv(ds_path)
+                if dataset.d == 2:
+                    plot_2d(dataset, overlay, plot_path)
             except Exception as exc:
                 summary.failures.append((f"plot {method}", str(exc)))

@@ -37,7 +37,7 @@ from copysampler import (
 )
 from copysampler.core import TARGET_MEAN, TARGET_STD, RandomSource
 from copysampler.config import load_config
-from copysampler.harness import run_experiment, timing_profile
+from copysampler.harness import run_experiment, run_sampler
 from copysampler.metrics import read_report_csv
 
 
@@ -266,16 +266,14 @@ class TestCriterion08CostScaling:
         for method in ("random", "boundary", "jacobian"):
             times = {}
             for n in (1000, 10_000):
-                profile = timing_profile(cfg, method, [n], circles_mid(),
-                                         RandomSource.derive(2024, "t8", method, n))
-                times[n] = profile.checkpoints[0][1]
+                _, marks = run_sampler(cfg, method, [n], circles_mid(),
+                                       RandomSource.derive(2024, "t8", method, n))
+                times[n] = marks[0][1]
             ratios[method] = times[10_000] / max(times[1000], 1e-9)
-        bayes = timing_profile(cfg, "bayesian", [1000], circles_mid(),
-                               RandomSource.derive(2024, "t8", "bayes"))
-        rand = timing_profile(cfg, "random", [1000], circles_mid(),
-                              RandomSource.derive(2024, "t8", "rand"))
-        bayes_t = bayes.checkpoints[0][1]
-        rand_t = rand.checkpoints[0][1]
+        _, [(_, bayes_t)] = run_sampler(cfg, "bayesian", [1000], circles_mid(),
+                                        RandomSource.derive(2024, "t8", "bayes"))
+        _, [(_, rand_t)] = run_sampler(cfg, "random", [1000], circles_mid(),
+                                       RandomSource.derive(2024, "t8", "rand"))
         ok = all(r <= 15.0 for r in ratios.values()) and bayes_t > rand_t
         detail = ", ".join(f"{m} x{r:.1f}" for m, r in ratios.items())
         verdict(8, "cost-scaling", ok,

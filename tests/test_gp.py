@@ -26,6 +26,7 @@ from copysampler import (
     random_sampler,
 )
 import copysampler.gp as gp_mod
+from copysampler.config import VARIANCE_FLOOR, check_kernel
 from copysampler.core import RandomSource, SampleLedger
 from copysampler.gp import PosteriorFitError, _pattern_search
 
@@ -231,15 +232,17 @@ class TestPosterior:
         err = np.linalg.norm(gp.factor @ gp.factor.T - K)
         assert err < 1e-8
 
-    def test_monotone_variance_reduction(self):
+    def test_monotone_variance_reduction(self, monkeypatch):
         rng = RandomSource(11)
         kern = SEKernel.for_problem(2, 2)
+        assert kern.variance == 1.0
+        monkeypatch.setattr(gp_mod, "JITTER_INITIAL_FACTOR", 1e-10)
         X = separated_points(rng, 30, 2, min_sep=0.05)
         y = (X[:, 1] >= 0.5).astype(float)
         grid = rng.uniform((64, 2))
         prev = None
         for n in range(10, 31, 5):
-            gp = posterior_fit(X[:n], y[:n], kern, jitter=1e-10)
+            gp = posterior_fit(X[:n], y[:n], kern)
             _, var = gp.mean_var(grid)
             mean_var = var.mean()
             if prev is not None:
@@ -692,14 +695,14 @@ class ReferencePosterior:
     this factor, these weights and these means and variances bit for bit.
     """
 
-    def __init__(self, X, y, kern, jitter=None):
+    def __init__(self, X, y, kern):
         from scipy.linalg import cholesky, solve_triangular
 
         self.solve = solve_triangular
         self.support_X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         y = np.asarray(y, dtype=np.float64).reshape(-1)
         self.kernel = kern
-        jit = gp_mod.JITTER_INITIAL_FACTOR * kern.variance if jitter is None else jitter
+        jit = gp_mod.JITTER_INITIAL_FACTOR * kern.variance
         K = reference_kernel_matrix(kern, self.support_X, self.support_X)
         eye = np.eye(len(y))
         while True:
@@ -751,11 +754,12 @@ class TestLapackPath:
         assert var.tobytes() == var_ref.tobytes()
 
     @pytest.mark.parametrize("n", [37, 300])
-    def test_escalated_jitter_matches_scipy_path(self, n):
+    def test_escalated_jitter_matches_scipy_path(self, monkeypatch, n):
         # points on a line, from a jitter far too small to factor with
         X, y, Z, kern = _support(5, n, 1, 6)
-        gp = posterior_fit(X, y, kern, jitter=1e-20)
-        ref = ReferencePosterior(X, y, kern, jitter=1e-20)
+        monkeypatch.setattr(gp_mod, "JITTER_INITIAL_FACTOR", 1e-20)
+        gp = posterior_fit(X, y, kern)
+        ref = ReferencePosterior(X, y, kern)
         assert gp.jitter > 1e-15
         assert gp.jitter == ref.jitter
         assert gp.factor.tobytes() == ref.factor.tobytes()
@@ -863,19 +867,43 @@ class TestJitterEscalation:
             posterior_fit(np.array([[0.1], [0.9]]), np.array([0.0, 1.0]),
                           SEKernel(0.5, 1.0))
 
+    def test_variance_floor_keeps_the_starting_jitter_above_0(self):
+        # check_kernel's floor is what keeps a config's starting jitter > 0
+        assert gp_mod.JITTER_INITIAL_FACTOR * VARIANCE_FLOOR > 0
+        check_kernel(0.5, VARIANCE_FLOOR)
+        with pytest.raises(ValueError, match="variance must be > 0"):
+            check_kernel(0.5, math.nextafter(VARIANCE_FLOOR, 0.0))
+
     @pytest.mark.parametrize("jitter", ["0.0", "-1e-12", "nan", "inf"])
-    def test_jitter_that_cannot_escalate_rejected(self, jitter):
+    def test_jitter_that_cannot_escalate_rejected(self, tmp_path, jitter):
         # Doubling 0, a negative or NaN never passes the cap, so a singular
-        # kernel would loop for ever: run it apart, under a timeout.
+        # kernel would loop for ever: run it apart, under a timeout.  The
+        # config's variance that would start the jitter there (1e-12 times
+        # 1e-320 rounds to 0) ends a bayesian sample with a config error,
+        # and the posterior still refuses such a start.
+        variance = {"0.0": "1e-320", "-1e-12": "-1", "nan": "nan", "inf": "inf"}[jitter]
+        config = tmp_path / "v.ini"
+        config.write_text("[oracle]\nkind = circles\ncenter = 0.5 0.5\nradii = 0.25\n"
+                          f"[samplers.bayesian]\nvariance = {variance}\n")
         out = run_fresh(f"""
+            import contextlib, io
             import numpy as np
-            from copysampler import SEKernel, posterior_fit
+            import copysampler.gp as gp
+            from copysampler import SEKernel
+            from copysampler.cli import main
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["sample", "--config", {str(config)!r}, "--method", "bayesian",
+                             "--n", "30", "--out", {str(tmp_path / "out.csv")!r}])
+            print(code, err.getvalue())
+            gp.JITTER_INITIAL_FACTOR = float({jitter!r})
             try:
-                posterior_fit(np.full((2, 2), 0.5), np.array([0.0, 1.0]),
-                              SEKernel(0.5, 1.0), jitter=float({jitter!r}))
+                gp.posterior_fit(np.full((2, 2), 0.5), np.array([0.0, 1.0]), SEKernel(0.5, 1.0))
             except ValueError as exc:
                 print(exc)
         """, timeout=20)
+        assert out.startswith("2 config error: ")
+        assert not (tmp_path / "out.csv").exists()
         assert "jitter must be finite and > 0" in out
 
 

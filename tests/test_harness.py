@@ -16,11 +16,12 @@ import pytest
 import copysampler
 from copysampler import (
     ConcentricCirclesOracle,
+    HalfspaceOracle,
     OracleSpec,
     SEKernel,
     SyntheticDataset,
     TableOracle,
-    build_reference_set,
+    TrainConfig,
     core,
     metrics,
     oracles,
@@ -30,7 +31,7 @@ from copysampler import (
 from copysampler.cli import main as cli_main
 from copysampler.config import ConfigError, load_config, render_resolved
 from copysampler.core import RandomSource, fit_normalization, load_labeled_csv, meta_path
-from copysampler.harness import generate_dataset, run_experiment, timing_profile
+from copysampler.harness import build_reference, run_experiment, run_sampler
 from copysampler.metrics import read_report_csv
 from copysampler.svgplot import PlotUnsupportedError, plot_2d
 
@@ -469,6 +470,8 @@ class TestConfigParsing:
         ("samplers.bayesian", "length_scale = 1e160", r"2 \* length_scale\*\*2 finite"),
         ("samplers.bayesian", "length_scale = 1e-170", r"2 \* length_scale\*\*2 finite"),
         ("samplers.bayesian", "variance = 0", "variance must be > 0"),
+        # 1e-12 times it, the posterior's starting jitter, would round to 0
+        ("samplers.bayesian", "variance = 1e-320", "at least 2.2250738585072014e-308"),
         ("evaluation", "reference_size = 0", "reference_size must be >= 1"),
         ("evaluation", "n_grid = 0 5", "n_grid must list budgets >= 1"),
         ("evaluation", "n_grid =", "n_grid must list budgets >= 1"),
@@ -483,7 +486,7 @@ class TestConfigParsing:
         ("copies", "step_size = inf", "expected a finite number"),
         ("evaluation", "tie_margin = -Infinity", "expected a finite number"),
     ], ids=["zero-length-scale", "negative-length-scale", "length-scale-square-overflows",
-            "length-scale-square-underflows", "zero-variance",
+            "length-scale-square-underflows", "zero-variance", "subnormal-variance",
             "zero-reference-size", "zero-budget", "no-budget", "negative-tie-margin",
             *[f"{name}-{value}" for name in ("length-scale", "variance", "tau", "slowness")
               for value in ("inf", "nan")],
@@ -546,14 +549,19 @@ class TestConfigParsing:
                         f"[samplers]\n{samplers}\n")
         assert load_config(path).n_grid[-1] == int(grid.split()[-1])
 
+    def test_smallest_normal_variance_loads(self, tmp_path):
+        path = tmp_path / "k.ini"
+        path.write_text(CIRCLES_ORACLE + "[samplers.bayesian]\nvariance = 2.2250738585072014e-308\n")
+        assert load_config(path).bayes.variance == sys.float_info.min
+
     def test_explicit_kernel_values_are_kept(self, tmp_path):
         path = tmp_path / "k.ini"
         path.write_text(CIRCLES_ORACLE + "[samplers.bayesian]\nlength_scale = 0.125\n")
         cfg = load_config(path)
         assert (cfg.bayes.length_scale, cfg.bayes.variance) == (0.125, None)
         # the sampler's kernel: the set value, and the problem default for the other
-        ds = generate_dataset(cfg, "bayesian", cfg.bayes.init_count,
-                              ConcentricCirclesOracle((0.5, 0.5), [0.25]), RandomSource(1))
+        ds, _ = run_sampler(cfg, "bayesian", [cfg.bayes.init_count],
+                            ConcentricCirclesOracle((0.5, 0.5), [0.25]), RandomSource(1))
         assert ds.metadata["length_scale"] == 0.125
         assert ds.metadata["kernel_variance"] == SEKernel.for_problem(2, 2).variance
 
@@ -614,6 +622,25 @@ class TestRunAccounting:
         for name in ("report.csv", "comparison.csv", "timing.csv",
                      "config.resolved.ini"):
             assert (out / name).exists(), name
+
+    def test_timing_rows(self, toy_run):
+        cfg, out, _ = toy_run
+        header, *lines = (out / "timing.csv").read_text().splitlines()
+        assert header == "method,sample_count,elapsed_s"
+        keys = [(method, int(count)) for method, count, _ in (r.split(",") for r in lines)]
+        assert len(keys) == 4 * 5 * 2  # methods x reps x grid
+        assert keys == sorted(keys)
+        parts = []
+        for method in cfg.methods:
+            for rep in range(5):
+                part = (out / "timing" / f"{method}_r{rep:02d}.csv").read_text().splitlines()
+                assert part[0] == header
+                rows = [r.split(",") for r in part[1:]]
+                assert [(m, int(n)) for m, n, _ in rows] == [(method, n) for n in cfg.n_grid]
+                elapsed = [float(e) for _, _, e in rows]
+                assert elapsed == sorted(elapsed)
+                parts += part[1:]
+        assert sorted(lines) == sorted(parts)
 
     def test_config_echo_replays(self, toy_run):
         cfg, out, _ = toy_run
@@ -746,6 +773,45 @@ class TestResume:
         assert summary.failures == [] and summary.cells_computed == 0
         assert (out / "plots" / "random.svg").read_text().endswith("</svg>\n")
 
+    @pytest.mark.parametrize("broken", ["label", "sidecar"])
+    def test_unreadable_reference_ends_the_resume_in_one_line(self, tmp_path, capsys,
+                                                              broken):
+        path = tmp_path / "mini.ini"
+        path.write_text(MINI_RUN)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
+        ref = out / "reference" / "reference.csv"
+        if broken == "label":
+            header, first, *rest = ref.read_text().splitlines()
+            ref.write_text("\n".join([header, first.rsplit(",", 1)[0] + ",1.5", *rest]) + "\n")
+            message = (f"{ref}: row 0 has the label 1.5; "
+                       "a label must be a whole number in [0, 2**63)")
+        else:
+            meta_path(ref).write_text("{}\n")
+            message = f"{meta_path(ref)}: not the sidecar of reference.csv (KeyError('k'))"
+        (out / "datasets" / "random_r00.csv").unlink()  # a resume would redraw it
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read the run's reference set: {message}\n"
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_unreadable_dataset_fails_its_plot(self, tmp_path):
+        path = tmp_path / "plots.ini"
+        path.write_text(MINI_RUN.replace("repetitions = 1\n", "repetitions = 1\nplots = true\n"))
+        cfg, out = load_config(path), tmp_path / "out"
+        assert run_experiment(cfg, out).failures == []
+        dataset = out / "datasets" / "random_r00.csv"
+        dataset.write_text(dataset.read_text().replace(",1\n", ",1.5\n", 1))
+        (out / "plots" / "random.svg").unlink()
+        summary = run_experiment(cfg, out)
+        assert summary.cells_computed == 0
+        [(label, message)] = summary.failures
+        assert label == "plot random"
+        assert message.startswith(f"{dataset}: row ") and "has the label 1.5" in message
+        assert not (out / "plots" / "random.svg").exists()
+
     def test_mismatched_config_rejected(self, toy_run, tmp_path):
         cfg, out, _ = toy_run
         from dataclasses import replace
@@ -785,28 +851,29 @@ class TestDeterminismAcrossDirectories:
             assert ra.r_fb == rb.r_fb
 
 
-class TestTimingProfile:
+class TestRunSampler:
     def test_single_checkpoint(self, circles, toy_config):
         cfg = load_config(toy_config)
-        profile = timing_profile(cfg, "random", [500], circles, RandomSource(1))
-        assert len(profile.checkpoints) == 1
-        assert profile.checkpoints[0][0] == 500
-        assert profile.checkpoints[0][1] >= 0.0
+        ds, marks = run_sampler(cfg, "random", [500], circles, RandomSource(1))
+        assert len(ds) == 500
+        assert len(marks) == 1
+        assert marks[0][0] == 500
+        assert marks[0][1] >= 0.0
 
     @pytest.mark.parametrize("method", ["random", "boundary", "bayesian", "jacobian"])
     def test_monotone_elapsed(self, circles, toy_config, method):
         cfg = load_config(toy_config)
-        profile = timing_profile(cfg, method, [100, 400, 800], circles,
-                                 RandomSource(2))
-        counts = [c for c, _ in profile.checkpoints]
-        elapsed = [e for _, e in profile.checkpoints]
+        ds, marks = run_sampler(cfg, method, [100, 400, 800], circles, RandomSource(2))
+        counts = [c for c, _ in marks]
+        elapsed = [e for _, e in marks]
+        assert len(ds) == 800
         assert counts == [100, 400, 800]
         assert elapsed == sorted(elapsed)
 
     def test_bad_checkpoints_rejected(self, circles, toy_config):
         cfg = load_config(toy_config)
         with pytest.raises(ValueError):
-            timing_profile(cfg, "random", [400, 100], circles, RandomSource(3))
+            run_sampler(cfg, "random", [400, 100], circles, RandomSource(3))
 
 
 class TestPlot:
@@ -1035,6 +1102,76 @@ class TestCLI:
         assert code == 2 and err.count("\n") == 1
         assert f"--reference-size is {size}, below the 2 point(s)" in err
 
+    def test_run_reference_size_below_the_classes(self, tmp_path, capsys):
+        config = tmp_path / "c.ini"
+        config.write_text(CIRCLES_ORACLE + "[evaluation]\nreference_size = 1\n")
+        out = tmp_path / "o"
+        code = cli_main(["run", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("config error: reference_size is 1, below the 2 point(s)")
+        assert sorted(p.name for p in out.iterdir()) == ["config.resolved.ini"]
+
+    @pytest.mark.parametrize("model, oracle, message", [
+        ("missing.npz", "circles", "missing.npz: No such file or directory"),
+        ("data.csv", "circles", "data.csv: not a copy model ("),
+        ("no-head.npz", "circles", "no-head.npz: not a copy model ("),
+        ("array.npy", "circles", "array.npy: not a copy model (not an .npz container)"),
+        ("list-head.npz", "circles",
+         "list-head.npz: not a copy model (its header is not a JSON object)"),
+        ("other-head.npz", "circles",
+         "other-head.npz: not a copy model (unsupported container 'other')"),
+        ("empty.npz", "circles", "empty.npz: not a copy model ("),
+        ("cut.npz", "circles", "cut.npz: not a copy model ("),
+        ("dt-2d.npz", "halfspace-3d", "dt-2d.npz: the copy takes 2 feature(s), the oracle 3"),
+        ("dt-3d.npz", "circles", "dt-3d.npz: the copy takes 3 feature(s), the oracle 2"),
+        ("lr-2d.npz", "halfspace-3d", "lr-2d.npz: the copy takes 2 feature(s), the oracle 3"),
+    ], ids=["missing", "csv", "no-head", "npy", "list-head", "other-head", "empty",
+            "truncated", "dt-2d-on-3d", "dt-3d-on-2d", "lr-2d-on-3d"])
+    def test_evaluate_unusable_model_exits_2_with_one_line(self, tmp_path, capsys,
+                                                           monkeypatch, model, oracle,
+                                                           message):
+        monkeypatch.chdir(tmp_path)
+        circles = ConcentricCirclesOracle((0.5, 0.5), [0.25])
+        cube = HalfspaceOracle(w=(1.0, 0.0, 0.0), c=0.5)
+        random_sampler(20, circles, RandomSource(1)).to_csv("data.csv")
+        np.savez("no-head.npz", W0=np.zeros((2, 2)))
+        np.save("array.npy", np.zeros(3))
+        for name, head in [("list-head", b"[1]"), ("other-head", b'{"format": "other"}')]:
+            np.savez(name, head=np.frombuffer(head, dtype=np.uint8))
+        Path("empty.npz").write_bytes(b"")
+        fast = TrainConfig(epochs=2)
+        train("dt", random_sampler(50, circles, RandomSource(2))).save("dt-2d")
+        train("dt", random_sampler(50, cube, RandomSource(3))).save("dt-3d")
+        train("lr", random_sampler(50, circles, RandomSource(4)), fast).save("lr-2d")
+        Path("cut.npz").write_bytes(Path("lr-2d.npz").read_bytes()[:200])
+        Path("circles.ini").write_text(CIRCLES_ORACLE)
+        Path("halfspace-3d.ini").write_text("[oracle]\nkind = halfspace\nw = 1 0 0\nc = 0.5\n")
+        code = cli_main(["evaluate", "--config", f"{oracle}.ini", "--model", model,
+                         "--reference-size", "100", "--out", "report.csv"])
+        err = capsys.readouterr().err
+        assert code == 2 and not Path("report.csv").exists()
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+
+    def test_evaluate_at_the_run_reference_size_draws_the_run_reference(self, tmp_path,
+                                                                        monkeypatch):
+        path = tmp_path / "mini.ini"
+        path.write_text(MINI_RUN)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
+        data = SyntheticDataset.from_csv(out / "datasets" / "random_r00.csv")
+        model = train("dt", data).save(tmp_path / "copy")
+        scored = []
+        fidelity = metrics.fidelity
+        monkeypatch.setattr(metrics, "fidelity",
+                            lambda m, X, y, k: scored.append((X, y)) or fidelity(m, X, y, k))
+        size = load_config(path).reference_size
+        assert cli_main(["evaluate", "--config", str(path), "--model", str(model),
+                         "--reference-size", str(size)]) == 0
+        ref = SyntheticDataset.from_csv(out / "reference" / "reference.csv")
+        [(X, y)] = scored
+        assert X.tobytes() == ref.X.tobytes() and y.tobytes() == ref.y.tobytes()
+
     @pytest.mark.parametrize("workers, code", [("1", 0), ("2", 2)])
     def test_run_workers_flag(self, tmp_path, capsys, workers, code):
         path = tmp_path / "mini.ini"
@@ -1260,16 +1397,15 @@ class TestTableReadOncePerRun:
         for method in cfg.methods:
             for rep in range(cfg.repetitions):
                 rng = RandomSource.derive(cfg.seed, "dataset", method, rep)
-                ds = timing_profile(cfg, method, cfg.n_grid, self.fresh_oracle(table),
-                                    rng).dataset
+                ds, _ = run_sampler(cfg, method, cfg.n_grid, self.fresh_oracle(table),
+                                    rng)
                 expected = ds.to_csv(scratch / f"{method}_r{rep:02d}.csv")
                 got = out / "datasets" / expected.name
                 assert got.read_bytes() == expected.read_bytes()
                 assert (meta_path(got).read_bytes()
                         == meta_path(expected).read_bytes())
         oracle = self.fresh_oracle(table)
-        ref = build_reference_set(oracle, cfg.reference_size, cfg.reference_balanced,
-                                  RandomSource.derive(cfg.seed, "reference"))
+        ref = build_reference(cfg, oracle, cfg.reference_size)
         side = json.loads(meta_path(out / "reference" / "reference.csv").read_text())
         assert side["query_count"] == oracle.query_count
         np.testing.assert_array_equal(
