@@ -28,8 +28,7 @@ _PUBLIC = {
         fast_bayesian_sampler maximize_acquisition posterior_fit""",
     "harness": "RunSummary run_experiment run_sampler",
     "metrics": """RunRecord balanced_empirical_fidelity_error
-        build_reference_set compare_methods empirical_fidelity_error
-        quality_checks""",
+        build_reference_set compare_methods empirical_fidelity_error""",
     "oracles": """AnalyticOracle CheckerboardOracle ConcentricCirclesOracle
         ExternalOracle HalfspaceOracle Oracle ProtocolError
         QueryTransportError Spiral2DOracle TableOracle UnsupportedOracleError

@@ -7,6 +7,7 @@ samplers draw from it with `RandomSource.uniform`."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -349,12 +350,15 @@ def load_labeled_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
     Every ValueError names the file: one for a label that is not a whole
     number in [0, 2**63) names the data row (0-based) that holds it too.
+    A file with no data row, empty or a header alone, gives empty arrays.
     """
     path = Path(path)
     with path.open() as f:
         first = f.readline()
         skip = 1 if first and _is_header(first) else 0
-        if not f.readline() and skip:
+        # loadtxt warns on a file with no data, and skips what this skips
+        rows = f if skip else itertools.chain([first], f)
+        if not any(line.partition("#")[0].strip() for line in rows):
             d = max(first.count(","), 1)
             return np.empty((0, d)), np.empty(0, dtype=np.int64)
     try:

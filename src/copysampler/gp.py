@@ -7,10 +7,16 @@ high and where the posterior mean sits between integer labels, i.e. near a
 class transition.  The sampler amortizes posterior fits over batches and
 caps the conditioning set; at `cap = N` and `slowness = N` it refits on
 every sample after each point, the fully re-optimized variant.
+
+The posterior's bits do not depend on OPENBLAS_NUM_THREADS: the first
+`_lapack` call, which loads scipy's LAPACK module, also sets the OpenBLAS
+that the scipy wheel carries to one thread (`_one_blas_thread`).
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import importlib.machinery
 import importlib.util
 import logging
@@ -18,6 +24,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.linalg import LinAlgError  # the very class scipy.linalg raises
@@ -48,6 +55,7 @@ JITTER_MAX_FACTOR = 1e-4
 _FLAPACK = "scipy.linalg._flapack"
 
 
+@functools.cache
 def _lapack():
     """scipy's compiled LAPACK module, `scipy.linalg._flapack`.
 
@@ -58,7 +66,8 @@ def _lapack():
     (README gives the measurement).  So the file is loaded on its own and
     registered under its name, which a later `import scipy.linalg` reuses.
     Should that fail (a platform whose scipy sets up library paths in its
-    package init), the module is imported through scipy as usual.
+    package init), the module is imported through scipy as usual.  Either
+    way the first call also runs scipy's OpenBLAS on one thread.
     """
     module = sys.modules.get(_FLAPACK)
     if module is None:
@@ -66,7 +75,30 @@ def _lapack():
             module = _load_flapack()
         except (ImportError, OSError):
             from scipy.linalg import _flapack as module
+    _one_blas_thread(module.__file__)
     return module
+
+
+def _one_blas_thread(flapack_file: str) -> None:
+    """Set the OpenBLAS of the scipy wheel that holds `flapack_file` to one thread.
+
+    OpenBLAS splits a triangular solve among its threads, and the split
+    changes the rounding: on two threads a bayesian sample had other bits
+    than on one.  The scipy wheel carries its own OpenBLAS,
+    `scipy.libs/libscipy_openblas-*.so` beside the package and apart from
+    numpy's, and only this module calls into it.  A scipy built against
+    another BLAS has no such file or no `scipy_openblas_set_num_threads`;
+    its thread count is left as the environment sets it.
+    """
+    libs = Path(flapack_file).resolve().parents[2] / "scipy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        try:
+            setter = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
 
 
 def _load_flapack():
@@ -131,7 +163,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class PosteriorFitError(CopySamplerError):
-    """Covariance stayed non-positive-definite after jitter escalation."""
+    """Covariance stayed non-positive-definite after jitter escalation, or
+    the posterior's weights are not finite."""
 
 
 @dataclass(frozen=True)
@@ -186,8 +219,9 @@ class GPPosterior:
     """Zero-mean GP conditioned on labelled support; immutable after fit.
 
     `factor` is the lower Cholesky factor of K + jitter * I.  The targets
-    and the factor are checked for finiteness once, here; `mean_var` checks
-    only the cross-covariance it builds.  The support, the factor, the
+    and the factor are checked for finiteness once, here, and weights that
+    are not finite raise PosteriorFitError; `mean_var` checks only the
+    cross-covariance it builds.  The support, the factor, the
     weights alpha = (K + jitter * I)^-1 y and the support's squared norms,
     which every `mean_var` call reuses, are kept as read-only views.
     """
@@ -203,7 +237,12 @@ class GPPosterior:
         self.jitter = jitter
         self._support_sq = _frozen((X * X).sum(axis=1))
         tmp = solve_triangular(factor, y, lower=True)
-        self._alpha = _frozen(solve_triangular(factor.T, tmp, lower=False))
+        alpha = solve_triangular(factor.T, tmp, lower=False)
+        if not np.isfinite(alpha).all():
+            # a kernel variance near the float floor factors, but its
+            # weights overflow: no mean could be computed from them
+            raise PosteriorFitError(f"posterior weights not finite at jitter {jitter:g}")
+        self._alpha = _frozen(alpha)
 
     def mean_var(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at each row of Z."""

@@ -15,8 +15,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import TrainConfig
-from .copies import train
 from .core import (
     DRAW_BLOCK, CopySamplerError, RandomSource, SampleLedger, SyntheticDataset,
     atomic_write,
@@ -131,24 +129,6 @@ def build_reference_set(
         counts += np.bincount(yc[keep], minlength=k)
     return ledger.dataset("reference", rng.seed,
                           {"complete": len(ledger) == L, "balanced": balanced})
-
-
-def quality_checks(
-    ref: SyntheticDataset,
-    original_train: tuple[np.ndarray, np.ndarray],
-    arch: str,
-    cfg: TrainConfig | None = None,
-) -> tuple[float, float]:
-    """Refit `arch` on the reference set and score it twice.
-
-    Returns the balanced error on the reference set itself and on the
-    supplied original training data (whose labels are taken as given, so
-    pass oracle labels to measure fidelity).
-    """
-    model = train(arch, ref, cfg or TrainConfig())
-    _, on_ref = fidelity(model, ref.X, ref.y, ref.k)
-    _, on_original = fidelity(model, *original_train, ref.k)
-    return on_ref, on_original
 
 
 def compare_methods(

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,9 +27,12 @@ from copysampler import (
     random_sampler,
 )
 import copysampler.gp as gp_mod
+from copysampler.cli import main as cli_main
 from copysampler.config import VARIANCE_FLOOR, check_kernel
-from copysampler.core import RandomSource, SampleLedger
+from copysampler.core import RandomSource, SampleLedger, SyntheticDataset
 from copysampler.gp import PosteriorFitError, _pattern_search
+
+TOY_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "toy-circles.ini"
 
 
 def dense_reference(X, y, kern, jitter, Z):
@@ -841,13 +845,16 @@ class TestLapackPath:
         X[0, 0] = 0.5  # the caller's arrays stay its own to write
 
 
-def run_fresh(code: str, timeout: float = 60) -> str:
-    """The stdout of `code`, run in a fresh interpreter that finds the package."""
+def run_fresh(code: str, timeout: float = 60, **env: str) -> str:
+    """The stdout of `code`, run in a fresh interpreter that finds the package.
+
+    Keyword arguments are set in its environment.
+    """
     src = str(Path(gp_mod.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, **env, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=timeout,
     )
     assert done.returncode == 0, done.stderr
@@ -906,10 +913,24 @@ class TestJitterEscalation:
         assert not (tmp_path / "out.csv").exists()
         assert "jitter must be finite and > 0" in out
 
+    def test_weights_that_are_not_finite_fall_back_to_uniform(self, tmp_path):
+        # at variance 1e-300 the kernel factors, but from about 30 support
+        # points on its weights overflow: those batches are drawn uniformly
+        config = tmp_path / "v.ini"
+        config.write_text("[oracle]\nkind = circles\ncenter = 0.5 0.5\nradii = 0.25\n"
+                          "[samplers.bayesian]\nvariance = 1e-300\n")
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli_main(["sample", "--config", str(config), "--method", "bayesian",
+                             "--n", "60", "--out", str(out)]) == 0
+        ds = SyntheticDataset.from_csv(out)
+        assert len(ds) == 60 and ds.metadata["fallback_batches"] > 0
+
 
 class TestNoNumpyMa:
-    """Training and splitting leave numpy.ma, which np.unique imports
-    (some 5 ms), unloaded.  Fresh interpreters: this one may hold it."""
+    """Training, splitting and a sweep leave numpy.ma, which np.unique
+    imports (some 5 ms), unloaded.  Fresh interpreters: this one may hold it."""
 
     def test_training_and_splitting_leave_numpy_ma_unloaded(self):
         out = run_fresh("""
@@ -931,6 +952,17 @@ class TestNoNumpyMa:
             print(before, "numpy.ma" in sys.modules)
         """)
         assert out.split() == ["False", "False"]
+
+    def test_random_sweep_of_the_toy_config_leaves_numpy_ma_unloaded(self, tmp_path):
+        # the reference build, lr and dt training, the report and comparison
+        out = run_fresh(f"""
+            import sys
+            from copysampler.cli import main
+            code = main(["run", "--config", {str(TOY_CONFIG)!r}, "--method", "random",
+                         "--out", {str(tmp_path / "run")!r}])
+            print(code, "numpy.ma" in sys.modules)
+        """)
+        assert out.split()[-2:] == ["0", "False"]
 
 
 class TestLazyScipy:
@@ -980,9 +1012,8 @@ class TestLazyScipy:
         assert out.split() == ["copysampler", "copysampler.core", "copysampler.oracles"]
 
     def test_config_load_and_oracle_build_load_only_config_core_and_oracles(self):
-        toy = Path(__file__).resolve().parents[1] / "configs" / "toy-circles.ini"
         out = run_fresh("from copysampler import ExternalOracle, load_config\n"
-                        f"load_config({str(toy)!r}).oracle.build().query([0.5, 0.5])\n"
+                        f"load_config({str(TOY_CONFIG)!r}).oracle.build().query([0.5, 0.5])\n"
                         "import sys\n"
                         "print(*sorted(n for n in sys.modules if n.startswith('copysampler')))")
         assert out.split() == ["copysampler", "copysampler.config", "copysampler.core",
@@ -995,10 +1026,9 @@ class TestLazyScipy:
     ], ids=["server", "circles-set-up"])
     def test_set_up_leaves_subprocess_unloaded(self, code):
         # only ExternalOracle.spawn needs it; numpy may load it on its own
-        toy = str(Path(__file__).resolve().parents[1] / "configs" / "toy-circles.ini")
         out = run_fresh("import sys, numpy\n"
                         "before = 'subprocess' in sys.modules\n"
-                        f"{code.format(toy=toy)}\n"
+                        f"{code.format(toy=str(TOY_CONFIG))}\n"
                         "print(before, 'subprocess' in sys.modules)")
         before, after = out.split()
         assert after == before
@@ -1024,6 +1054,28 @@ class TestLazyScipy:
         # scipy's LAPACK extension, and not the scipy or scipy.linalg package
         assert self.loaded_after(self.FIT, gp_mod._FLAPACK, "scipy", "scipy.linalg") == [
             True, False, False]
+
+    @pytest.mark.parametrize("method, lapack", [("boundary", False), ("bayesian", True)])
+    def test_cli_sample_loads_at_most_the_lapack_extension(self, tmp_path, method, lapack):
+        code = ("from copysampler.cli import main\n"
+                f"assert main(['sample', '--config', {str(TOY_CONFIG)!r}, '--method', "
+                f"{method!r}, '--n', '60', '--out', {str(tmp_path / 'ds.csv')!r}]) == 0")
+        assert self.loaded_after(code, gp_mod._FLAPACK, "scipy", "scipy.linalg") == [
+            lapack, False, False]
+
+    def test_bayesian_bits_do_not_depend_on_the_blas_thread_count(self):
+        # unpinned, scipy's OpenBLAS on two threads rounds these solves otherwise
+        code = """
+            import hashlib
+            from copysampler import ConcentricCirclesOracle, FastBayesParams
+            from copysampler import fast_bayesian_sampler
+            from copysampler.core import RandomSource
+            ds = fast_bayesian_sampler(300, ConcentricCirclesOracle((0.5, 0.5), [0.25]),
+                                       FastBayesParams(cap=200), rng=RandomSource(1))
+            print(hashlib.sha256(ds.X.tobytes()).hexdigest())
+        """
+        one, two = (run_fresh(code, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+        assert one == two
 
     def test_scipy_linalg_imported_later_reuses_the_module(self):
         out = run_fresh(self.FIT + """

@@ -961,6 +961,7 @@ class TestCLI:
         assert code == 0
         assert dest.read_text().splitlines()[0] == \
             "method_a,method_b,victories,ties,losses"
+        assert dest.read_bytes() == (out / "comparison.csv").read_bytes()
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -1070,12 +1071,14 @@ class TestCLI:
         assert code == 2 and not (tmp_path / "out").exists()
         assert err == f"config error: {message}\n"
 
+    @pytest.mark.filterwarnings("error")  # numpy's warning would be a second line
     @pytest.mark.parametrize("labels, message", [
         ([0, 1, 1.5], "row 2 has the label 1.5;"),
         ([0, 1, -1], "row 2 has the label -1.0;"),
         ([0, 1, 1e300], "row 2 has the label 1e+300;"),
         ([0, 2, 2], "no reference table row has the label 1,"),
-    ], ids=["fraction", "negative", "huge", "gap"])
+        ([], "need at least 2 rows to fit a normalization"),
+    ], ids=["fraction", "negative", "huge", "gap", "empty"])
     def test_bad_table_label_ends_run_before_writing(self, tmp_path, capsys, labels,
                                                      message):
         rows = "".join(f"{0.1 * i!r},{0.3 * i!r},{label!r}\n"
@@ -1263,19 +1266,21 @@ class TestConcurrentRuns:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
-        def start(out, method):
+        def start(out, *only):
             return subprocess.Popen(
                 [sys.executable, "-m", "copysampler.cli", "run", "--config", str(config),
-                 "--out", str(out), "--seed", "42", "--method", method],
+                 "--out", str(out), "--seed", "42", *only],
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
 
-        serial = start(tmp_path / "serial", "random")
+        serial_dir = tmp_path / "serial"
+        serial = start(serial_dir)
         assert serial.communicate(timeout=120)[0].splitlines()[0] == "reference: built"
-        expected = {name: (tmp_path / "serial" / "reference" / name).read_bytes()
+        assert serial.returncode == 0
+        expected = {name: (serial_dir / "reference" / name).read_bytes()
                     for name in ("reference.csv", "reference.meta.json")}
         for trial in range(3):
             out = tmp_path / f"shared{trial}"
-            runs = [start(out, method) for method in ("random", "boundary")]
+            runs = [start(out, "--method", method) for method in ("random", "boundary")]
             outputs = [run.communicate(timeout=120) for run in runs]
             assert [run.returncode for run in runs] == [0, 0], outputs
             built = [stdout.splitlines().count("reference: built") for stdout, _ in outputs]
@@ -1283,6 +1288,18 @@ class TestConcurrentRuns:
             assert {path.name: path.read_bytes()
                     for path in (out / "reference").iterdir()} == expected
             assert not list(out.rglob("*.tmp"))
+        # an unfiltered run finishes the last directory as the serial run did
+        assert cli_main(["run", "--config", str(config), "--out", str(out),
+                         "--seed", "42"]) == 0
+        assert without_wall_time((out / "report.csv").read_bytes()) == \
+            without_wall_time((serial_dir / "report.csv").read_bytes())
+        assert (out / "comparison.csv").read_bytes() == \
+            (serial_dir / "comparison.csv").read_bytes()
+        assert not list(out.rglob("*.tmp"))
+        # and `compare` rebuilds that comparison from the report
+        assert cli_main(["compare", "--report", str(out / "report.csv"),
+                         "--out", str(tmp_path / "cmp.csv")]) == 0
+        assert (tmp_path / "cmp.csv").read_bytes() == (out / "comparison.csv").read_bytes()
 
 
 class TestExternalOracleConfig:

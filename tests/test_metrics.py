@@ -16,7 +16,7 @@ from copysampler import (
     build_reference_set,
     compare_methods,
     empirical_fidelity_error,
-    quality_checks,
+    train,
 )
 from copysampler.core import RandomSource, meta_path
 from copysampler.metrics import (
@@ -249,6 +249,15 @@ class TestEstimatorConsistency:
         assert abs(balanced - 0.07) < 0.01
         plain = empirical_fidelity_error(model.predict_many(ref.X), ref.y)
         assert abs(plain - 0.07) < 0.01
+
+
+def quality_checks(ref, original_train, arch):
+    """The paper's quality checks: `arch` refit on the reference set, its
+    balanced error on that set and on the original training data."""
+    model = train(arch, ref)
+    _, on_ref = fidelity(model, ref.X, ref.y, ref.k)
+    _, on_original = fidelity(model, *original_train, ref.k)
+    return on_ref, on_original
 
 
 class TestQualityChecks:
